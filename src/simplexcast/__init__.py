@@ -31,15 +31,7 @@ from .core import (
     brier_loss,
     vertex_to_probability,
 )
-from .kaar import KaarForecaster, KaarState, Kernel, kaar_predict, kaar_update, kernel_eval
-from .maar import (
-    MaarConfig,
-    MaarForecaster,
-    MaarState,
-    maar_predict,
-    maar_update,
-    solve_structured,
-)
+from .maar import MaarConfig, MaarForecaster, solve_structured
 from .projection import project_to_simplex
 from .substitution import GeneralizedPrediction, solve_substitution, substitution_threshold
 
@@ -58,7 +50,6 @@ __all__ = [
     "LossLedger",
     "MaarConfig",
     "MaarForecaster",
-    "MaarState",
     "PredictionVector",
     "ProbabilityVector",
     "Vertex",
@@ -72,8 +63,6 @@ __all__ = [
     "kaar_predict",
     "kaar_update",
     "kernel_eval",
-    "maar_predict",
-    "maar_update",
     "project_to_simplex",
     "solve_structured",
     "solve_substitution",
@@ -83,3 +72,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # kaar needs scipy, so it loads on first use and numpy alone serves the rest
+    if name in ("KaarForecaster", "KaarState", "Kernel", "kaar_predict", "kaar_update", "kernel_eval"):
+        from . import kaar
+        return getattr(kaar, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

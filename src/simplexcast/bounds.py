@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .caar import CaarForecaster
 from .core import InvariantViolation, _unwrap, as_float_vector
-from .kaar import KaarForecaster, Kernel
 from .maar import MaarForecaster, solve_structured
+
+if TYPE_CHECKING:
+    from .kaar import Kernel
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,7 @@ def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> l
     elif kind == "kaar":
         if kernel is None:
             raise ValueError("kernel required for kind='kaar'")
+        from .kaar import KaarForecaster  # scipy loads only when a kernel run needs it
         loss = run_forecaster(KaarForecaster(d, kernel, ridge), data)
         expert, loss_f, norms = best_kernel_expert(data, kernel, ridge)
         logdet = gram_logdet_regret(kernel.gram(signals), ridge, d)

@@ -11,7 +11,7 @@ raw vector generally leaves the simplex (its components sum to
 projection, which never increases the loss.
 
 The shared matrix-vector product is computed once per trial; the inverse of
-(aI + B) is maintained by rank-one updates with a periodic re-factorization.
+(aI + B) is maintained by MAAR's guarded rank-one updates and refresh.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DimensionMismatch, ProbabilityVector, _unwrap
-from .maar import REFRESH_EVERY, MaarConfig, _check_signal, _sm_update
+from .maar import REFRESH_EVERY, MaarConfig, check_signal, refresh_inverse, sm_denominator, sm_update
 from .projection import project_to_simplex
 
 
@@ -31,7 +31,6 @@ class _InverseCache:
 
     a: float
     minv: np.ndarray
-    age: int = 0
 
 
 @dataclass
@@ -51,14 +50,14 @@ class CaarState:
 
 def caar_predict_raw(state: CaarState, cfg: MaarConfig, x) -> np.ndarray:
     """Per-class forecasts before projection (length d, may leave the simplex)."""
-    xa = _check_signal(x, cfg.n)
+    xa = check_signal(x, cfg.n)
     cache = state.inv_cache
     if cache is not None and cache.a == cfg.a:
         u = cache.minv @ xa
     else:
         u = np.linalg.solve(cfg.a * np.eye(cfg.n) + state.b_core, xa)
     # (aI + B + xx')^{-1} x collapses to a scalar rescale of (aI + B)^{-1} x.
-    shared = u / (1.0 + xa @ u)
+    shared = u / sm_denominator(xa, u, 1.0, state.t + 1)
     return 1.0 / cfg.d + state.e @ shared + ((cfg.d - 2.0) / (2.0 * cfg.d)) * (xa @ shared)
 
 
@@ -72,16 +71,18 @@ def caar_update(state: CaarState, x, y) -> CaarState:
     d = state.e.shape[0]
     if ya.size != d:
         raise DimensionMismatch(f"outcome has {ya.size} classes, expected {d}")
-    xa = _check_signal(x, state.b_core.shape[0])
+    xa = check_signal(x, state.b_core.shape[0])
+    trial = state.t + 1
     b2 = state.b_core + np.outer(xa, xa)
     e2 = state.e + (ya - 1.0 / d)[:, None] * xa[None, :]
     cache = state.inv_cache
     if cache is not None:
-        if cache.age + 1 >= REFRESH_EVERY:
-            cache = _InverseCache(cache.a, np.linalg.inv(cache.a * np.eye(xa.size) + b2), 0)
-        else:
-            cache = _InverseCache(cache.a, _sm_update(cache.minv, xa), cache.age + 1)
-    return CaarState(b2, e2, state.t + 1, cache)
+        u = cache.minv @ xa
+        minv = sm_update(cache.minv, u, 1.0, sm_denominator(xa, u, 1.0, trial))
+        if trial % REFRESH_EVERY == 0:
+            minv = refresh_inverse(minv, cache.a * np.eye(xa.size) + b2, trial)
+        cache = _InverseCache(cache.a, minv)
+    return CaarState(b2, e2, trial, cache)
 
 
 class CaarForecaster:

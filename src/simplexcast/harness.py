@@ -17,14 +17,17 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
 from .core import InvariantViolation, LossLedger, ProbabilityVector, brier_loss
-from .kaar import KaarForecaster, Kernel
 from .maar import MaarForecaster
+
+if TYPE_CHECKING:
+    from .kaar import Kernel
 
 REPORT_COLUMNS = ("algorithm", "mse", "amse", "time_seconds", "ridge", "bound_slack")
 DEFAULT_RIDGE_GRID = tuple(10.0**k for k in range(-3, 4))
@@ -179,6 +182,7 @@ def make_forecaster(kind: str, n: int, d: int, ridge: float,
     if kind == "maar":
         return MaarForecaster(n, d, ridge)
     if kind == "kaar":
+        from .kaar import KaarForecaster, Kernel  # scipy loads only when a kernel run needs it
         return KaarForecaster(d, kernel or Kernel("dot"), ridge)
     if kind == "simple":
         return SimpleBaseline(d, window)
@@ -379,6 +383,7 @@ def _bound_slack_for(kind: str, stream: LabeledStream, ridge: float,
         rhs_split = base + bounds_mod.joint_split_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)
         return min(rhs_joint, rhs_split) - full_loss
     if kind == "kaar":
+        from .kaar import Kernel
         kern = kernel or Kernel("dot")
         _, loss_f, norms = bounds_mod.best_kernel_expert(data, kern, ridge)
         logdet = bounds_mod.gram_logdet_regret(kern.gram(signals), ridge, d)

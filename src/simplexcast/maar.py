@@ -5,7 +5,7 @@ The forecaster mixes all linear experts
 under a Gaussian prior with scale ``a`` and predicts through the threshold
 substitution.  Its sufficient statistics are the signal outer-product sum C
 and the vector h built from past (y^i - y^d) differences.  On each trial it
-forms, for the signal-updated C' and each class i < d,
+forms, for the signal-updated C' = C + xx' and each class i < d,
 
     b_i = h + (x', ..., 0, ..., x')'      (zero block at position i)
     z_i = -(x', ..., 2x', ..., x')'       (doubled block at position i)
@@ -13,12 +13,16 @@ forms, for the signal-updated C' and each class i < d,
 
 where A = aI + (I+J) kron C' has 2C' diagonal blocks and C' off-diagonal
 blocks.  I+J (J the all-ones matrix of size d-1) has eigenvalue d on the
-all-ones direction and eigenvalue 1 elsewhere, so applying A^{-1} reduces to
-the two n x n systems (aI + dC') and (aI + C'); see solve_structured.
+all-ones direction and eigenvalue 1 elsewhere, so r needs only (aI + C')^{-1} x
+and (aI + dC')^{-1} x.  The forecaster keeps the inverses of aI + C and aI + dC
+by Sherman-Morrison updates shared with CAAR, which makes each of those one
+matrix-vector product and a rescale: O(n^2 + dn) per trial, plus a Cholesky
+rebuild that checks both inverses every REFRESH_EVERY trials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +30,11 @@ import numpy as np
 from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap, as_float_vector
 from .substitution import solve_substitution
 
-# Rank-one incremental inverses are refreshed from scratch this often.
+# Rank-one maintained inverses are rebuilt from scratch this often.
 REFRESH_EVERY = 256
+# Largest relative drift of a maintained inverse from its rebuild, and largest
+# shortfall of a Sherman-Morrison denominator below 1 (measured: < 2e-8).
+DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,19 +52,6 @@ class MaarConfig:
             raise ValueError(f"need at least 2 classes, got {self.d}")
         if not (self.a > 0):
             raise ValueError(f"ridge parameter must be positive, got {self.a}")
-
-
-@dataclass
-class MaarState:
-    """Sufficient statistics: C = sum x_t x_t', h_i = -2 sum (y^i - y^d) x_t."""
-
-    c: np.ndarray  # (n, n)
-    h: np.ndarray  # (d-1, n), row i is block h_i
-    t: int = 0
-
-    @classmethod
-    def zero(cls, cfg: MaarConfig) -> "MaarState":
-        return cls(np.zeros((cfg.n, cfg.n)), np.zeros((cfg.d - 1, cfg.n)), 0)
 
 
 def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
@@ -93,128 +87,107 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
     return flat[:, 0] if single else flat
 
 
-def _check_signal(x, n: int) -> np.ndarray:
+def check_signal(x, n: int) -> np.ndarray:
+    """Validate a signal of length n."""
     arr = as_float_vector(x, "signal")
     if arr.size != n:
         raise DimensionMismatch(f"signal has length {arr.size}, expected {n}")
     return arr
 
 
-def maar_generalized(state: MaarState, cfg: MaarConfig, x) -> np.ndarray:
-    """The shifted generalized prediction r (length d, last entry 0)."""
-    xa = _check_signal(x, cfg.n)
-    m = cfg.d - 1
-    n = cfg.n
-    cp = state.c + np.outer(xa, xa)
-
-    tiled = np.tile(xa, m)
-    stack = np.zeros((m * n, m))
-    for i in range(m):
-        stack[i * n:(i + 1) * n, i] = xa
-    z_cols = -(tiled[:, None] + stack)
-    b_cols = state.h.reshape(-1)[:, None] + (tiled[:, None] - stack)
-
-    solved = solve_structured(cfg.a, cfg.d, cp, z_cols)
-    r = np.zeros(cfg.d)
-    r[:m] = -np.sum(b_cols * solved, axis=0)
-    return r
+def sm_denominator(x: np.ndarray, u, scale, trial: int):
+    """1 + scale x'u for u = M^{-1} x, the Sherman-Morrison denominator: >= 1 unless M^{-1} is broken.
+    Rows of ``u`` (and entries of ``scale``) may stack several inverses."""
+    den = 1.0 + scale * (u @ x)
+    for v in den.tolist() if den.ndim else (float(den),):
+        if not 1.0 - DRIFT_TOL <= v < math.inf:
+            raise InvariantViolation(f"trial {trial}: Sherman-Morrison denominator {den!r} is not >= 1")
+    return den
 
 
-def maar_predict(state: MaarState, cfg: MaarConfig, x) -> ProbabilityVector:
-    """Forecast for signal x.  Read-only: the C update is committed by maar_update."""
-    return solve_substitution(maar_generalized(state, cfg, x))
+def sm_update(minv: np.ndarray, u, scale, den, out=None) -> np.ndarray:
+    """(M + scale xx')^{-1} = M^{-1} - (scale/den) uu', stacked like sm_denominator; out=minv is in place."""
+    w = u * np.sqrt(scale / den)[..., None]   # entries (i, j) and (j, i) get one product: symmetry is exact
+    return np.subtract(minv, w[..., :, None] * w[..., None, :], out=out)
 
 
-def maar_update(state: MaarState, x, y) -> MaarState:
-    """Commit the trial: C += x x', h_i -= 2 (y^i - y^d) x."""
-    ya = _unwrap(y)
-    m = state.h.shape[0]
-    if ya.size != m + 1:
-        raise DimensionMismatch(f"outcome has {ya.size} classes, expected {m + 1}")
-    xa = _check_signal(x, state.c.shape[0])
-    diff = ya[:-1] - ya[-1]
-    return MaarState(
-        state.c + np.outer(xa, xa),
-        state.h - 2.0 * diff[:, None] * xa[None, :],
-        state.t + 1,
-    )
-
-
-def _sm_apply(minv: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(M + s s')^{-1} v given M^{-1}, without forming the updated inverse."""
-    mv = minv @ v
-    ms = minv @ s
-    denom = 1.0 + s @ ms
-    return mv - ms * ((s @ mv) / denom)
-
-
-def _sm_update(minv: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rank-one Sherman-Morrison update of M^{-1} for M + s s'."""
-    ms = minv @ s
-    return minv - np.outer(ms, ms) / (1.0 + s @ ms)
+def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int) -> np.ndarray:
+    """mat^{-1} rebuilt by Cholesky; raises InvariantViolation, naming the trial, when mat is
+    not positive definite or the maintained ``minv`` is more than DRIFT_TOL (relative) from it."""
+    try:
+        linv = np.linalg.inv(np.linalg.cholesky(mat))
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolation(f"trial {trial}: refresh found a system that is not positive definite") from exc
+    fresh = linv.T @ linv
+    drift = np.linalg.norm(minv - fresh) / np.linalg.norm(fresh)
+    if not drift <= DRIFT_TOL:
+        cond = np.linalg.norm(mat, 1) * np.linalg.norm(fresh, 1)
+        raise InvariantViolation(f"trial {trial}: inverse drift {drift:.3e}, condition estimate {cond:.3e}")
+    return fresh
 
 
 class MaarForecaster:
-    """Sequential predict/update wrapper around the joint forecaster.
+    """Sequential predict/update form of the joint forecaster.
 
-    With ``incremental=True`` the two n x n inverses behind the structured
-    solve are maintained by rank-one updates (refreshed every REFRESH_EVERY
-    trials) instead of being refactorized each trial.  Both paths produce the
-    same forecasts; the direct path is the default.
+    Holds C, h (row i is h_i = -2 sum (y^i - y^d) x_t), the trial count t and the inverses
+    of aI + C and aI + dC, updated in place; ``update`` reuses ``predict``'s products.
     """
 
-    def __init__(self, n: int, d: int, a: float = 1.0, incremental: bool = False):
+    def __init__(self, n: int, d: int, a: float = 1.0):
         self.cfg = MaarConfig(n, d, a)
-        self.state = MaarState.zero(self.cfg)
-        self.incremental = bool(incremental)
-        if self.incremental:
-            self._inv1 = np.eye(n) / a   # (aI + C)^{-1}
-            self._invd = np.eye(n) / a   # (aI + dC)^{-1}
-            self._age = 0
+        self.h = np.zeros((d - 1, n))
+        self.t = 0
+        self._scale = np.array([1.0, d])
+        self._inv = np.stack([np.eye(n) / a] * 2)     # (aI + C)^{-1}, (aI + dC)^{-1}
+        self._c = np.zeros((n, n))                    # C up to the last refresh
+        self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
+        self._last = None                             # (x, u, den) of the last generalized call
 
     @property
-    def t(self) -> int:
-        return self.state.t
+    def c(self) -> np.ndarray:
+        """C = sum x_t x_t' over the committed trials."""
+        pending = self._signals[:self.t % REFRESH_EVERY]
+        return self._c + pending.T @ pending
+
+    def _products(self, xa: np.ndarray):
+        u = self._inv @ xa
+        return xa, u, sm_denominator(xa, u, self._scale, self.t + 1)
 
     def generalized(self, x) -> np.ndarray:
-        if not self.incremental:
-            return maar_generalized(self.state, self.cfg, x)
-        xa = _check_signal(x, self.cfg.n)
-        d = self.cfg.d
-        m = d - 1
-        # Solves against C' = C + x x' come from the committed inverses via
-        # one Sherman-Morrison application each.
-        p = _sm_apply(self._invd, np.sqrt(d) * xa, xa)   # (aI + dC')^{-1} x
-        q = _sm_apply(self._inv1, xa, xa)                # (aI + C')^{-1} x
-        s_h = self.state.h.sum(axis=0)
-        common = s_h + (m - 1) * xa
-        r = np.zeros(d)
-        r[:m] = (1.0 + 1.0 / m) * (common @ p) + self.state.h @ q - (common @ q) / m
+        """The shifted generalized prediction r (length d, last entry 0)."""
+        xa, u, den = self._last = self._products(check_signal(x, self.cfg.n).copy())
+        q, p = u / den[:, None]   # (aI + C')^{-1} x and (aI + dC')^{-1} x
+        m = self.cfg.d - 1
+        common = self.h.sum(axis=0) + (m - 1) * xa
+        r = np.zeros(m + 1)
+        r[:m] = (1.0 + 1.0 / m) * (common @ p) + self.h @ q - (common @ q) / m
         return r
 
     def predict(self, x) -> ProbabilityVector:
         return solve_substitution(self.generalized(x))
 
     def update(self, x, y) -> None:
-        if self.incremental:
-            xa = _check_signal(x, self.cfg.n)
-            self._age += 1
-            if self._age >= REFRESH_EVERY:
-                c2 = self.state.c + np.outer(xa, xa)
-                eye = np.eye(self.cfg.n)
-                self._inv1 = np.linalg.inv(self.cfg.a * eye + c2)
-                self._invd = np.linalg.inv(self.cfg.a * eye + self.cfg.d * c2)
-                self._age = 0
-            else:
-                self._inv1 = _sm_update(self._inv1, xa)
-                self._invd = _sm_update(self._invd, np.sqrt(self.cfg.d) * xa)
-        self.state = maar_update(self.state, x, y)
+        """Commit the trial: C += xx', h_i -= 2 (y^i - y^d) x, both inverses follow."""
+        ya = _unwrap(y)
+        if ya.size != self.cfg.d:
+            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.cfg.d}")
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._products(check_signal(x, self.cfg.n))
+        xa, u, den = last
+        self._signals[self.t % REFRESH_EVERY] = xa   # C only feeds the refresh
+        self.h -= (2.0 * (ya[:-1] - ya[-1]))[:, None] * xa
+        sm_update(self._inv, u, self._scale, den, out=self._inv)
+        self.t += 1
+        if self.t % REFRESH_EVERY == 0:
+            self._c += self._signals.T @ self._signals
+            self._inv = self._refreshed()
+
+    def _refreshed(self) -> np.ndarray:
+        c, eye = self.c, self.cfg.a * np.eye(self.cfg.n)
+        return np.stack([refresh_inverse(minv, eye + scale * c, self.t)
+                         for minv, scale in zip(self._inv, self._scale)])
 
     def run_check(self) -> None:
-        """Sanity assertion: the prior keeps every system positive definite."""
-        eye = np.eye(self.cfg.n)
-        for mat in (self.cfg.a * eye + self.state.c, self.cfg.a * eye + self.cfg.d * self.state.c):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError as exc:
-                raise InvariantViolation("structured system lost positive definiteness") from exc
+        """Check both maintained inverses against a Cholesky rebuild, keeping them as they are."""
+        self._refreshed()

@@ -2,6 +2,7 @@
 
 Everything here recomputes quantities from first principles: expert losses
 are evaluated pointwise trial by trial, integrals by tensor-grid quadrature,
+the joint forecaster's block system by a dense kron assembly and solve,
 projections by exhaustive active-set enumeration, and minima by conjugate
 gradients.  No solver code is shared with the production modules, so
 agreement between the two is a genuine cross-check.  None of this is meant
@@ -224,6 +225,25 @@ def quadrature_r(history, x_t, d: int, a: float, eta: float = 1.0, nodes: int = 
         h_mat, l_vec, c0 = _quadratic_from_evals(fn, dim)
         logs[cls] = log_gaussian_grid_integral(h_mat, l_vec, c0, nodes)
     return (logs[-1] - logs) / eta
+
+
+def dense_maar_r(history, x_t, d: int, a: float) -> np.ndarray:
+    """The joint forecaster's r from its definition: r_i = -b_i' A^{-1} z_i, dense.
+
+    Sums C' (with x_t x_t') and h over the history, assembles the full block
+    system A = aI + (I+J) kron C' with kron and solves it once per class i < d.
+    """
+    x_t = as_float_vector(x_t, "signal")
+    m = d - 1
+    xs = np.array([x for x, _ in history], dtype=float).reshape(-1, x_t.size)
+    ys = np.array([y for _, y in history], dtype=float).reshape(-1, d)
+    c = xs.T @ xs + np.outer(x_t, x_t)
+    h = (-2.0 * (ys[:, :m] - ys[:, m:]).T @ xs).reshape(-1)
+    system = a * np.eye(m * x_t.size) + np.kron(np.eye(m) + np.ones((m, m)), c)
+    r = np.zeros(d)
+    for i, unit in enumerate(np.eye(m)):
+        r[i] = -(h + np.kron(1.0 - unit, x_t)) @ np.linalg.solve(system, -np.kron(1.0 + unit, x_t))
+    return r
 
 
 def quadrature_component_forecast(

@@ -20,14 +20,7 @@ from simplexcast.bounds import (
 from simplexcast.caar import CaarState, caar_predict_raw, caar_update
 from simplexcast.core import PredictionVector, brier_loss, vertex_to_probability
 from simplexcast.kaar import KaarForecaster, Kernel
-from simplexcast.maar import (
-    MaarConfig,
-    MaarForecaster,
-    MaarState,
-    maar_generalized,
-    maar_update,
-    solve_structured,
-)
+from simplexcast.maar import MaarConfig, MaarForecaster, solve_structured
 from simplexcast.oracle import qp_projection, quadrature_component_forecast, quadrature_r
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import solve_substitution, substitution_threshold
@@ -95,13 +88,13 @@ def test_criterion_04_closed_forms_match_quadrature():
         x_t = rng.uniform(-1, 1, n)
 
         cfg = MaarConfig(n, d, a)
-        state = MaarState.zero(cfg)
+        model = MaarForecaster(n, d, a)
         cstate = CaarState.zero(cfg)
         for x, y in history:
-            state = maar_update(state, x, y)
+            model.update(x, y)
             cstate = caar_update(cstate, x, y)
 
-        closed = maar_generalized(state, cfg, x_t)
+        closed = model.generalized(x_t)
         quad = quadrature_r(history, x_t, d=d, a=a)
         worst_joint = max(worst_joint, np.abs(closed - quad).max())
 

@@ -8,8 +8,8 @@ from simplexcast.caar import (
     caar_predict_raw,
     caar_update,
 )
-from simplexcast.core import DimensionMismatch
-from simplexcast.maar import MaarConfig
+from simplexcast.core import DimensionMismatch, InvariantViolation
+from simplexcast.maar import REFRESH_EVERY, MaarConfig
 from simplexcast.oracle import quadrature_component_forecast
 
 
@@ -110,6 +110,22 @@ def test_incremental_inverse_tracks_direct():
         caar_predict_raw(bare, cfg_other, x),
         atol=1e-12,
     )
+
+
+def test_corrupted_inverse_raises_naming_the_trial():
+    rng = np.random.default_rng(36)
+    n, d = 3, 3
+    model = CaarForecaster(n, d, 1.0)
+    for _ in range(REFRESH_EVERY - 1):
+        model.update(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)])
+    model.state.inv_cache.minv *= 1.01
+    x = rng.uniform(-1, 1, n)
+    model.predict(x)   # the denominator still looks healthy
+    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: inverse drift"):
+        model.update(x, np.eye(d)[0])
+    model.state.inv_cache.minv *= -1.0
+    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: Sherman-Morrison denominator"):
+        model.predict(x)
 
 
 def test_matches_scalar_quadrature_per_component():

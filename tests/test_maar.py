@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import DimensionMismatch
-from simplexcast.maar import (
-    MaarConfig,
-    MaarForecaster,
-    MaarState,
-    maar_generalized,
-    maar_predict,
-    maar_update,
-    solve_structured,
-)
-from simplexcast.oracle import quadrature_r
+from simplexcast.core import DimensionMismatch, InvariantViolation
+from simplexcast.maar import REFRESH_EVERY, MaarConfig, MaarForecaster, refresh_inverse, solve_structured
+from simplexcast.oracle import dense_maar_r, quadrature_r
+from simplexcast.substitution import solve_substitution
 
 
 def dense_system(a, d, c):
@@ -31,8 +24,7 @@ def test_config_validation():
 
 def test_first_trial_zero_signal_is_uniform():
     for d in (2, 3, 5):
-        cfg = MaarConfig(3, d, 1.0)
-        out = maar_predict(MaarState.zero(cfg), cfg, np.zeros(3))
+        out = MaarForecaster(3, d, 1.0).predict(np.zeros(3))
         np.testing.assert_allclose(out.p, np.full(d, 1.0 / d))
 
 
@@ -40,56 +32,58 @@ def test_hand_traced_two_class_instance():
     # n=1, d=2, a=1; one past trial (x=1, y=(1,0)); predict at x=1.
     # Sufficient statistics: C=2 (with the new signal), A=5, b=-2, z=-2,
     # so r_1 = -(-2)(1/5)(-2) = -4/5 and the forecast is (0.7, 0.3).
-    cfg = MaarConfig(1, 2, 1.0)
-    state = maar_update(MaarState.zero(cfg), [1.0], [1.0, 0.0])
-    assert state.c[0, 0] == 1.0
-    assert state.h[0, 0] == -2.0
-    r = maar_generalized(state, cfg, [1.0])
+    model = MaarForecaster(1, 2, 1.0)
+    model.update([1.0], [1.0, 0.0])
+    assert model.c[0, 0] == 1.0
+    assert model.h[0, 0] == -2.0
+    r = model.generalized([1.0])
     np.testing.assert_allclose(r, [-0.8, 0.0], atol=1e-14)
-    np.testing.assert_allclose(maar_predict(state, cfg, [1.0]).p, [0.7, 0.3], atol=1e-14)
+    np.testing.assert_allclose(model.predict([1.0]).p, [0.7, 0.3], atol=1e-14)
 
 
 def test_predict_does_not_mutate_state():
-    cfg = MaarConfig(2, 3, 1.0)
-    state = maar_update(MaarState.zero(cfg), [1.0, -0.5], [0.0, 1.0, 0.0])
-    c_before, h_before, t_before = state.c.copy(), state.h.copy(), state.t
-    maar_predict(state, cfg, [0.3, 0.7])
-    np.testing.assert_array_equal(state.c, c_before)
-    np.testing.assert_array_equal(state.h, h_before)
-    assert state.t == t_before
+    model = MaarForecaster(2, 3, 1.0)
+    model.update([1.0, -0.5], [0.0, 1.0, 0.0])
+    before = (model.c, model.h.copy(), model._inv.copy())
+    t_before = model.t
+    model.predict([0.3, 0.7])
+    for was, now in zip(before, (model.c, model.h, model._inv)):
+        np.testing.assert_array_equal(now, was)
+    assert model.t == t_before
 
 
 def test_update_formulas():
-    cfg = MaarConfig(1, 2, 1.0)
-    state = maar_update(MaarState.zero(cfg), [1.0], [1.0, 0.0])
-    assert state.h[0, 0] == -2.0 and state.c[0, 0] == 1.0 and state.t == 1
+    model = MaarForecaster(1, 2, 1.0)
+    model.update([1.0], [1.0, 0.0])
+    assert model.h[0, 0] == -2.0 and model.c[0, 0] == 1.0 and model.t == 1
 
 
 def test_update_with_uniform_outcome_leaves_h():
-    cfg = MaarConfig(2, 4, 1.0)
+    model = MaarForecaster(2, 4, 1.0)
     x = np.array([0.5, -1.0])
-    state = maar_update(MaarState.zero(cfg), x, np.full(4, 0.25))
-    np.testing.assert_array_equal(state.h, np.zeros((3, 2)))
-    np.testing.assert_allclose(state.c, np.outer(x, x))
+    model.update(x, np.full(4, 0.25))
+    np.testing.assert_array_equal(model.h, np.zeros((3, 2)))
+    np.testing.assert_allclose(model.c, np.outer(x, x))
 
 
 def test_two_identical_updates_double_increments():
-    cfg = MaarConfig(2, 3, 1.0)
     x = np.array([0.3, 0.9])
     y = np.array([0.0, 1.0, 0.0])
-    once = maar_update(MaarState.zero(cfg), x, y)
-    twice = maar_update(once, x, y)
+    once = MaarForecaster(2, 3, 1.0)
+    once.update(x, y)
+    twice = MaarForecaster(2, 3, 1.0)
+    twice.update(x, y)
+    twice.update(x, y)
     np.testing.assert_allclose(twice.c, 2 * once.c)
     np.testing.assert_allclose(twice.h, 2 * once.h)
 
 
 def test_dimension_mismatch_errors():
-    cfg = MaarConfig(2, 3, 1.0)
-    state = MaarState.zero(cfg)
+    model = MaarForecaster(2, 3, 1.0)
     with pytest.raises(DimensionMismatch):
-        maar_predict(state, cfg, [1.0, 2.0, 3.0])
+        model.predict([1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch):
-        maar_update(state, [1.0, 2.0], [1.0, 0.0])
+        model.update([1.0, 2.0], [1.0, 0.0])
 
 
 def test_permutation_equivariance_over_leading_classes():
@@ -102,14 +96,13 @@ def test_permutation_equivariance_over_leading_classes():
     x_query = rng.uniform(-1, 1, n)
     perm = np.append(rng.permutation(d - 1), d - 1)
 
-    cfg = MaarConfig(n, d, 1.0)
-    state = MaarState.zero(cfg)
-    state_p = MaarState.zero(cfg)
+    model = MaarForecaster(n, d, 1.0)
+    model_p = MaarForecaster(n, d, 1.0)
     for x, y in stream:
-        state = maar_update(state, x, y)
-        state_p = maar_update(state_p, x, y[perm])
-    base = maar_predict(state, cfg, x_query).p
-    permuted = maar_predict(state_p, cfg, x_query).p
+        model.update(x, y)
+        model_p.update(x, y[perm])
+    base = model.predict(x_query).p
+    permuted = model_p.predict(x_query).p
     np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
 
@@ -171,26 +164,80 @@ def test_generalized_prediction_matches_quadrature():
             history.append((rng.uniform(-1, 1, n), y))
         x_t = rng.uniform(-1, 1, n)
         a = float(rng.choice([0.5, 1.0, 2.0]))
-        cfg = MaarConfig(n, d, a)
-        state = MaarState.zero(cfg)
+        model = MaarForecaster(n, d, a)
         for x, y in history:
-            state = maar_update(state, x, y)
-        closed = maar_generalized(state, cfg, x_t)
+            model.update(x, y)
+        closed = model.generalized(x_t)
         quad = quadrature_r(history, x_t, d=d, a=a)
         np.testing.assert_allclose(closed, quad, atol=1e-5)
 
 
 def test_forecaster_incremental_matches_direct():
+    # the maintained-inverse forecaster against the dense stacked solve
     rng = np.random.default_rng(25)
     n, d = 3, 4
-    direct = MaarForecaster(n, d, 0.8)
-    fast = MaarForecaster(n, d, 0.8, incremental=True)
+    fast = MaarForecaster(n, d, 0.8)
+    history = []
     for _ in range(60):
         x = rng.uniform(-1, 1, n)
         y = np.eye(d)[rng.integers(d)]
-        np.testing.assert_allclose(fast.predict(x).p, direct.predict(x).p, atol=1e-9)
-        direct.update(x, y)
+        direct = solve_substitution(dense_maar_r(history, x, d, 0.8))
+        np.testing.assert_allclose(fast.predict(x).p, direct.p, atol=1e-9)
         fast.update(x, y)
+        history.append((x, y))
+
+
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 5)])
+def test_forecaster_matches_dense_oracle_across_refreshes(n, d, a):
+    rng = np.random.default_rng(27)
+    model = MaarForecaster(n, d, a)
+    history = []
+    for step in range(2 * REFRESH_EVERY + 10):
+        x = rng.uniform(-1, 1, n)
+        y = np.eye(d)[rng.integers(d)]
+        dense = solve_substitution(dense_maar_r(history, x, d, a))
+        np.testing.assert_allclose(model.predict(x).p, dense.p, atol=1e-9)
+        if step % 7 == 0:
+            # a predict on another signal must not leak into the update for x
+            model.predict(rng.uniform(-1, 1, n))
+        model.update(list(x) if step % 2 else x, y)
+        history.append((x, y))
+    assert model.t == 2 * REFRESH_EVERY + 10
+
+
+def _run(model, trials, seed=28):
+    rng = np.random.default_rng(seed)
+    n, d = model.cfg.n, model.cfg.d
+    for _ in range(trials):
+        x = rng.uniform(-1, 1, n)
+        model.predict(x)
+        model.update(x, np.eye(d)[rng.integers(d)])
+    return rng.uniform(-1, 1, n)
+
+
+def test_corrupted_inverse_raises_naming_the_trial():
+    model = MaarForecaster(3, 3, 1.0)
+    x = _run(model, REFRESH_EVERY - 1)
+    model._inv[0] *= 1.01   # still passes the denominator check, fails the refresh
+    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: inverse drift"):
+        model.update(x, [1.0, 0.0, 0.0])
+
+    model = MaarForecaster(3, 3, 1.0)
+    x = _run(model, 10)
+    model._inv[1] *= -1.0
+    with pytest.raises(InvariantViolation, match="trial 11: Sherman-Morrison denominator"):
+        model.predict(x)
+
+
+def test_non_positive_definite_refresh_raises_naming_the_trial():
+    model = MaarForecaster(3, 3, 1.0)
+    x = _run(model, REFRESH_EVERY - 1)
+    model._c[:] = -1e3 * np.eye(3)
+    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: refresh found a system that is not"):
+        model.update(x, [1.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolation, match="trial 7:"):
+        refresh_inverse(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 7)
 
 
 def test_forecaster_run_check_passes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simplexcast.oracle import (
+    dense_maar_r,
     log_gaussian_grid_integral,
     numeric_quadratic_min,
     qp_projection,
@@ -112,6 +113,17 @@ def test_hand_traced_instance_by_integration():
     r = quadrature_r(history, np.array([1.0]), d=2, a=1.0)
     assert r[0] == pytest.approx(-0.8, abs=1e-5)
     assert r[1] == 0.0
+    np.testing.assert_allclose(dense_maar_r(history, np.array([1.0]), d=2, a=1.0), [-0.8, 0.0], atol=1e-14)
+
+
+def test_dense_stacked_solve_matches_integration():
+    rng = np.random.default_rng(64)
+    for n, d in ((1, 2), (2, 2), (1, 3), (3, 2), (1, 4)):
+        history = [(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)]) for _ in range(3)]
+        x_t = rng.uniform(-1, 1, n)
+        a = float(rng.choice([0.5, 2.0]))
+        np.testing.assert_allclose(dense_maar_r(history, x_t, d=d, a=a),
+                                   quadrature_r(history, x_t, d=d, a=a), atol=1e-5)
 
 
 def test_label_permutation_symmetry():
