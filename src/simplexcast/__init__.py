@@ -43,7 +43,6 @@ __all__ = [
     "GeneralizedPrediction",
     "InvariantViolation",
     "KaarForecaster",
-    "KaarState",
     "Kernel",
     "KernelExpert",
     "LinearExpert",
@@ -60,8 +59,6 @@ __all__ = [
     "caar_predict_raw",
     "caar_update",
     "expert_loss",
-    "kaar_predict",
-    "kaar_update",
     "kernel_eval",
     "project_to_simplex",
     "solve_structured",
@@ -75,7 +72,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):  # kaar needs scipy, so it loads on first use and numpy alone serves the rest
-    if name in ("KaarForecaster", "KaarState", "Kernel", "kaar_predict", "kaar_update", "kernel_eval"):
+    if name in ("KaarForecaster", "Kernel", "kernel_eval"):
         from . import kaar
         return getattr(kaar, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

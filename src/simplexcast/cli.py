@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
@@ -23,7 +24,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import harness
 from .core import InvariantViolation
-from .kaar import Kernel
+
+if TYPE_CHECKING:
+    from .kaar import Kernel
 
 _EXIT_INPUT = 2
 _EXIT_INVARIANT = 3
@@ -80,6 +83,7 @@ def _parse_epsilon(spec: str):
 
 
 def _make_kernel(name: str, sigma: float, degree: int) -> Kernel:
+    from .kaar import Kernel  # scipy loads only when a kernel run needs it
     if name == "dot":
         return Kernel("dot")
     if name == "rbf":
@@ -131,7 +135,7 @@ def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length,
     def work():
         series = _series_from(input_path, synth, length, seed)
         stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
-        kernel = _make_kernel(kernel_name, sigma, degree)
+        kernel = _make_kernel(kernel_name, sigma, degree) if algo == "kaar" else None
         reports, log = harness.run_benchmark(stream, [algo], _parse_ridge(ridge), kernel)
         log.update({"seed": seed, "synth": synth, "input": input_path, "algorithms": [algo]})
         paths = harness.emit_report(reports, out_dir, log)
@@ -161,7 +165,7 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
                 raise harness.InputError(f"unknown algorithm {name!r}")
         series = _series_from(input_path, synth, length, seed)
         stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
-        kernel = _make_kernel(kernel_name, sigma, degree)
+        kernel = _make_kernel(kernel_name, sigma, degree) if "kaar" in names else None
         reports, log = harness.run_benchmark(stream, names, _parse_ridge(ridge), kernel)
         log.update({"seed": seed, "synth": synth, "input": input_path, "algorithms": names})
         paths = harness.emit_report(reports, out_dir, log)
@@ -183,6 +187,7 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
 def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
     """Check every guarantee on random and adversarial streams."""
     def work():
+        from .kaar import Kernel
         rng = np.random.default_rng(seed)
         rows = []
         worst = np.inf

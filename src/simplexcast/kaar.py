@@ -1,4 +1,4 @@
-"""Kernelized joint forecaster with a growing Gram matrix.
+"""Kernelized joint forecaster, grown by one bordered-Cholesky row per trial.
 
 The dual form of the joint forecaster: with T stored signals (the current
 one appended last), Gram matrix K and k = (K(x_1, x), ..., K(x_T, x))',
@@ -12,22 +12,52 @@ applying A^{-1} reduces to the two T x T systems (aI + dK) and (aI + K),
 shared by all classes, exactly as in the linear case.  With the plain dot
 product this reproduces the linear forecaster's predictions.
 
-Gram work per trial is O(T^2) plus the factorizations; the forecaster class
-caches the Gram matrix and can optionally extend Cholesky factors one row per
-trial instead of refactorizing.
+With m = d-1, label rows R_j = -2 (y^j - y^d) over the t = T-1 past trials,
+S = sum_j R_j, p = (aI + dK)^{-1} k and q = (aI + K)^{-1} k,
+
+    r_i = (1 + 1/m) s(p) - s(q)/m + R_i q[:t],   s(u) = S u[:t] + (m-1) u[T].
+
+For m = 1 the q terms cancel, and only aI + dK is kept.
+
+The forecaster keeps the lower Cholesky factor L of each system aI + sK over
+the stored signals.  A signal with kernel row c and K(x, x) = kxx borders
+aI + sK by the column s c, and L gains the row (w', rho) with w = L^{-1} s c
+and rho^2 = a + s kxx - w'w.  The solve of the bordered system then is
+u[T] = (kxx - w'w/s) / rho^2 and u[:t] = (1/s - u[T]) L^{-T} w, so that
+R u[:t] = (1/s - u[T]) (L^{-1} R')' w.  G = L^{-1} R' is kept beside L: since
+forward substitution fixes row t from the rows before it, G grows by the one
+row (R_T' - w'G) / rho when L grows.  A trial therefore costs one triangular
+solve per system, O(t^2), plus O(t(n + d)) for the kernel row and the label
+terms; memory is O(t^2).  The factor rows sit back to back (row j at offset
+j(j+1)/2), which is LAPACK's packed storage of L', so BLAS solves with the
+factor in place; every buffer doubles when full.
+
+There is no refresh.  Bordering computes the Cholesky factor of the grown
+matrix row by row, the rows equal, to rounding, those a factorization from
+scratch would give, and G is a forward substitution done one row at a time.
+Nothing is corrected by rank-one updates, so no drift accumulates, unlike
+MAAR's Sherman-Morrison inverses.  What is checked is definiteness: a kernel
+row that is not finite, or a pivot rho^2 that is not positive and finite,
+raises InvariantViolation naming the trial, the system and the pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+# The factor is solved with BLAS directly, so these three are not called here; they stay
+# bound because perfbench/tracer.py wraps them in this module to count factorizations.
+from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
+from scipy.linalg.blas import dtpsv
 
 from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap, as_float_vector
 from .substitution import solve_substitution
 
 _KINDS = ("dot", "rbf", "poly")
+_SYSTEMS = ("aI+dK", "aI+K")
+_FIRST_CAPACITY = 16
 
 
 @dataclass(frozen=True)
@@ -59,28 +89,16 @@ class Kernel:
         """Gram matrix over the rows of ``signals``."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
         inner = x @ x.T
-        if self.kind == "dot":
-            return inner
-        if self.kind == "poly":
-            return (inner + self.offset) ** self.degree
         sq = np.diag(inner)
-        dist2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * inner, 0.0)
-        return np.exp(-dist2 / (2.0 * self.sigma**2))
+        return self._of_inner(inner, sq[:, None], sq[None, :])
 
-    def cross(self, signals: np.ndarray, x) -> np.ndarray:
-        """Vector of kernel values between each stored signal and ``x``."""
-        xs = np.atleast_2d(np.asarray(signals, dtype=float))
-        xa = as_float_vector(x, "signal")
-        if xs.shape[0] == 0:
-            return np.zeros(0)
-        if xs.shape[1] != xa.size:
-            raise DimensionMismatch(f"signals have length {xs.shape[1]}, query has {xa.size}")
-        inner = xs @ xa
+    def _of_inner(self, inner, sq_x, sq_y):
+        """Kernel values from inner products x.y and squared norms |x|^2, |y|^2."""
         if self.kind == "dot":
             return inner
         if self.kind == "poly":
             return (inner + self.offset) ** self.degree
-        dist2 = np.maximum(np.sum(xs**2, axis=1) + xa @ xa - 2.0 * inner, 0.0)
+        dist2 = np.maximum(sq_x + sq_y - 2.0 * inner, 0.0)
         return np.exp(-dist2 / (2.0 * self.sigma**2))
 
 
@@ -97,184 +115,104 @@ def kernel_eval(k: Kernel, x, y) -> float:
     return float(np.exp(-(diff @ diff) / (2.0 * k.sigma**2)))
 
 
-@dataclass
-class KaarState:
-    """Stored history plus kernel and prior scale; grows with the stream."""
-
-    kernel: Kernel
-    a: float
-    d: int
-    signals: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError(f"ridge parameter must be positive, got {self.a}")
-        if self.d < 2:
-            raise ValueError(f"need at least 2 classes, got {self.d}")
-
-    @property
-    def t(self) -> int:
-        return len(self.signals)
-
-
-def _solve_pd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system, asserting definiteness."""
-    try:
-        factor = cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolation("kernel system is not positive definite") from exc
-    return cho_solve((factor, True), rhs)
-
-
-def _label_rows(labels, d: int, t_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Y~ (rows_full) and Y- (rows_bar) blocks as (d-1, T) matrices."""
-    m = d - 1
-    rows_full = np.zeros((m, t_total))
-    if labels:
-        ys = np.asarray(labels, dtype=float)
-        rows_full[:, : len(labels)] = -2.0 * (ys[:, :m] - ys[:, [m]]).T
-    rows_bar = rows_full.copy()
-    rows_full[:, -1] = 1.0
-    rows_bar[:, -1] = 0.0
-    return rows_full, rows_bar
-
-
-def _generalized_from_solves(rows_full, rows_bar, p, q, d):
-    """Assemble r from the two shared solves against the k-stack.
-
-    For each class i the stacked right-hand side is (k, ..., 2k, ..., k);
-    through the eigen-split its A^{-1} image has block j equal to
-    (1 + 1/m) p + (delta_ij - 1/m) q.
-    """
-    m = d - 1
-    r = np.zeros(d)
-    row_sums = rows_full.sum(axis=0)
-    for i in range(m):
-        total = row_sums - rows_full[i] + rows_bar[i]
-        r[i] = (1.0 + 1.0 / m) * (total @ p) + (rows_bar[i] - total / m) @ q
-    return r
-
-
-def kaar_generalized(state: KaarState, x) -> np.ndarray:
-    """The shifted generalized prediction r (length d, last entry 0)."""
-    xa = as_float_vector(x, "signal")
-    if state.signals and state.signals[0].size != xa.size:
-        raise DimensionMismatch(
-            f"signal has length {xa.size}, stored history has {state.signals[0].size}"
-        )
-    pts = np.vstack([*state.signals, xa]) if state.signals else xa[None, :]
-    gram = state.kernel.gram(pts)
-    kt = gram[:, -1]
-    t_total = gram.shape[0]
-    eye = np.eye(t_total)
-    p = _solve_pd(state.a * eye + state.d * gram, kt)
-    if state.d == 2:
-        q = np.zeros_like(p)  # the deviation channel vanishes for a single block
-    else:
-        q = _solve_pd(state.a * eye + gram, kt)
-    rows_full, rows_bar = _label_rows(state.labels, state.d, t_total)
-    return _generalized_from_solves(rows_full, rows_bar, p, q, state.d)
-
-
-def kaar_predict(state: KaarState, x) -> ProbabilityVector:
-    return solve_substitution(kaar_generalized(state, x))
-
-
-def kaar_update(state: KaarState, x, y) -> KaarState:
-    """Append the trial to the stored history; no matrix work."""
-    xa = as_float_vector(x, "signal")
-    ya = _unwrap(y)
-    if ya.size != state.d:
-        raise DimensionMismatch(f"outcome has {ya.size} classes, expected {state.d}")
-    if state.signals and state.signals[0].size != xa.size:
-        raise DimensionMismatch("signal length changed mid-stream")
-    return KaarState(
-        state.kernel,
-        state.a,
-        state.d,
-        state.signals + [xa],
-        state.labels + [ya],
-    )
-
-
-def _extend_cholesky(factor: np.ndarray, col: np.ndarray, diag: float) -> np.ndarray:
-    """Grow a lower Cholesky factor by one row for the bordered matrix."""
-    t = factor.shape[0]
-    out = np.zeros((t + 1, t + 1))
-    out[:t, :t] = factor
-    if t:
-        w = solve_triangular(factor, col, lower=True)
-        out[t, :t] = w
-        rest = diag - w @ w
-    else:
-        rest = diag
-    if rest <= 0.0:
-        raise InvariantViolation("kernel system is not positive definite")
-    out[t, t] = np.sqrt(rest)
+def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """Copy of ``buf`` with ``axis`` enlarged to ``size``; the new tail is uninitialized."""
+    shape = list(buf.shape)
+    shape[axis] = size
+    out = np.empty(shape)
+    out[(slice(None),) * axis + (slice(0, buf.shape[axis]),)] = buf
     return out
 
 
 class KaarForecaster:
-    """Sequential predict/update wrapper around the kernelized forecaster.
+    """Sequential predict/update form of the kernelized forecaster.
 
-    The Gram matrix is cached and extended by one row/column per trial.  With
-    ``incremental=True`` the Cholesky factors of (aI + K) and (aI + dK) are
-    extended per trial as well instead of being recomputed; both paths give
-    the same forecasts.
+    Holds the t stored signals and their squared norms, and per system aI + sK
+    (s = d, then s = 1 when d > 2) the packed factor rows and G = L^{-1} R',
+    in buffers that double when full; ``update`` reuses ``predict``'s border rows.
     """
 
-    def __init__(self, d: int, kernel: Kernel, a: float = 1.0, incremental: bool = False):
-        self.state = KaarState(kernel, a, d)
-        self.incremental = bool(incremental)
-        self._gram = np.zeros((0, 0))
-        if self.incremental:
-            self._chol1 = np.zeros((0, 0))   # lower factor of aI + K
-            self._chold = np.zeros((0, 0))   # lower factor of aI + dK
+    def __init__(self, d: int, kernel: Kernel, a: float = 1.0):
+        if not (a > 0):
+            raise ValueError(f"ridge parameter must be positive, got {a}")
+        if d < 2:
+            raise ValueError(f"need at least 2 classes, got {d}")
+        self.kernel, self.d, self.a = kernel, d, float(a)
+        self.t = 0
+        self._scales = np.array([d, 1.0][:1 if d == 2 else 2])
+        self._x = np.empty((0, 0))                       # signals; the first update sets the width
+        self._sq = np.empty(0)                           # their squared norms
+        self._packed = np.empty((self._scales.size, 0))  # factor rows, row j at j(j+1)/2
+        self._g = np.empty((self._scales.size, 0, d - 1))
+        self._last = None                                # _border of the last predict
 
-    @property
-    def t(self) -> int:
-        return self.state.t
+    def _signal(self, x) -> np.ndarray:
+        xa = as_float_vector(x, "signal")
+        if self.t and xa.size != self._x.shape[1]:
+            raise DimensionMismatch(f"signal has length {xa.size}, stored history has {self._x.shape[1]}")
+        return xa
 
-    def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        cross = self.state.kernel.cross(np.array(self.state.signals), xa) if self.state.signals else np.zeros(0)
-        kxx = kernel_eval(self.state.kernel, xa, xa)
-        t = self._gram.shape[0]
-        gram = np.zeros((t + 1, t + 1))
-        gram[:t, :t] = self._gram
-        gram[:t, t] = cross
-        gram[t, :t] = cross
-        gram[t, t] = kxx
-        return gram, cross, kxx
+    def _extended_gram(self, xa: np.ndarray, sq: float) -> tuple[np.ndarray, float]:
+        """Kernel row of ``xa`` against the stored signals, and K(xa, xa)."""
+        inner = self._x[:self.t] @ xa if self.t else np.empty(0)
+        return self.kernel._of_inner(inner, self._sq[:self.t], sq), float(self.kernel._of_inner(sq, sq, sq))
+
+    def _border(self, xa: np.ndarray):
+        """Border rows w and pivots rho^2 of every factor for signal ``xa``, and w'G."""
+        t, sq = self.t, xa @ xa
+        row, kxx = self._extended_gram(xa, sq)
+        if not (math.isfinite(kxx) and np.isfinite(row).all()):
+            raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
+        w = self._scales[:, None] * row
+        for packed, border in zip(self._packed, w) if t else ():
+            dtpsv(t, packed, border, trans=1, overwrite_x=1)   # border = L^{-1} s c, in place
+        ww = np.einsum("st,st->s", w, w)
+        pivots = self.a + self._scales * kxx - ww
+        for name, pivot in zip(_SYSTEMS, pivots.tolist()):
+            if not 0.0 < pivot < math.inf:
+                raise InvariantViolation(f"trial {t + 1}: {name} has pivot {pivot!r}, not positive definite")
+        u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
+        return xa, sq, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
     def generalized(self, x) -> np.ndarray:
-        xa = as_float_vector(x, "signal")
-        if self.state.signals and self.state.signals[0].size != xa.size:
-            raise DimensionMismatch("signal length changed mid-stream")
-        state = self.state
-        gram, cross, kxx = self._extended_gram(xa)
-        kt = gram[:, -1]
-        t_total = gram.shape[0]
-        if self.incremental:
-            l1 = _extend_cholesky(self._chol1, cross, state.a + kxx)
-            ld = _extend_cholesky(self._chold, state.d * cross, state.a + state.d * kxx)
-            p = cho_solve((ld, True), kt)
-            q = cho_solve((l1, True), kt) if state.d > 2 else np.zeros_like(p)
-        else:
-            eye = np.eye(t_total)
-            p = _solve_pd(state.a * eye + state.d * gram, kt)
-            q = _solve_pd(state.a * eye + gram, kt) if state.d > 2 else np.zeros_like(p)
-        rows_full, rows_bar = _label_rows(state.labels, state.d, t_total)
-        return _generalized_from_solves(rows_full, rows_bar, p, q, state.d)
+        """The shifted generalized prediction r (length d, last entry 0)."""
+        *_, wg, u_last = self._last = self._border(self._signal(x).copy())
+        m = self.d - 1
+        ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per system
+        s_u = ru.sum(axis=1) + (m - 1) * u_last
+        r = np.zeros(m + 1)
+        r[:m] = (1.0 + 1.0 / m) * s_u[0]
+        if m > 1:
+            r[:m] += ru[1] - s_u[1] / m
+        return r
 
     def predict(self, x) -> ProbabilityVector:
         return solve_substitution(self.generalized(x))
 
     def update(self, x, y) -> None:
-        xa = as_float_vector(x, "signal")
-        gram, cross, kxx = self._extended_gram(xa)
-        if self.incremental:
-            self._chol1 = _extend_cholesky(self._chol1, cross, self.state.a + kxx)
-            self._chold = _extend_cholesky(self._chold, self.state.d * cross, self.state.a + self.state.d * kxx)
-        self._gram = gram
-        self.state = kaar_update(self.state, xa, y)
+        """Commit the trial: store the signal and write one row into every factor and G."""
+        ya = _unwrap(y)
+        if ya.size != self.d:
+            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.d}")
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._border(self._signal(x))
+        xa, sq, w, pivots, wg, _ = last
+        t = self.t
+        if t == self._sq.size:
+            self._reserve(xa.size)
+        self._x[t], self._sq[t] = xa, sq
+        rho = np.sqrt(pivots)
+        start = t * (t + 1) // 2
+        self._packed[:, start:start + t] = w
+        self._packed[:, start + t] = rho
+        self._g[:, t] = (-2.0 * (ya[:-1] - ya[-1]) - wg) / rho[:, None]
+        self.t = t + 1
+
+    def _reserve(self, n: int) -> None:
+        """Double every buffer; the first call also fixes the signal length n."""
+        cap = max(2 * self.t, _FIRST_CAPACITY)
+        self._x = _grown(self._x if self.t else np.empty((0, n)), 0, cap)
+        self._sq = _grown(self._sq, 0, cap)
+        self._packed = _grown(self._packed, 1, cap * (cap + 1) // 2)
+        self._g = _grown(self._g, 1, cap)

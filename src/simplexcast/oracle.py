@@ -246,6 +246,38 @@ def dense_maar_r(history, x_t, d: int, a: float) -> np.ndarray:
     return r
 
 
+def _literal_gram(kernel, xs: np.ndarray) -> np.ndarray:
+    """Gram matrix from the kernel's definition, over all pairs of rows at once."""
+    if kernel.kind == "rbf":
+        diff = xs[:, None, :] - xs[None, :, :]
+        return np.exp(-np.sum(diff**2, axis=2) / (2.0 * kernel.sigma**2))
+    inner = np.sum(xs[:, None, :] * xs[None, :, :], axis=2)
+    return inner if kernel.kind == "dot" else (inner + kernel.offset) ** kernel.degree
+
+
+def dense_kaar_r(history, x_t, kernel, d: int, a: float) -> np.ndarray:
+    """The kernelized forecaster's r from its block definition, dense.
+
+    Builds the Gram matrix over the history and x_t, the full system
+    A = aI + (I+J) kron K with kron, the label rows Y~ and Y-, and solves A
+    against the stacked kernel column (k, ..., 2k, ..., k) once per class i < d.
+    """
+    x_t = as_float_vector(x_t, "signal")
+    m = d - 1
+    xs = np.array([x for x, _ in history] + [x_t], dtype=float)
+    ys = np.array([y for _, y in history], dtype=float).reshape(-1, d)
+    gram = _literal_gram(kernel, xs)
+    k = gram[:, -1]
+    system = a * np.eye(m * k.size) + np.kron(np.eye(m) + np.ones((m, m)), gram)
+    rows_full = np.hstack([-2.0 * (ys[:, :m] - ys[:, m:]).T, np.ones((m, 1))])
+    rows_bar = np.hstack([rows_full[:, :-1], np.zeros((m, 1))])
+    r = np.zeros(d)
+    for i, unit in enumerate(np.eye(m)):
+        left = np.where(unit[:, None] == 1.0, rows_bar, rows_full).reshape(-1)
+        r[i] = left @ np.linalg.solve(system, np.kron(1.0 + unit, k))
+    return r
+
+
 def quadrature_component_forecast(
     history, x_t, component: int, d: int, a: float, eta: float = 2.0, nodes: int = GRID_NODES
 ) -> float:

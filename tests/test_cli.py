@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from click.testing import CliRunner
 
+import simplexcast
 from simplexcast.cli import main
 from simplexcast.harness import parse_report
 
@@ -49,6 +55,24 @@ def test_bench_kaar_opt_in(tmp_path):
     assert result.exit_code == 0
     rows = parse_report(out / "report.csv")
     assert [r.algorithm for r in rows] == ["kaar", "simple"]
+
+
+def test_bench_without_kaar_does_not_load_scipy(tmp_path):
+    # scipy serves only the kernel forecaster; a run without it must not pay for the import
+    script = (
+        "import sys\n"
+        "from simplexcast.cli import main\n"
+        "try:\n"
+        f"    main(['bench', '--algos', 'caar,maar,simple', '--synth', 'sine', '--length', '120',"
+        f" '--ridge', '1.0', '--out', {str(tmp_path / 'out')!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simplexcast.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "report.csv").exists()
 
 
 def test_verify_bounds_small_run(tmp_path):

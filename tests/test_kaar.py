@@ -1,38 +1,28 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import DimensionMismatch
-from simplexcast.kaar import (
-    KaarForecaster,
-    KaarState,
-    Kernel,
-    kaar_predict,
-    kaar_update,
-    kernel_eval,
-)
+from simplexcast.core import DimensionMismatch, InvariantViolation
+from simplexcast.kaar import KaarForecaster, Kernel, kernel_eval
 from simplexcast.maar import MaarForecaster
+from simplexcast.oracle import dense_kaar_r
+from simplexcast.substitution import solve_substitution
 
 
-def dense_kernel_generalized(state, x):
-    """Reference assembly of r straight from the block definition."""
-    signals = np.vstack([*state.signals, np.asarray(x, dtype=float)])
-    gram = state.kernel.gram(signals)
-    t_total = gram.shape[0]
-    m = state.d - 1
-    kt = gram[:, -1]
-    a_mat = state.a * np.eye(m * t_total) + np.kron(np.eye(m) + np.ones((m, m)), gram)
-    rows_full = np.zeros((m, t_total))
-    for t_idx, y in enumerate(state.labels):
-        rows_full[:, t_idx] = -2.0 * (np.asarray(y)[:m] - np.asarray(y)[m])
-    rows_bar = rows_full.copy()
-    rows_full[:, -1] = 1.0
-    rows_bar[:, -1] = 0.0
-    r = np.zeros(state.d)
-    for i in range(m):
-        left = np.concatenate([rows_bar[j] if j == i else rows_full[j] for j in range(m)])
-        stack = np.concatenate([2.0 * kt if j == i else kt for j in range(m)])
-        r[i] = left @ np.linalg.solve(a_mat, stack)
-    return r
+def _stream(rng, n, d, trials):
+    return [(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)]) for _ in range(trials)]
+
+
+def _state(model):
+    """Every committed entry of the forecaster's buffers, and its trial count."""
+    t = model.t
+    return (t, model._x[:t].copy(), model._sq[:t].copy(),
+            model._packed[:, :t * (t + 1) // 2].copy(), model._g[:, :t].copy())
+
+
+def _assert_same_state(left, right):
+    assert left[0] == right[0]
+    for a, b in zip(left[1:], right[1:]):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +65,8 @@ def test_first_trial_leading_classes_tie():
     # leading forecast components agree; with two classes that means uniform.
     rng = np.random.default_rng(41)
     for d in (2, 3, 4):
-        state = KaarState(Kernel("rbf", sigma=1.2), 0.9, d)
-        gamma = kaar_predict(state, rng.uniform(-1, 1, 3)).p
+        model = KaarForecaster(d, Kernel("rbf", sigma=1.2), 0.9)
+        gamma = model.predict(rng.uniform(-1, 1, 3)).p
         np.testing.assert_allclose(gamma[:-1], gamma[0], atol=1e-12)
         if d == 2:
             np.testing.assert_allclose(gamma, [0.5, 0.5], atol=1e-12)
@@ -85,16 +75,17 @@ def test_first_trial_leading_classes_tie():
 def test_matches_dense_assembly():
     rng = np.random.default_rng(42)
     for kernel in (Kernel("dot"), Kernel("rbf", sigma=0.8), Kernel("poly", degree=2)):
-        state = KaarState(kernel, 0.6, 3)
+        model = KaarForecaster(3, kernel, 0.6)
+        history = []
         for _ in range(6):
             y = np.zeros(3)
             y[rng.integers(3)] = 1.0
-            state = kaar_update(state, rng.uniform(-1, 1, 2), y)
+            x = rng.uniform(-1, 1, 2)
+            model.update(x, y)
+            history.append((x, y))
         x = rng.uniform(-1, 1, 2)
-        from simplexcast.kaar import kaar_generalized
-
         np.testing.assert_allclose(
-            kaar_generalized(state, x), dense_kernel_generalized(state, x), atol=1e-9
+            model.generalized(x), dense_kaar_r(history, x, kernel, 3, 0.6), atol=1e-9
         )
 
 
@@ -117,61 +108,144 @@ def test_repeated_signal_concentrates_on_its_class():
     # tight kernel, tiny prior: predicting at a stored one-hot signal should
     # put the largest mass on that signal's class
     x_seen = np.array([0.4, -0.6])
-    state = KaarState(Kernel("rbf", sigma=0.3), 0.05, 2)
-    state = kaar_update(state, x_seen, np.array([1.0, 0.0]))
-    state = kaar_update(state, np.array([-0.8, 0.9]), np.array([0.0, 1.0]))
-    gamma = kaar_predict(state, x_seen).p
+    model = KaarForecaster(2, Kernel("rbf", sigma=0.3), 0.05)
+    model.update(x_seen, np.array([1.0, 0.0]))
+    model.update(np.array([-0.8, 0.9]), np.array([0.0, 1.0]))
+    gamma = model.predict(x_seen).p
     assert gamma[0] == gamma.max() and gamma[0] > 0.5
 
 
 def test_update_appends_and_replay_is_deterministic():
     rng = np.random.default_rng(44)
-    stream = [(rng.uniform(-1, 1, 2), np.eye(3)[rng.integers(3)]) for _ in range(15)]
-    state = KaarState(Kernel("rbf"), 1.0, 3)
+    stream = _stream(rng, 2, 3, 15)
+    model = KaarForecaster(3, Kernel("rbf"), 1.0)
     for x, y in stream:
-        before = state.t
-        state = kaar_update(state, x, y)
-        assert state.t == before + 1
-    replay = KaarState(Kernel("rbf"), 1.0, 3)
+        before = model.t
+        model.update(x, y)
+        assert model.t == before + 1
+    replay = KaarForecaster(3, Kernel("rbf"), 1.0)
     for x, y in stream:
-        replay = kaar_update(replay, x, y)
+        replay.update(x, y)
     x_probe = rng.uniform(-1, 1, 2)
-    np.testing.assert_array_equal(kaar_predict(state, x_probe).p, kaar_predict(replay, x_probe).p)
-    assert len(state.signals) == len(state.labels) == 15
+    np.testing.assert_array_equal(model.predict(x_probe).p, replay.predict(x_probe).p)
+    assert model.t == 15
 
 
 def test_forecaster_gram_cache_matches_functional_path():
+    # the buffered forecaster against the dense assembly, forecast by forecast
     rng = np.random.default_rng(45)
     kernel = Kernel("poly", degree=2)
-    cached = KaarForecaster(3, kernel, 0.8)
-    state = KaarState(kernel, 0.8, 3)
+    model = KaarForecaster(3, kernel, 0.8)
+    history = []
     for _ in range(20):
         x = rng.uniform(-1, 1, 2)
         y = np.eye(3)[rng.integers(3)]
-        np.testing.assert_allclose(cached.predict(x).p, kaar_predict(state, x).p, atol=1e-12)
-        cached.update(x, y)
-        state = kaar_update(state, x, y)
+        dense = solve_substitution(dense_kaar_r(history, x, kernel, 3, 0.8))
+        np.testing.assert_allclose(model.predict(x).p, dense.p, atol=1e-12)
+        model.update(x, y)
+        history.append((x, y))
 
 
 def test_incremental_cholesky_matches_direct():
     rng = np.random.default_rng(46)
     kernel = Kernel("rbf", sigma=0.9)
-    direct = KaarForecaster(4, kernel, 0.5)
-    fast = KaarForecaster(4, kernel, 0.5, incremental=True)
+    model = KaarForecaster(4, kernel, 0.5)
+    history = []
     for _ in range(30):
         x = rng.uniform(-1, 1, 3)
         y = np.eye(4)[rng.integers(4)]
-        np.testing.assert_allclose(fast.predict(x).p, direct.predict(x).p, atol=1e-9)
-        direct.update(x, y)
-        fast.update(x, y)
+        dense = solve_substitution(dense_kaar_r(history, x, kernel, 4, 0.5))
+        np.testing.assert_allclose(model.predict(x).p, dense.p, atol=1e-9)
+        model.update(x, y)
+        history.append((x, y))
+
+
+@pytest.mark.parametrize("kernel", [Kernel("dot"), Kernel("rbf", sigma=0.8), Kernel("poly", degree=3)],
+                         ids=["dot", "rbf", "poly"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+def test_matches_dense_oracle_across_buffer_growth(kernel, d, a):
+    # 72 trials: the buffers double at 16, 32 and 64 stored signals
+    rng = np.random.default_rng(47)
+    model = KaarForecaster(d, kernel, a)
+    history = []
+    for step, (x, y) in enumerate(_stream(rng, 3, d, 72)):
+        np.testing.assert_allclose(model.generalized(x), dense_kaar_r(history, x, kernel, d, a), atol=1e-9)
+        if step % 5 == 0:
+            # a predict on another signal must not leak into the update for x
+            model.predict(rng.uniform(-1, 1, 3))
+        model.update(list(x) if step % 2 else x, y)
+        history.append((x, y))
+    assert model.t == 72
+
+
+def test_predict_leaves_factors_and_t_unchanged():
+    rng = np.random.default_rng(48)
+    model = KaarForecaster(3, Kernel("rbf", sigma=0.7), 0.4)
+    for x, y in _stream(rng, 2, 3, 20):
+        model.update(x, y)
+    before = _state(model)
+    for _ in range(3):
+        model.predict(rng.uniform(-1, 1, 2))
+    _assert_same_state(_state(model), before)
+
+
+def test_update_after_other_or_no_predict_equals_cold_update():
+    rng = np.random.default_rng(49)
+    stream = _stream(rng, 2, 4, 40)
+    cold = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
+    predicted = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
+    other = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
+    rewritten = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
+    for x, y in stream:
+        cold.update(x, y)
+        predicted.predict(x)
+        predicted.update(x, y)
+        other.predict(x + 0.5)
+        other.update(x, y)
+        buf = x + 0.5
+        rewritten.predict(buf)
+        buf[:] = x   # the caller reuses its array: the update must see the new values
+        rewritten.update(buf, y)
+        for model in (predicted, other, rewritten):
+            _assert_same_state(_state(model), _state(cold))
+
+
+def test_kernel_overflow_raises_invariant_violation():
+    model = KaarForecaster(3, Kernel("poly", degree=3), 1.0)
+    with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
+        model.predict([1e110, 1e110])
+    model.update([1.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolation, match="trial 2: kernel row is not finite"):
+        model.update([1e110, 1e110], [1.0, 0.0, 0.0])
+    assert model.t == 1
+
+
+def test_non_positive_definite_pivot_raises_naming_the_trial():
+    rng = np.random.default_rng(50)
+    model = KaarForecaster(3, Kernel("rbf", sigma=0.7), 0.1)
+    for x, y in _stream(rng, 2, 3, 10):
+        model.update(x, y)
+    x = rng.uniform(-1, 1, 2)
+    model._packed[0] *= 1e-3   # border rows 1e3 times too long: the aI+dK pivot goes negative
+    with pytest.raises(InvariantViolation, match=r"trial 11: aI\+dK has pivot -"):
+        model.predict(x)
+    model._packed[0] *= 1e3
+    model._packed[1, 0] = np.nan
+    with pytest.raises(InvariantViolation, match=r"trial 11: aI\+K has pivot nan"):
+        model.predict(x)
 
 
 def test_dimension_errors():
-    state = KaarState(Kernel("dot"), 1.0, 3)
-    state = kaar_update(state, [1.0, 0.0], [1.0, 0.0, 0.0])
+    model = KaarForecaster(3, Kernel("dot"), 1.0)
+    model.update([1.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        kaar_predict(state, [1.0])
+        model.predict([1.0])
     with pytest.raises(DimensionMismatch):
-        kaar_update(state, [1.0], [1.0, 0.0, 0.0])
+        model.update([1.0], [1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        kaar_update(state, [1.0, 0.0], [1.0, 0.0])
+        model.update([1.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        KaarForecaster(1, Kernel("dot"), 1.0)
+    with pytest.raises(ValueError):
+        KaarForecaster(3, Kernel("dot"), 0.0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from simplexcast.kaar import Kernel
 from simplexcast.oracle import (
+    dense_kaar_r,
     dense_maar_r,
     log_gaussian_grid_integral,
     numeric_quadratic_min,
@@ -124,6 +126,16 @@ def test_dense_stacked_solve_matches_integration():
         a = float(rng.choice([0.5, 2.0]))
         np.testing.assert_allclose(dense_maar_r(history, x_t, d=d, a=a),
                                    quadrature_r(history, x_t, d=d, a=a), atol=1e-5)
+
+
+def test_dense_kernel_assembly_with_dot_kernel_is_the_linear_one():
+    # the dual (T x T) and primal (n x n) dense systems give the same r
+    rng = np.random.default_rng(65)
+    for n, d in ((1, 2), (3, 3), (2, 4)):
+        history = [(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)]) for _ in range(6)]
+        x_t = rng.uniform(-1, 1, n)
+        np.testing.assert_allclose(dense_kaar_r(history, x_t, Kernel("dot"), d, 0.7),
+                                   dense_maar_r(history, x_t, d=d, a=0.7), atol=1e-12)
 
 
 def test_label_permutation_symmetry():
