@@ -8,7 +8,8 @@ Three forecasters with worst-case cumulative-loss guarantees against linear
 * KaarForecaster -- the joint forecaster in kernel form, growing with the data.
 
 The harness module provides the time-series labeling protocol, metrics, and
-synthetic data; the bounds module verifies the guarantees on actual runs.
+synthetic data, and ``verify_run``, which checks the guarantees of the bounds
+module on actual runs.
 """
 
 from .bounds import (
@@ -18,9 +19,8 @@ from .bounds import (
     best_kernel_expert,
     best_linear_expert,
     expert_loss,
-    verify_run,
 )
-from .caar import CaarForecaster, CaarState, caar_predict, caar_predict_raw, caar_update
+from .caar import CaarForecaster
 from .core import (
     DimensionMismatch,
     InvariantViolation,
@@ -31,6 +31,7 @@ from .core import (
     brier_loss,
     vertex_to_probability,
 )
+from .harness import verify_run
 from .maar import MaarConfig, MaarForecaster, solve_structured
 from .projection import project_to_simplex
 from .substitution import GeneralizedPrediction, solve_substitution, substitution_threshold
@@ -38,7 +39,6 @@ from .substitution import GeneralizedPrediction, solve_substitution, substitutio
 __all__ = [
     "BoundReport",
     "CaarForecaster",
-    "CaarState",
     "DimensionMismatch",
     "GeneralizedPrediction",
     "InvariantViolation",
@@ -55,9 +55,6 @@ __all__ = [
     "best_kernel_expert",
     "best_linear_expert",
     "brier_loss",
-    "caar_predict",
-    "caar_predict_raw",
-    "caar_update",
     "expert_loss",
     "kernel_eval",
     "project_to_simplex",

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .caar import CaarForecaster
 from .core import InvariantViolation, _unwrap, as_float_vector
-from .maar import MaarForecaster, solve_structured
+from .maar import solve_structured
 
 if TYPE_CHECKING:
     from .kaar import Kernel
@@ -67,12 +66,21 @@ class BoundReport:
         return self.bound_value - self.algorithm_loss
 
 
-def _stack(data) -> tuple[np.ndarray, np.ndarray]:
+class _Stacked(NamedTuple):
+    """A stream already validated and stacked, which ``_stack`` passes through."""
+
+    signals: np.ndarray
+    outcomes: np.ndarray
+
+
+def _stack(data) -> _Stacked:
+    if isinstance(data, _Stacked):
+        return data
     xs, ys = [], []
     for x, y in data:
         xs.append(as_float_vector(x, "signal"))
         ys.append(_unwrap(y))
-    return np.array(xs), np.array(ys)
+    return _Stacked(np.array(xs), np.array(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,8 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     """
     if not (a > 0):
         raise ValueError("ridge must be positive")
-    signals, outcomes = _stack(data)
+    stream = _stack(data)
+    signals, outcomes = stream
     if signals.shape[0] == 0:
         return LinearExpert(np.zeros(0)), 0.0
     t_len, n = signals.shape
@@ -115,7 +124,7 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
     alpha = solve_structured(a, d, c_mat, -g.reshape(-1) / 2.0)
     expert = LinearExpert(alpha)
-    value = expert_loss(expert, data) + a * expert.norm_sq
+    value = expert_loss(expert, stream) + a * expert.norm_sq
     return expert, value
 
 
@@ -127,14 +136,17 @@ def kernel_expert_values(expert: KernelExpert, gram: np.ndarray) -> np.ndarray:
     return (gram @ expert.coeffs.T)
 
 
-def kernel_expert_loss(expert: KernelExpert, data) -> float:
-    """Cumulative Brier loss of a kernel comparator over its own stream."""
-    signals, outcomes = _stack(data)
-    gram = expert.kernel.gram(signals)
+def _kernel_loss(expert: KernelExpert, gram: np.ndarray, outcomes: np.ndarray) -> float:
     values = kernel_expert_values(expert, gram)
     d = outcomes.shape[1]
     xi = np.concatenate([1.0 / d + values, 1.0 / d - values.sum(axis=1, keepdims=True)], axis=1)
     return float(np.sum((outcomes - xi) ** 2))
+
+
+def kernel_expert_loss(expert: KernelExpert, data) -> float:
+    """Cumulative Brier loss of a kernel comparator over its own stream."""
+    signals, outcomes = _stack(data)
+    return _kernel_loss(expert, expert.kernel.gram(signals), outcomes)
 
 
 def kernel_expert_norms(expert: KernelExpert, gram: np.ndarray) -> float:
@@ -142,12 +154,15 @@ def kernel_expert_norms(expert: KernelExpert, gram: np.ndarray) -> float:
     return float(np.sum(expert.coeffs * (expert.coeffs @ gram)))
 
 
-def best_kernel_expert(data, kernel: Kernel, a: float) -> tuple[KernelExpert, float, float]:
+def best_kernel_expert(data, kernel: Kernel, a: float,
+                       gram: np.ndarray | None = None) -> tuple[KernelExpert, float, float]:
     """Minimizer of loss + a sum |f_i|^2 over representer coefficients.
 
     Returns (expert, its cumulative loss, sum of squared norms).  Solving
     (aI + (I+J) kron K) c = v with v_i = y^i - y^d makes the full gradient
     vanish, so the solution is a global minimizer even when K is singular.
+    ``gram`` is the kernel's Gram matrix over the stream's signals, for a
+    caller that already has it.
     """
     if not (a > 0):
         raise ValueError("ridge must be positive")
@@ -155,11 +170,12 @@ def best_kernel_expert(data, kernel: Kernel, a: float) -> tuple[KernelExpert, fl
     t_len = signals.shape[0]
     d = outcomes.shape[1]
     m = d - 1
-    gram = kernel.gram(signals)
+    if gram is None:
+        gram = kernel.gram(signals)
     v = (outcomes[:, :m] - outcomes[:, [m]]).T  # (m, T)
     coeffs = solve_structured(a, d, gram, v.reshape(-1)).reshape(m, t_len)
     expert = KernelExpert(coeffs, kernel)
-    return expert, kernel_expert_loss(expert, data), kernel_expert_norms(expert, gram)
+    return expert, _kernel_loss(expert, gram, outcomes), kernel_expert_norms(expert, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -218,57 +234,40 @@ def gram_logdet_regret(gram: np.ndarray, a: float, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Run verification
+# Guarantees per algorithm
 
-def run_forecaster(forecaster, data) -> float:
-    """Strict online loop over (signal, outcome) pairs; cumulative Brier loss."""
-    total = 0.0
-    for x, y in data:
-        gamma = forecaster.predict(x)
-        diff = gamma.p - _unwrap(y)
-        total += float(diff @ diff)
-        forecaster.update(x, y)
-    return total
+def bound_reports(data, kind: str, ridge: float, loss: float,
+                  kernel: Kernel | None = None) -> list[BoundReport]:
+    """Check every guarantee of algorithm ``kind`` at prior scale ``ridge`` against a run's loss.
 
-
-def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[BoundReport]:
-    """Run one algorithm over the stream and check every applicable guarantee.
-
-    ``kind`` is one of "caar", "maar", "kaar".  Returns one report per
-    guarantee; slack below -1e-6 indicates a broken implementation.
+    ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``) and ``loss``
+    is the run's cumulative loss over ``data``.  Returns one report per guarantee;
+    slack below -1e-6 indicates a broken implementation.
     """
-    data = list(data)
-    signals, outcomes = _stack(data)
+    stream = _stack(data)
+    signals, outcomes = stream
     t_len, n = signals.shape
     d = outcomes.shape[1]
     x_max = float(np.max(np.abs(signals))) if t_len else 0.0
-    reports: list[BoundReport] = []
-
     if kind == "caar":
-        loss = run_forecaster(CaarForecaster(n, d, ridge), data)
-        expert, _ = best_linear_expert(data, d * ridge)
-        base = expert_loss(expert, data)
+        expert, _ = best_linear_expert(stream, d * ridge)
+        base = expert_loss(expert, stream)
         rhs = base + componentwise_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)
-        reports.append(BoundReport("componentwise", kind, loss, base, rhs))
-    elif kind == "maar":
-        loss = run_forecaster(MaarForecaster(n, d, ridge), data)
-        expert, _ = best_linear_expert(data, ridge)
-        base = expert_loss(expert, data)
+        return [BoundReport("componentwise", kind, loss, base, rhs)]
+    if kind == "maar":
+        expert, _ = best_linear_expert(stream, ridge)
+        base = expert_loss(expert, stream)
         # The run used prior scale `ridge`; the two guarantees book the same
         # penalty against different log terms (2a = ridge vs a = ridge).
         rhs_joint = base + joint_bound_rhs(t_len, x_max, n, d, ridge / 2.0, expert.norm_sq)
         rhs_split = base + joint_split_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)
-        reports.append(BoundReport("joint", kind, loss, base, rhs_joint))
-        reports.append(BoundReport("joint_split", kind, loss, base, rhs_split))
-    elif kind == "kaar":
+        return [BoundReport("joint", kind, loss, base, rhs_joint),
+                BoundReport("joint_split", kind, loss, base, rhs_split)]
+    if kind == "kaar":
         if kernel is None:
             raise ValueError("kernel required for kind='kaar'")
-        from .kaar import KaarForecaster  # scipy loads only when a kernel run needs it
-        loss = run_forecaster(KaarForecaster(d, kernel, ridge), data)
-        expert, loss_f, norms = best_kernel_expert(data, kernel, ridge)
-        logdet = gram_logdet_regret(kernel.gram(signals), ridge, d)
-        rhs = kernel_bound_rhs(loss_f, norms, ridge, logdet)
-        reports.append(BoundReport("kernel", kind, loss, loss_f, rhs))
-    else:
-        raise ValueError(f"unknown algorithm kind {kind!r}")
-    return reports
+        gram = kernel.gram(signals)
+        _, loss_f, norms = best_kernel_expert(stream, kernel, ridge, gram)
+        rhs = kernel_bound_rhs(loss_f, norms, ridge, gram_logdet_regret(gram, ridge, d))
+        return [BoundReport("kernel", kind, loss, loss_f, rhs)]
+    raise ValueError(f"unknown algorithm kind {kind!r}")

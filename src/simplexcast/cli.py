@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import click
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import harness
 from .core import InvariantViolation
 
@@ -205,7 +204,7 @@ def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
                 else:
                     data = harness.adversarial_stream(kind, n, d, t_len, ridge, stream_seed, kernel)
                     origin = "adversarial"
-                for report in bounds_mod.verify_run(data, kind, ridge, kernel):
+                for report in harness.verify_run(data, kind, ridge, kernel):
                     tag = kind if kernel is None else f"{kind}-{kernel.kind}"
                     rows.append((idx, origin, tag, report.bound, report.algorithm_loss,
                                  report.expert_loss, report.bound_value, report.slack))

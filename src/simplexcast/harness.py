@@ -15,6 +15,7 @@ import csv
 import json
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import InvariantViolation, LossLedger, ProbabilityVector, brier_loss
+from .core import DimensionMismatch, InvariantViolation, LossLedger, ProbabilityVector, _unwrap, brier_loss
 from .maar import MaarForecaster
 
 if TYPE_CHECKING:
@@ -151,7 +152,7 @@ class SimpleBaseline:
     def __init__(self, d: int, window: int = DEFAULT_WINDOW):
         self.d = d
         self.window = window
-        self._recent: list[np.ndarray] = []
+        self._recent: deque[np.ndarray] = deque(maxlen=window)
 
     def predict(self, x) -> ProbabilityVector:
         if not self._recent:
@@ -159,10 +160,10 @@ class SimpleBaseline:
         return ProbabilityVector(np.mean(self._recent, axis=0))
 
     def update(self, x, y) -> None:
-        arr = np.asarray(y, dtype=float)
-        self._recent.append(arr)
-        if len(self._recent) > self.window:
-            self._recent.pop(0)
+        ya = _unwrap(y)
+        if ya.size != self.d:
+            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.d}")
+        self._recent.append(ya.copy())   # the caller may rewrite its array later
 
 
 def simple_baseline(stream: LabeledStream) -> list[ProbabilityVector]:
@@ -200,6 +201,20 @@ def run_online(stream, forecaster) -> tuple[LossLedger, list[ProbabilityVector]]
         ledger.record(brier_loss(y, gamma))
         forecaster.update(x, y)
     return ledger, forecasts
+
+
+def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[bounds_mod.BoundReport]:
+    """Run one algorithm over the stream and check every guarantee it carries.
+
+    ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``).  Returns
+    one report per guarantee; slack below -1e-6 indicates a broken implementation.
+    """
+    data = list(data)
+    if not data:
+        raise InputError("cannot verify an empty stream")
+    x, y = data[0]
+    ledger, _ = run_online(data, make_forecaster(kind, np.size(x), np.size(y), ridge, kernel))
+    return bounds_mod.bound_reports(data, kind, ridge, ledger.cumulative, kernel)
 
 
 def mse_amse(losses) -> tuple[float, float]:
@@ -364,34 +379,6 @@ def parse_report(path) -> list[ExperimentReport]:
 # ---------------------------------------------------------------------------
 # Benchmark protocol
 
-def _bound_slack_for(kind: str, stream: LabeledStream, ridge: float,
-                     full_loss: float, kernel: Kernel | None = None) -> float | None:
-    data = stream.pairs()
-    signals = stream.signals
-    t_len, n = signals.shape
-    d = stream.d
-    x_max = float(np.max(np.abs(signals))) if t_len else 0.0
-    if kind == "caar":
-        expert, _ = bounds_mod.best_linear_expert(data, d * ridge)
-        rhs = bounds_mod.expert_loss(expert, data) + bounds_mod.componentwise_bound_rhs(
-            t_len, x_max, n, d, ridge, expert.norm_sq)
-        return rhs - full_loss
-    if kind == "maar":
-        expert, _ = bounds_mod.best_linear_expert(data, ridge)
-        base = bounds_mod.expert_loss(expert, data)
-        rhs_joint = base + bounds_mod.joint_bound_rhs(t_len, x_max, n, d, ridge / 2.0, expert.norm_sq)
-        rhs_split = base + bounds_mod.joint_split_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)
-        return min(rhs_joint, rhs_split) - full_loss
-    if kind == "kaar":
-        from .kaar import Kernel
-        kern = kernel or Kernel("dot")
-        _, loss_f, norms = bounds_mod.best_kernel_expert(data, kern, ridge)
-        logdet = bounds_mod.gram_logdet_regret(kern.gram(signals), ridge, d)
-        rhs = bounds_mod.kernel_bound_rhs(loss_f, norms, ridge, logdet)
-        return rhs - full_loss
-    return None
-
-
 def run_benchmark(stream: LabeledStream, algos, ridge_spec,
                   kernel: Kernel | None = None) -> tuple[list[ExperimentReport], dict]:
     """The full protocol: ridge selection on the train third, metrics on the rest.
@@ -422,8 +409,11 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         mse, amse = mse_amse(ledger.per_step[cut:])
         slack = None
         if kind != "simple":
-            slack = _bound_slack_for(kind, stream, ridge, ledger.cumulative, kernel)
-            if slack is not None and slack < -1e-6:
+            # the kernel make_forecaster resolved (a dot kernel when none was given)
+            checks = bounds_mod.bound_reports(stream.pairs(), kind, ridge, ledger.cumulative,
+                                              getattr(model, "kernel", None))
+            slack = min(check.slack for check in checks)
+            if slack < -1e-6:
                 raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")
         reports.append(ExperimentReport(kind, mse, amse, elapsed, ridge, slack))
     log = {

@@ -88,18 +88,32 @@ class Kernel:
     def gram(self, signals: np.ndarray) -> np.ndarray:
         """Gram matrix over the rows of ``signals``."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
-        inner = x @ x.T
-        sq = np.diag(inner)
-        return self._of_inner(inner, sq[:, None], sq[None, :])
+        if self.kind != "rbf":
+            return self._of(x @ x.T)
+        return np.array([self._row(x, row) for row in x])   # one row at a time: no T x T x n temporary
 
-    def _of_inner(self, inner, sq_x, sq_y):
-        """Kernel values from inner products x.y and squared norms |x|^2, |y|^2."""
+    def _row(self, stored: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K(s, x) for every row s of ``stored``."""
+        if self.kind != "rbf":
+            return self._of(stored @ x)
+        diff = stored - x
+        return self._of(np.einsum("ij,ij->i", diff, diff))
+
+    def _at(self, x: np.ndarray) -> float:
+        """K(x, x): 1 for rbf, where the distance is exactly 0."""
+        return 1.0 if self.kind == "rbf" else float(self._of(x @ x))
+
+    def _of(self, v):
+        """Kernel values from inner products x.y, or for rbf from squared distances |x - y|^2.
+
+        rbf distances come from differences, never from |x|^2 + |y|^2 - 2x.y,
+        which cancels when the signals' norms are large against their distance.
+        """
         if self.kind == "dot":
-            return inner
+            return v
         if self.kind == "poly":
-            return (inner + self.offset) ** self.degree
-        dist2 = np.maximum(sq_x + sq_y - 2.0 * inner, 0.0)
-        return np.exp(-dist2 / (2.0 * self.sigma**2))
+            return (v + self.offset) ** self.degree
+        return np.exp(-v / (2.0 * self.sigma**2))
 
 
 def kernel_eval(k: Kernel, x, y) -> float:
@@ -127,9 +141,9 @@ def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
 class KaarForecaster:
     """Sequential predict/update form of the kernelized forecaster.
 
-    Holds the t stored signals and their squared norms, and per system aI + sK
-    (s = d, then s = 1 when d > 2) the packed factor rows and G = L^{-1} R',
-    in buffers that double when full; ``update`` reuses ``predict``'s border rows.
+    Holds the t stored signals and, per system aI + sK (s = d, then s = 1 when
+    d > 2), the packed factor rows and G = L^{-1} R', in buffers that double when
+    full; ``update`` reuses ``predict``'s border rows.
     """
 
     def __init__(self, d: int, kernel: Kernel, a: float = 1.0):
@@ -141,7 +155,6 @@ class KaarForecaster:
         self.t = 0
         self._scales = np.array([d, 1.0][:1 if d == 2 else 2])
         self._x = np.empty((0, 0))                       # signals; the first update sets the width
-        self._sq = np.empty(0)                           # their squared norms
         self._packed = np.empty((self._scales.size, 0))  # factor rows, row j at j(j+1)/2
         self._g = np.empty((self._scales.size, 0, d - 1))
         self._last = None                                # _border of the last predict
@@ -152,15 +165,15 @@ class KaarForecaster:
             raise DimensionMismatch(f"signal has length {xa.size}, stored history has {self._x.shape[1]}")
         return xa
 
-    def _extended_gram(self, xa: np.ndarray, sq: float) -> tuple[np.ndarray, float]:
+    def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, float]:
         """Kernel row of ``xa`` against the stored signals, and K(xa, xa)."""
-        inner = self._x[:self.t] @ xa if self.t else np.empty(0)
-        return self.kernel._of_inner(inner, self._sq[:self.t], sq), float(self.kernel._of_inner(sq, sq, sq))
+        stored = self._x[:self.t] if self.t else np.empty((0, xa.size))
+        return self.kernel._row(stored, xa), self.kernel._at(xa)
 
     def _border(self, xa: np.ndarray):
         """Border rows w and pivots rho^2 of every factor for signal ``xa``, and w'G."""
-        t, sq = self.t, xa @ xa
-        row, kxx = self._extended_gram(xa, sq)
+        t = self.t
+        row, kxx = self._extended_gram(xa)
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
             raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
         w = self._scales[:, None] * row
@@ -172,7 +185,7 @@ class KaarForecaster:
             if not 0.0 < pivot < math.inf:
                 raise InvariantViolation(f"trial {t + 1}: {name} has pivot {pivot!r}, not positive definite")
         u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
-        return xa, sq, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
+        return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r (length d, last entry 0)."""
@@ -197,11 +210,11 @@ class KaarForecaster:
         last, self._last = self._last, None
         if last is None or not np.array_equal(x, last[0]):
             last = self._border(self._signal(x))
-        xa, sq, w, pivots, wg, _ = last
+        xa, w, pivots, wg, _ = last
         t = self.t
-        if t == self._sq.size:
+        if t == self._x.shape[0]:
             self._reserve(xa.size)
-        self._x[t], self._sq[t] = xa, sq
+        self._x[t] = xa
         rho = np.sqrt(pivots)
         start = t * (t + 1) // 2
         self._packed[:, start:start + t] = w
@@ -213,6 +226,5 @@ class KaarForecaster:
         """Double every buffer; the first call also fixes the signal length n."""
         cap = max(2 * self.t, _FIRST_CAPACITY)
         self._x = _grown(self._x if self.t else np.empty((0, n)), 0, cap)
-        self._sq = _grown(self._sq, 0, cap)
         self._packed = _grown(self._packed, 1, cap * (cap + 1) // 2)
         self._g = _grown(self._g, 1, cap)

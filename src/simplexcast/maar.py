@@ -15,9 +15,9 @@ where A = aI + (I+J) kron C' has 2C' diagonal blocks and C' off-diagonal
 blocks.  I+J (J the all-ones matrix of size d-1) has eigenvalue d on the
 all-ones direction and eigenvalue 1 elsewhere, so r needs only (aI + C')^{-1} x
 and (aI + dC')^{-1} x.  The forecaster keeps the inverses of aI + C and aI + dC
-by Sherman-Morrison updates shared with CAAR, which makes each of those one
-matrix-vector product and a rescale: O(n^2 + dn) per trial, plus a Cholesky
-rebuild that checks both inverses every REFRESH_EVERY trials.
+in RankOneCore, the Sherman-Morrison core it shares with CAAR.  That makes each
+of those one matrix-vector product and a rescale: O(n^2 + dn) per trial, plus a
+Cholesky rebuild that checks both inverses every REFRESH_EVERY trials.
 """
 
 from __future__ import annotations
@@ -95,20 +95,22 @@ def check_signal(x, n: int) -> np.ndarray:
     return arr
 
 
-def sm_denominator(x: np.ndarray, u, scale, trial: int):
-    """1 + scale x'u for u = M^{-1} x, the Sherman-Morrison denominator: >= 1 unless M^{-1} is broken.
-    Rows of ``u`` (and entries of ``scale``) may stack several inverses."""
-    den = 1.0 + scale * (u @ x)
-    for v in den.tolist() if den.ndim else (float(den),):
+def sm_denominator(x: np.ndarray, u: np.ndarray, scales, trial: int) -> list[float]:
+    """1 + s x'u for each row u = M_s^{-1} x of ``u`` and scale s of ``scales``: the
+    Sherman-Morrison denominators, each >= 1 unless its M_s^{-1} is broken.  Python
+    floats, since a rank-one core holds one or two inverses and numpy costs more per scalar."""
+    den = [1.0 + s * v for s, v in zip(scales, (u @ x).tolist())]
+    for v in den:
         if not 1.0 - DRIFT_TOL <= v < math.inf:
             raise InvariantViolation(f"trial {trial}: Sherman-Morrison denominator {den!r} is not >= 1")
     return den
 
 
-def sm_update(minv: np.ndarray, u, scale, den, out=None) -> np.ndarray:
-    """(M + scale xx')^{-1} = M^{-1} - (scale/den) uu', stacked like sm_denominator; out=minv is in place."""
-    w = u * np.sqrt(scale / den)[..., None]   # entries (i, j) and (j, i) get one product: symmetry is exact
-    return np.subtract(minv, w[..., :, None] * w[..., None, :], out=out)
+def sm_update(minv: np.ndarray, u: np.ndarray, scales, den, out=None) -> np.ndarray:
+    """(M_s + s xx')^{-1} = M_s^{-1} - (s/den) uu' for each stacked M_s^{-1}, as in
+    sm_denominator; out=minv is in place."""
+    w = u * np.sqrt(np.divide(scales, den))[:, None]   # (i, j) and (j, i) get one product: exact symmetry
+    return np.subtract(minv, w[:, :, None] * w[:, None, :], out=out)
 
 
 def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int) -> np.ndarray:
@@ -126,22 +128,24 @@ def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int) -> np.ndarray
     return fresh
 
 
-class MaarForecaster:
-    """Sequential predict/update form of the joint forecaster.
+class RankOneCore:
+    """State shared by the linear forecasters: C = sum x_t x_t' and the inverses of aI + sC.
 
-    Holds C, h (row i is h_i = -2 sum (y^i - y^d) x_t), the trial count t and the inverses
-    of aI + C and aI + dC, updated in place; ``update`` reuses ``predict``'s products.
+    There is one inverse per scale s, stacked in ``_inv`` and kept by Sherman-Morrison
+    steps; a Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds
+    that rebuild, so it is kept as its value at the last rebuild plus the signals since.
+    ``_predicted`` keeps a prediction's products so that ``_commit`` on the same
+    signal (compared by value; the signal is copied) need not recompute them.
     """
 
-    def __init__(self, n: int, d: int, a: float = 1.0):
+    def __init__(self, n: int, d: int, a: float, scales):
         self.cfg = MaarConfig(n, d, a)
-        self.h = np.zeros((d - 1, n))
         self.t = 0
-        self._scale = np.array([1.0, d])
-        self._inv = np.stack([np.eye(n) / a] * 2)     # (aI + C)^{-1}, (aI + dC)^{-1}
+        self._scales = tuple(float(s) for s in scales)
+        self._inv = np.stack([np.eye(n) / a] * len(self._scales))   # (aI + sC)^{-1} per scale s
         self._c = np.zeros((n, n))                    # C up to the last refresh
         self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
-        self._last = None                             # (x, u, den) of the last generalized call
+        self._last = None                             # (x, u, den) of the last prediction
 
     @property
     def c(self) -> np.ndarray:
@@ -151,12 +155,64 @@ class MaarForecaster:
 
     def _products(self, xa: np.ndarray):
         u = self._inv @ xa
-        return xa, u, sm_denominator(xa, u, self._scale, self.t + 1)
+        return xa, u, sm_denominator(xa, u, self._scales, self.t + 1)
+
+    def _predicted(self, x):
+        """(x, u, den) for a new signal: u = (aI + sC)^{-1} x and den = 1 + s x'u, one per scale s."""
+        self._last = self._products(check_signal(x, self.cfg.n).copy())
+        return self._last
+
+    def _outcome(self, y) -> np.ndarray:
+        ya = _unwrap(y)
+        if ya.size != self.cfg.d:
+            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.cfg.d}")
+        return ya
+
+    def _commit(self, x) -> np.ndarray:
+        """C += xx' and every inverse follows; returns the validated signal.
+
+        A refresh that fails raises before anything changes, so the state stays that of trial t.
+        """
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._products(check_signal(x, self.cfg.n))
+        xa, u, den = last
+        slot = self.t % REFRESH_EVERY
+        self._signals[slot] = xa   # past the rows that ``c`` reads until t moves
+        if slot + 1 < REFRESH_EVERY:
+            sm_update(self._inv, u, self._scales, den, out=self._inv)
+        else:
+            c = self._c + self._signals.T @ self._signals
+            self._inv = self._refreshed(sm_update(self._inv, u, self._scales, den), c, self.t + 1)
+            self._c = c
+        self.t += 1
+        return xa
+
+    def _refreshed(self, inv: np.ndarray, c: np.ndarray, trial: int) -> np.ndarray:
+        eye = self.cfg.a * np.eye(self.cfg.n)
+        return np.stack([refresh_inverse(minv, eye + scale * c, trial)
+                         for minv, scale in zip(inv, self._scales)])
+
+    def run_check(self) -> None:
+        """Check every maintained inverse against a Cholesky rebuild, keeping them as they are."""
+        self._refreshed(self._inv, self.c, self.t)
+
+
+class MaarForecaster(RankOneCore):
+    """Sequential predict/update form of the joint forecaster.
+
+    Holds h (row i is h_i = -2 sum (y^i - y^d) x_t) beside the core's C and the
+    inverses of aI + C and aI + dC.
+    """
+
+    def __init__(self, n: int, d: int, a: float = 1.0):
+        super().__init__(n, d, a, (1.0, d))
+        self.h = np.zeros((d - 1, n))
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r (length d, last entry 0)."""
-        xa, u, den = self._last = self._products(check_signal(x, self.cfg.n).copy())
-        q, p = u / den[:, None]   # (aI + C')^{-1} x and (aI + dC')^{-1} x
+        xa, u, den = self._predicted(x)
+        q, p = u / np.array(den)[:, None]   # (aI + C')^{-1} x and (aI + dC')^{-1} x
         m = self.cfg.d - 1
         common = self.h.sum(axis=0) + (m - 1) * xa
         r = np.zeros(m + 1)
@@ -168,26 +224,6 @@ class MaarForecaster:
 
     def update(self, x, y) -> None:
         """Commit the trial: C += xx', h_i -= 2 (y^i - y^d) x, both inverses follow."""
-        ya = _unwrap(y)
-        if ya.size != self.cfg.d:
-            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.cfg.d}")
-        last, self._last = self._last, None
-        if last is None or not np.array_equal(x, last[0]):
-            last = self._products(check_signal(x, self.cfg.n))
-        xa, u, den = last
-        self._signals[self.t % REFRESH_EVERY] = xa   # C only feeds the refresh
+        ya = self._outcome(y)
+        xa = self._commit(x)
         self.h -= (2.0 * (ya[:-1] - ya[-1]))[:, None] * xa
-        sm_update(self._inv, u, self._scale, den, out=self._inv)
-        self.t += 1
-        if self.t % REFRESH_EVERY == 0:
-            self._c += self._signals.T @ self._signals
-            self._inv = self._refreshed()
-
-    def _refreshed(self) -> np.ndarray:
-        c, eye = self.c, self.cfg.a * np.eye(self.cfg.n)
-        return np.stack([refresh_inverse(minv, eye + scale * c, self.t)
-                         for minv, scale in zip(self._inv, self._scale)])
-
-    def run_check(self) -> None:
-        """Check both maintained inverses against a Cholesky rebuild, keeping them as they are."""
-        self._refreshed()

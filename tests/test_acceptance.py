@@ -9,18 +9,18 @@ import math
 import numpy as np
 
 from simplexcast import harness
+from simplexcast.harness import verify_run
 from simplexcast.bounds import (
     best_kernel_expert,
     componentwise_bound_rhs,
     horizon_tuned_bound_rhs,
     joint_bound_rhs,
     kernel_expert_loss,
-    verify_run,
 )
-from simplexcast.caar import CaarState, caar_predict_raw, caar_update
+from simplexcast.caar import CaarForecaster
 from simplexcast.core import PredictionVector, brier_loss, vertex_to_probability
 from simplexcast.kaar import KaarForecaster, Kernel
-from simplexcast.maar import MaarConfig, MaarForecaster, solve_structured
+from simplexcast.maar import MaarForecaster, solve_structured
 from simplexcast.oracle import qp_projection, quadrature_component_forecast, quadrature_r
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import solve_substitution, substitution_threshold
@@ -87,18 +87,17 @@ def test_criterion_04_closed_forms_match_quadrature():
             history.append((rng.uniform(-1, 1, n), y))
         x_t = rng.uniform(-1, 1, n)
 
-        cfg = MaarConfig(n, d, a)
         model = MaarForecaster(n, d, a)
-        cstate = CaarState.zero(cfg)
+        component = CaarForecaster(n, d, a)
         for x, y in history:
             model.update(x, y)
-            cstate = caar_update(cstate, x, y)
+            component.update(x, y)
 
         closed = model.generalized(x_t)
         quad = quadrature_r(history, x_t, d=d, a=a)
         worst_joint = max(worst_joint, np.abs(closed - quad).max())
 
-        raw = caar_predict_raw(cstate, cfg, x_t)
+        raw = component.predict_raw(x_t)
         for i in range(d):
             comp = quadrature_component_forecast(history, x_t, i, d=d, a=a, eta=2.0)
             worst_component = max(worst_component, abs(raw[i] - comp))

@@ -18,9 +18,8 @@ from simplexcast.bounds import (
     kernel_bound_rhs,
     kernel_expert_loss,
     per_component_bound_rhs,
-    verify_run,
 )
-from simplexcast.harness import adversarial_stream, random_stream
+from simplexcast.harness import adversarial_stream, random_stream, verify_run
 from simplexcast.kaar import Kernel
 from simplexcast.oracle import numeric_quadratic_min
 

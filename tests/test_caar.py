@@ -1,31 +1,23 @@
 import numpy as np
 import pytest
 
-from simplexcast.caar import (
-    CaarForecaster,
-    CaarState,
-    caar_predict,
-    caar_predict_raw,
-    caar_update,
-)
+from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
-from simplexcast.maar import REFRESH_EVERY, MaarConfig
+from simplexcast.maar import REFRESH_EVERY
 from simplexcast.oracle import quadrature_component_forecast
 
 
 def test_zero_signal_gives_uniform():
-    cfg = MaarConfig(2, 4, 1.0)
-    out = caar_predict(CaarState.zero(cfg), cfg, np.zeros(2))
+    out = CaarForecaster(2, 4, 1.0).predict(np.zeros(2))
     np.testing.assert_allclose(out.p, np.full(4, 0.25))
 
 
 def test_two_classes_empty_history_is_half_half_for_any_signal():
     # with two classes the signal correction carries the factor (d-2) = 0
-    cfg = MaarConfig(3, 2, 1.0)
-    state = CaarState.zero(cfg)
+    model = CaarForecaster(3, 2, 1.0)
     rng = np.random.default_rng(30)
     for _ in range(10):
-        out = caar_predict_raw(state, cfg, rng.uniform(-2, 2, 3))
+        out = model.predict_raw(rng.uniform(-2, 2, 3))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-14)
 
 
@@ -33,13 +25,13 @@ def test_worked_three_class_instance():
     # n=1, d=3, a=1; history x=1, y=(1,0,0); predict at x=1.
     # E = (2/3, -1/3, -1/3), shared factor 1/3, raw = (11/18, 5/18, 5/18);
     # the raw components sum to 7/6, and projection lands on (5/9, 2/9, 2/9).
-    cfg = MaarConfig(1, 3, 1.0)
-    state = caar_update(CaarState.zero(cfg), [1.0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(state.e.ravel(), [2 / 3, -1 / 3, -1 / 3])
-    raw = caar_predict_raw(state, cfg, [1.0])
+    model = CaarForecaster(1, 3, 1.0)
+    model.update([1.0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(model.e.ravel(), [2 / 3, -1 / 3, -1 / 3])
+    raw = model.predict_raw([1.0])
     np.testing.assert_allclose(raw, [11 / 18, 5 / 18, 5 / 18], atol=1e-12)
     assert raw.sum() == pytest.approx(7 / 6)
-    np.testing.assert_allclose(caar_predict(state, cfg, [1.0]).p, [5 / 9, 2 / 9, 2 / 9], atol=1e-12)
+    np.testing.assert_allclose(model.predict([1.0]).p, [5 / 9, 2 / 9, 2 / 9], atol=1e-12)
 
 
 def test_raw_sum_identity():
@@ -49,42 +41,41 @@ def test_raw_sum_identity():
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 6))
         a = float(rng.uniform(0.2, 3.0))
-        cfg = MaarConfig(n, d, a)
-        state = CaarState.zero(cfg)
+        model = CaarForecaster(n, d, a)
         for _ in range(int(rng.integers(0, 6))):
             y = np.zeros(d)
             y[rng.integers(d)] = 1.0
-            state = caar_update(state, rng.uniform(-1, 1, n), y)
+            model.update(rng.uniform(-1, 1, n), y)
         x = rng.uniform(-1, 1, n)
-        raw = caar_predict_raw(state, cfg, x)
-        quad = x @ np.linalg.solve(a * np.eye(n) + state.b_core + np.outer(x, x), x)
+        raw = model.predict_raw(x)
+        quad = x @ np.linalg.solve(a * np.eye(n) + model.c + np.outer(x, x), x)
         assert raw.sum() == pytest.approx(1.0 + (d - 2) / 2.0 * quad, abs=1e-9)
 
 
 def test_update_formulas_and_accumulator_balance():
-    cfg = MaarConfig(1, 3, 1.0)
-    state = caar_update(CaarState.zero(cfg), [1.0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(state.e.ravel(), [2 / 3, -1 / 3, -1 / 3])
+    model = CaarForecaster(1, 3, 1.0)
+    model.update([1.0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(model.e.ravel(), [2 / 3, -1 / 3, -1 / 3])
     # uniform outcome leaves E untouched
-    state2 = caar_update(state, [0.5], np.full(3, 1 / 3))
-    np.testing.assert_allclose(state2.e, state.e)
+    before = model.e.copy()
+    model.update([0.5], np.full(3, 1 / 3))
+    np.testing.assert_allclose(model.e, before)
     # the accumulators always balance to zero across classes
     rng = np.random.default_rng(32)
-    st = CaarState.zero(cfg)
+    other = CaarForecaster(1, 3, 1.0)
     for _ in range(25):
         y = np.zeros(3)
         y[rng.integers(3)] = 1.0
-        st = caar_update(st, rng.uniform(-1, 1, 1), y)
-        np.testing.assert_allclose(st.e.sum(axis=0), 0.0, atol=1e-12)
+        other.update(rng.uniform(-1, 1, 1), y)
+        np.testing.assert_allclose(other.e.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_dimension_mismatch():
-    cfg = MaarConfig(2, 3, 1.0)
-    state = CaarState.zero(cfg)
+    model = CaarForecaster(2, 3, 1.0)
     with pytest.raises(DimensionMismatch):
-        caar_predict_raw(state, cfg, [1.0])
+        model.predict_raw([1.0])
     with pytest.raises(DimensionMismatch):
-        caar_update(state, [1.0, 0.0], [1.0, 0.0])
+        model.update([1.0, 0.0], [1.0, 0.0])
 
 
 def test_incremental_inverse_tracks_direct():
@@ -96,20 +87,9 @@ def test_incremental_inverse_tracks_direct():
         y = np.eye(d)[rng.integers(d)]
         model.update(x, y)
         if step % 50 == 0:
-            cache = model.state.inv_cache
-            direct = np.linalg.inv(0.7 * np.eye(n) + model.state.b_core)
-            rel = np.linalg.norm(cache.minv - direct) / np.linalg.norm(direct)
+            direct = np.linalg.inv(0.7 * np.eye(n) + model.c)
+            rel = np.linalg.norm(model._inv[0] - direct) / np.linalg.norm(direct)
             assert rel <= 1e-9
-    # the stale-cache path: predictions with a different ridge fall back to a
-    # direct solve and still agree with a cache-free state
-    cfg_other = MaarConfig(n, d, 2.5)
-    bare = CaarState(model.state.b_core, model.state.e, model.state.t, None)
-    x = rng.uniform(-1, 1, n)
-    np.testing.assert_allclose(
-        caar_predict_raw(model.state, cfg_other, x),
-        caar_predict_raw(bare, cfg_other, x),
-        atol=1e-12,
-    )
 
 
 def test_corrupted_inverse_raises_naming_the_trial():
@@ -118,12 +98,12 @@ def test_corrupted_inverse_raises_naming_the_trial():
     model = CaarForecaster(n, d, 1.0)
     for _ in range(REFRESH_EVERY - 1):
         model.update(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)])
-    model.state.inv_cache.minv *= 1.01
+    model._inv *= 1.01
     x = rng.uniform(-1, 1, n)
     model.predict(x)   # the denominator still looks healthy
     with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: inverse drift"):
         model.update(x, np.eye(d)[0])
-    model.state.inv_cache.minv *= -1.0
+    model._inv *= -1.0
     with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: Sherman-Morrison denominator"):
         model.predict(x)
 
@@ -135,16 +115,15 @@ def test_matches_scalar_quadrature_per_component():
         d = int(rng.integers(2, 5))
         a = float(rng.choice([0.5, 1.0, 2.0]))
         history = []
-        cfg = MaarConfig(n, d, a)
-        state = CaarState.zero(cfg)
+        model = CaarForecaster(n, d, a)
         for _ in range(int(rng.integers(1, 4))):
             y = np.zeros(d)
             y[rng.integers(d)] = 1.0
             x = rng.uniform(-1, 1, n)
             history.append((x, y))
-            state = caar_update(state, x, y)
+            model.update(x, y)
         x_t = rng.uniform(-1, 1, n)
-        raw = caar_predict_raw(state, cfg, x_t)
+        raw = model.predict_raw(x_t)
         for i in range(d):
             quad = quadrature_component_forecast(history, x_t, i, d=d, a=a)
             assert raw[i] == pytest.approx(quad, abs=1e-5)

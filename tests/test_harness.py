@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplexcast import harness
-from simplexcast.core import LossLedger, brier_loss
+from simplexcast.core import DimensionMismatch, LossLedger, brier_loss
 from simplexcast.harness import (
     ExperimentReport,
     InputError,
@@ -177,6 +177,17 @@ def test_baseline_window_slides():
     np.testing.assert_allclose(model.predict(None).p, [2 / 3, 1 / 3])
 
 
+def test_baseline_keeps_a_copy_and_checks_the_outcome_length():
+    model = SimpleBaseline(3)
+    y = np.array([1.0, 0.0, 0.0])
+    model.update(None, y)
+    y[:] = [0.0, 0.0, 1.0]   # the caller reuses its array
+    np.testing.assert_allclose(model.predict(None).p, [1.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        model.update(None, [1.0, 0.0])
+    np.testing.assert_allclose(model.predict(None).p, [1.0, 0.0, 0.0])
+
+
 def test_simple_baseline_functional_form():
     stream = label_stream(synth_series("sine", 60, 1), window=10, epsilon=0.05)
     forecasts = simple_baseline(stream)
@@ -310,3 +321,10 @@ def test_run_benchmark_with_kernel_algo():
     reports, _ = run_benchmark(stream, ["kaar"], 1.0, Kernel("rbf", sigma=1.0))
     assert reports[0].algorithm == "kaar"
     assert reports[0].bound_slack >= -1e-6
+
+
+def test_run_benchmark_kernel_algo_defaults_to_the_dot_kernel():
+    stream = prepare_stream(synth_series("sine", 90, 8), 10, "auto")
+    default, _ = run_benchmark(stream, ["kaar"], 1.0)
+    dot, _ = run_benchmark(stream, ["kaar"], 1.0, Kernel("dot"))
+    assert (default[0].mse, default[0].bound_slack) == (dot[0].mse, dot[0].bound_slack)

@@ -15,7 +15,7 @@ def _stream(rng, n, d, trials):
 def _state(model):
     """Every committed entry of the forecaster's buffers, and its trial count."""
     t = model.t
-    return (t, model._x[:t].copy(), model._sq[:t].copy(),
+    return (t, model._x[:t].copy(),
             model._packed[:, :t * (t + 1) // 2].copy(), model._g[:, :t].copy())
 
 
@@ -44,6 +44,23 @@ def test_kernel_symmetry_and_gram_psd():
         for _ in range(10):
             x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             assert kernel_eval(kernel, x, y) == pytest.approx(kernel_eval(kernel, y, x))
+
+
+@pytest.mark.parametrize("norm", [1e2, 1e4, 1e6])
+def test_rbf_values_at_large_norms_match_kernel_eval(norm):
+    # |x|^2 + |y|^2 - 2x.y cancels here: at norm 1e5 it was 2.3e-6 off
+    rng = np.random.default_rng(41)
+    kernel = Kernel("rbf", sigma=0.5)
+    base = norm * np.ones(3) / np.sqrt(3)
+    pts = base + rng.uniform(-0.4, 0.4, size=(6, 3))
+    direct = np.array([[kernel_eval(kernel, p, q) for q in pts] for p in pts])
+    np.testing.assert_allclose(kernel.gram(pts), direct, rtol=0, atol=1e-12)
+    model = KaarForecaster(3, kernel, 1.0)
+    for p in pts[:-1]:
+        model.update(p, [1.0, 0.0, 0.0])
+    row, kxx = model._extended_gram(pts[-1])
+    np.testing.assert_allclose(row, direct[-1, :-1], rtol=0, atol=1e-12)
+    assert kxx == 1.0
 
 
 def test_kernel_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.maar import REFRESH_EVERY, MaarConfig, MaarForecaster, refresh_inverse, solve_structured
 from simplexcast.oracle import dense_maar_r, quadrature_r
@@ -238,6 +239,24 @@ def test_non_positive_definite_refresh_raises_naming_the_trial():
         model.update(x, [1.0, 0.0, 0.0])
     with pytest.raises(InvariantViolation, match="trial 7:"):
         refresh_inverse(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 7)
+
+
+@pytest.mark.parametrize("cls, stat", [(MaarForecaster, "h"), (CaarForecaster, "e")])
+@pytest.mark.parametrize("fault", ["drift", "not positive definite"])
+def test_failed_refresh_leaves_state_unchanged(cls, stat, fault):
+    model = cls(3, 3, 1.0)
+    x = _run(model, REFRESH_EVERY - 1)
+    if fault == "drift":
+        model._inv[0] *= 1.01
+    else:
+        model._c[:] = -1e3 * np.eye(3)
+    model.predict(x)
+    before = (model.c, model._inv.copy(), getattr(model, stat).copy())
+    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: "):
+        model.update(x, [1.0, 0.0, 0.0])
+    assert model.t == REFRESH_EVERY - 1
+    for was, now in zip(before, (model.c, model._inv, getattr(model, stat))):
+        np.testing.assert_array_equal(now, was)
 
 
 def test_forecaster_run_check_passes():
