@@ -33,8 +33,8 @@ from .core import (
 )
 from .harness import verify_run
 from .maar import MaarConfig, MaarForecaster, solve_structured
-from .projection import project_to_simplex
-from .substitution import GeneralizedPrediction, solve_substitution, substitution_threshold
+from .projection import project_rows, project_to_simplex
+from .substitution import GeneralizedPrediction, solve_substitution, substitute_rows, substitution_threshold
 
 __all__ = [
     "BoundReport",
@@ -57,9 +57,11 @@ __all__ = [
     "brier_loss",
     "expert_loss",
     "kernel_eval",
+    "project_rows",
     "project_to_simplex",
     "solve_structured",
     "solve_substitution",
+    "substitute_rows",
     "substitution_threshold",
     "vertex_to_probability",
     "verify_run",

@@ -15,7 +15,8 @@ RankOneCore with the single scale 1: it keeps (aI + B)^{-1} by Sherman-Morrison
 steps with a guarded Cholesky refresh every REFRESH_EVERY trials, and
 (aI + B + xx')^{-1} x is the rescale u / (1 + x'u) of u = (aI + B)^{-1} x.  So a
 trial costs one matrix-vector product, O(n^2 + dn), and ``update`` reuses the
-product of the ``predict`` before it.
+product of the ``predict`` before it.  Given a 1-D sequence of ridges, the core runs
+one lane per ridge and ``predict_raw`` returns one row per lane, E staying shared.
 """
 
 from __future__ import annotations
@@ -30,19 +31,23 @@ from .projection import project_to_simplex
 class CaarForecaster(RankOneCore):
     """Sequential predict/update form of the component-wise forecaster.
 
-    Holds E (row i is E_i) beside the core's B and the inverse of aI + B.
+    Holds E (row i is E_i) beside the core's B and the inverse of aI + B.  With ridge
+    lanes, ``predict_raw`` returns one row per ridge; ``predict`` needs one ridge.
     """
 
-    def __init__(self, n: int, d: int, a: float = 1.0):
+    def __init__(self, n: int, d: int, a=1.0):
         super().__init__(n, d, a, (1.0,))
         self.e = np.zeros((d, n))
 
     def predict_raw(self, x) -> np.ndarray:
-        """Per-class forecasts before projection (length d, may leave the simplex)."""
+        """Per-class forecasts before projection, of shape np.shape(a) + (d,); they may leave
+        the simplex."""
         xa, u, den = self._predicted(x)
-        shared = u[0] / den[0]   # (aI + B + xx')^{-1} x
+        lanes = self._lanes
+        shared = u[:, 0] / den[:, :1] if lanes else u[0] / den[0]   # (aI + B + xx')^{-1} x, per lane
         d = self.cfg.d
-        return self.e @ shared + (1.0 / d + (d - 2.0) / (2.0 * d) * (xa @ shared))
+        offset = 1.0 / d + (d - 2.0) / (2.0 * d) * (shared @ xa)
+        return shared @ self.e.T + (offset[:, None] if lanes else offset)
 
     def predict(self, x) -> ProbabilityVector:
         return project_to_simplex(self.predict_raw(x))

@@ -178,7 +178,8 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
               help="Number of random streams.")
 @click.option("--adversarial", type=int, default=10, show_default=True,
               help="Number of greedily adversarial streams.")
-@click.option("--max-steps", type=int, default=120, show_default=True)
+@click.option("--max-steps", type=int, default=120, show_default=True,
+              help="Longest stream; stream lengths are drawn from 10 to this.")
 @click.option("--ridge", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="simplexcast-out",
@@ -186,6 +187,13 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
 def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
     """Check every guarantee on random and adversarial streams."""
     def work():
+        if streams < 0 or adversarial < 0:
+            raise harness.InputError(
+                f"--streams and --adversarial must be >= 0, got {streams} and {adversarial}")
+        if streams + adversarial == 0:
+            raise harness.InputError("--streams and --adversarial are both 0: there is nothing to check")
+        if max_steps < 10:
+            raise harness.InputError(f"--max-steps must be at least 10, got {max_steps}")
         from .kaar import Kernel
         rng = np.random.default_rng(seed)
         rows = []

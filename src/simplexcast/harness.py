@@ -7,6 +7,13 @@ or stays inside the tube.  Forecasters run strictly online: predict before
 seeing the outcome, then update.  The ridge is selected on the first third
 of the stream; metrics (MSE and AMSE, the average of running MSEs) are
 collected on the last two thirds from a fresh run over the full stream.
+
+Ridge selection runs CAAR and MAAR as one forecaster with a ridge lane per
+grid value (see ``maar.RankOneCore``): each train trial is one generalized (raw)
+prediction for every lane, one row-wise substitution (projection) and one
+update, and every lane's forecast and loss pass the checks a single run makes.
+KAAR's factors share nothing across ridges, so it runs one forecaster per grid
+value.  The final run over the full stream is a fresh single-ridge forecaster.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import DimensionMismatch, InvariantViolation, LossLedger, ProbabilityVector, _unwrap, brier_loss
+from .core import (NEG_TOL, SUM_TOL, DimensionMismatch, InvariantViolation, LossLedger, ProbabilityVector,
+                   _unwrap, brier_loss)
 from .maar import MaarForecaster
+from .projection import project_rows
+from .substitution import substitute_rows
 
 if TYPE_CHECKING:
     from .kaar import Kernel
@@ -212,6 +222,8 @@ def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> l
     data = list(data)
     if not data:
         raise InputError("cannot verify an empty stream")
+    if kind == "kaar" and kernel is None:
+        raise ValueError("kernel required for kind='kaar'")
     x, y = data[0]
     ledger, _ = run_online(data, make_forecaster(kind, np.size(x), np.size(y), ridge, kernel))
     return bounds_mod.bound_reports(data, kind, ridge, ledger.cumulative, kernel)
@@ -227,20 +239,59 @@ def mse_amse(losses) -> tuple[float, float]:
 
 
 def grid_search_ridge(train: LabeledStream, kind: str, grid,
-                      kernel: Kernel | None = None) -> float:
-    """Smallest grid value achieving the best training MSE."""
+                      kernel: Kernel | None = None, record: dict | None = None) -> float:
+    """Smallest grid value achieving the best training MSE.
+
+    CAAR and MAAR score the whole grid in one pass of ridge lanes; other kinds run
+    one forecaster per value.  ``record``, when given, receives the sorted grid
+    (``ridges``), the train MSE of each value (``train_mse``) and ``seconds``.
+    """
+    started = time.perf_counter()
     values = sorted(float(g) for g in grid)
     if not values:
         raise InputError("ridge grid is empty")
     if any(v <= 0 for v in values):
         raise InputError("ridge grid values must be positive")
-    best_a, best_mse = None, np.inf
-    for a in values:
-        ledger, _ = run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))
-        mse = ledger.cumulative / max(ledger.count, 1)
-        if mse < best_mse:
-            best_a, best_mse = a, mse
-    return float(best_a)
+    if kind in ("caar", "maar"):
+        mses = _lane_train_mse(train, kind, values)
+    else:
+        mses = []
+        for a in values:
+            ledger, _ = run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))
+            mses.append(ledger.cumulative / max(ledger.count, 1))
+    best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
+    if record is not None:
+        record.update(ridges=values, train_mse=[float(v) for v in mses],
+                      seconds=time.perf_counter() - started)
+    return values[best]
+
+
+def _lane_train_mse(train: LabeledStream, kind: str, ridges: list[float]) -> np.ndarray:
+    """Train MSE of CAAR or MAAR at every ridge, from one forecaster with a lane per ridge.
+
+    Each lane's forecast must be a simplex point (the ProbabilityVector tolerances) and
+    its loss finite and nonnegative (the LossLedger rule); a lane that fails raises
+    InvariantViolation naming the trial and the ridge.
+    """
+    if kind == "maar":
+        model = MaarForecaster(train.n, train.d, ridges)
+        raw, to_simplex = model.generalized, substitute_rows
+    else:
+        model = CaarForecaster(train.n, train.d, ridges)
+        raw, to_simplex = model.predict_raw, project_rows
+    total = np.zeros(len(ridges))
+    for t, (x, y) in enumerate(zip(train.signals, train.labels), start=1):
+        gamma = to_simplex(raw(x))
+        loss = np.square(gamma - y).sum(axis=1)
+        bad = ((gamma.min(axis=1) < NEG_TOL) | ~(np.abs(gamma.sum(axis=1) - 1.0) <= SUM_TOL)
+               | ~np.isfinite(loss) | (loss < 0.0))
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise InvariantViolation(f"trial {t}: {kind} forecast {gamma[g].tolist()!r} with loss "
+                                     f"{float(loss[g])!r} fails its checks at ridge {ridges[g]!r}")
+        total += loss
+        model.update(x, y)
+    return total / max(len(train), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +443,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         raise InputError("stream too short to leave a test segment")
     reports = []
     chosen: dict[str, float | None] = {}
+    grids: dict[str, dict] = {}
     for kind in algos:
         if kind == "simple":
             ridge = None
@@ -400,7 +452,8 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         else:
             if len(train) == 0:
                 raise InputError("stream too short for ridge selection")
-            ridge = grid_search_ridge(train, kind, ridge_spec, kernel)
+            grids[kind] = {}
+            ridge = grid_search_ridge(train, kind, ridge_spec, kernel, grids[kind])
         chosen[kind] = ridge
         model = make_forecaster(kind, stream.n, stream.d, ridge or 1.0, kernel, stream.window)
         started = time.perf_counter()
@@ -423,6 +476,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         "split_index": cut,
         "length": len(stream),
         "ridge": {k: v for k, v in chosen.items()},
+        "ridge_grid": grids,
     }
     return reports, log
 

@@ -7,6 +7,10 @@ sorting r and scanning the segments; no iteration is needed.
 
 The map is invariant under adding a common constant to every r_i, which is
 what lets the forecasters skip weight normalization when they assemble r.
+
+``substitute_rows`` runs the same scan on every row of a (G, d) batch at once, for
+the ridge lanes of the benchmark protocol; ``solve_substitution`` stays the
+per-trial path.
 """
 
 from __future__ import annotations
@@ -67,3 +71,25 @@ def solve_substitution(r) -> ProbabilityVector:
     s = substitution_threshold(arr)
     gamma = np.maximum(s - arr, 0.0) / 2.0
     return ProbabilityVector(gamma)
+
+
+def substitute_rows(r) -> np.ndarray:
+    """solve_substitution on each row of a (G, d) batch, as a (G, d) array of forecasts.
+
+    The same sort, prefix sums and first bracketing segment per row, so every row
+    equals solve_substitution's forecast bit for bit.
+    """
+    arr = np.asarray(r, dtype=float)
+    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"generalized predictions must be a finite (G, d) array, got shape {arr.shape}")
+    d = arr.shape[1]
+    if d < 2:
+        raise ValueError(f"need at least 2 classes, got {d}")
+    ordered = np.sort(arr, axis=1, kind="stable")
+    s = (2.0 + np.cumsum(ordered, axis=1)) / np.arange(1, d + 1)
+    upper = np.concatenate([ordered[:, 1:], np.full((len(arr), 1), np.inf)], axis=1)
+    brackets = (s > ordered) & (s <= upper)
+    if not brackets.any(axis=1).all():
+        raise InvariantViolation("piecewise-linear scan failed to bracket s")
+    k = np.argmax(brackets, axis=1)
+    return np.maximum(s[np.arange(len(arr)), k][:, None] - arr, 0.0) / 2.0

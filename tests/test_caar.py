@@ -107,6 +107,21 @@ def test_corrupted_inverse_raises_naming_the_trial():
     with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: Sherman-Morrison denominator"):
         model.predict(x)
 
+    # three ridge lanes, the middle one corrupted: the error also names its ridge
+    rng = np.random.default_rng(36)
+    model = CaarForecaster(n, d, (0.1, 1.0, 10.0))
+    for _ in range(REFRESH_EVERY - 1):
+        model.update(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)])
+    model._inv[1] *= 1.01
+    x = rng.uniform(-1, 1, n)
+    model.predict_raw(x)
+    with pytest.raises(InvariantViolation, match=rf"trial {REFRESH_EVERY}: inverse drift .*\(ridge 1\.0\)"):
+        model.update(x, np.eye(d)[0])
+    model._inv[1] *= -1.0
+    with pytest.raises(InvariantViolation,
+                       match=rf"trial {REFRESH_EVERY}: Sherman-Morrison denominator .*\(ridge 1\.0\)"):
+        model.predict_raw(x)
+
 
 def test_matches_scalar_quadrature_per_component():
     rng = np.random.default_rng(34)

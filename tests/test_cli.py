@@ -85,6 +85,26 @@ def test_verify_bounds_small_run(tmp_path):
     assert "worst slack" in result.output
 
 
+def test_verify_bounds_without_streams_is_input_error(tmp_path):
+    for streams, adversarial in (("0", "0"), ("-1", "3"), ("2", "-1")):
+        out = tmp_path / f"out{streams}{adversarial}"
+        result = run_cli("verify-bounds", "--streams", streams, "--adversarial", adversarial,
+                         "--out", str(out))
+        assert result.exit_code == 2
+        assert "--streams" in result.output and "--adversarial" in result.output
+        assert not (out / "bound_log.json").exists()
+
+
+def test_verify_bounds_max_steps_below_ten_is_input_error(tmp_path):
+    result = run_cli("verify-bounds", "--streams", "1", "--adversarial", "0", "--max-steps", "5",
+                     "--out", str(tmp_path / "out"))
+    assert result.exit_code == 2
+    assert "--max-steps must be at least 10" in result.output
+    result = run_cli("verify-bounds", "--streams", "1", "--adversarial", "0", "--max-steps", "10",
+                     "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0
+
+
 def test_missing_series_is_input_error():
     result = CliRunner().invoke(main, ["forecast", "--algo", "caar"])
     assert result.exit_code == 2

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from simplexcast import harness
-from simplexcast.core import DimensionMismatch, LossLedger, brier_loss
+from simplexcast.core import DimensionMismatch, InvariantViolation, LossLedger, brier_loss
 from simplexcast.harness import (
+    DEFAULT_RIDGE_GRID,
     ExperimentReport,
     InputError,
     LabeledStream,
@@ -12,19 +15,25 @@ from simplexcast.harness import (
     grid_search_ridge,
     label_stream,
     load_series,
+    make_forecaster,
     median_epsilon,
     mse_amse,
     normalize_series,
     parse_report,
     prepare_stream,
+    random_stream,
     run_benchmark,
     run_online,
     simple_baseline,
     split_train_test,
     synth_series,
+    verify_run,
 )
 from simplexcast.kaar import Kernel
-from simplexcast.maar import MaarForecaster
+from simplexcast.caar import CaarForecaster
+from simplexcast.maar import REFRESH_EVERY, MaarForecaster
+from simplexcast.projection import project_rows
+from simplexcast.substitution import substitute_rows
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,74 @@ def test_grid_search_rejects_bad_grid():
         grid_search_ridge(stream, "caar", [0.0, 1.0])
 
 
+def _per_ridge_mse(train, kind, ridges):
+    """The old protocol, kept as the oracle: one fresh forecaster per grid value."""
+    out = []
+    for a in ridges:
+        ledger, _ = run_online(train, make_forecaster(kind, train.n, train.d, a))
+        out.append(ledger.cumulative / ledger.count)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["caar", "maar"])
+@pytest.mark.parametrize("n,d", [(3, 2), (10, 3), (4, 5)])
+def test_lane_losses_match_per_ridge_ledgers(kind, n, d):
+    data = random_stream(n, d, 2 * REFRESH_EVERY + 88, seed=n * d)
+    ridges = list(DEFAULT_RIDGE_GRID)
+    if kind == "maar":
+        model = MaarForecaster(n, d, ridges)
+        raw, to_simplex = model.generalized, substitute_rows
+    else:
+        model = CaarForecaster(n, d, ridges)
+        raw, to_simplex = model.predict_raw, project_rows
+    losses = []
+    for x, y in data:
+        losses.append(((to_simplex(raw(x)) - y) ** 2).sum(axis=1))
+        model.update(x, y)
+    losses = np.array(losses)
+    stream = LabeledStream(np.array([x for x, _ in data]), np.array([y for _, y in data]), n, 0.0)
+    lane_mse = harness._lane_train_mse(stream, kind, ridges)
+    for g, a in enumerate(ridges):
+        ledger, _ = run_online(data, make_forecaster(kind, n, d, a))
+        np.testing.assert_allclose(losses[:, g], ledger.per_step, rtol=0, atol=1e-12)
+        assert lane_mse[g] == pytest.approx(ledger.cumulative / ledger.count, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["caar", "maar"])
+def test_grid_search_picks_the_ridge_of_the_per_ridge_loop(kind):
+    for synth, seed in (("ar1", 7), ("ar1", 11), ("sine", 3), ("walk", 5)):
+        stream = prepare_stream(synth_series(synth, 900, seed), 10, "auto")
+        train, _ = split_train_test(stream)
+        record = {}
+        chosen = grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, record=record)
+        oracle = _per_ridge_mse(train, kind, sorted(DEFAULT_RIDGE_GRID))
+        assert chosen == sorted(DEFAULT_RIDGE_GRID)[int(np.argmin(oracle))]
+        np.testing.assert_allclose(record["train_mse"], oracle, rtol=0, atol=1e-12)
+
+
+def test_lane_pass_rejects_a_row_off_the_simplex_naming_trial_and_ridge(monkeypatch):
+    stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
+
+    def off_simplex(v):
+        rows = project_rows(v)
+        rows[2] += 1e-6   # the third lane's sum leaves SUM_TOL
+        return rows
+
+    monkeypatch.setattr(harness, "project_rows", off_simplex)
+    with pytest.raises(InvariantViolation, match=r"trial 1: caar forecast .* at ridge 0\.1$"):
+        grid_search_ridge(stream, "caar", [0.001, 0.01, 0.1, 1.0])
+
+
+def test_verify_run_kaar_without_kernel_raises_before_any_forecaster_runs():
+    # the first signal overflows the dot kernel, so a forecaster built for this
+    # stream would fail with InvariantViolation on its first trial
+    data = [(np.array([1e200, 1e200]), np.array([1.0, 0.0]))] + random_stream(2, 2, 5, seed=1)
+    with pytest.raises(ValueError, match="kernel required"):
+        verify_run(data, "kaar", 1.0)
+    with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match="trial 1: kernel row"):
+        verify_run(data, "kaar", 1.0, Kernel("dot"))
+
+
 # ---------------------------------------------------------------------------
 # synthetic series
 
@@ -314,6 +391,24 @@ def test_run_benchmark_protocol():
     assert log["split_index"] == len(stream) // 3
     for rep in reports:
         assert rep.mse >= 0 and rep.amse >= 0
+
+
+def test_run_benchmark_logs_the_train_mse_of_every_grid_value():
+    stream = prepare_stream(synth_series("ar1", 400, 6), 10, "auto")
+    reports, log = run_benchmark(stream, ["caar", "maar", "simple"], DEFAULT_RIDGE_GRID)
+    assert set(log["ridge_grid"]) == {"caar", "maar"}
+    for rep in reports:
+        if rep.algorithm == "simple":
+            continue
+        grid = log["ridge_grid"][rep.algorithm]
+        assert set(grid) == {"ridges", "train_mse", "seconds"}
+        assert grid["ridges"] == sorted(DEFAULT_RIDGE_GRID)
+        assert len(grid["train_mse"]) == len(grid["ridges"]) and grid["seconds"] >= 0
+        best = grid["ridges"][int(np.argmin(grid["train_mse"]))]
+        assert best == rep.ridge == log["ridge"][rep.algorithm]
+    json.loads(json.dumps(log, allow_nan=False))
+    _, fixed = run_benchmark(stream, ["caar"], 1.0)
+    assert fixed["ridge_grid"] == {}
 
 
 def test_run_benchmark_with_kernel_algo():

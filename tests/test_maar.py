@@ -14,6 +14,14 @@ def dense_system(a, d, c):
     return a * np.eye(m * c.shape[0]) + np.kron(np.eye(m) + np.ones((m, m)), c)
 
 
+LANES = (0.1, 1.0, 10.0)
+
+
+def _raw(model, x):
+    """The forecast before substitution or projection, one row per ridge lane."""
+    return model.generalized(x) if isinstance(model, MaarForecaster) else model.predict_raw(x)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MaarConfig(0, 3, 1.0)
@@ -21,6 +29,36 @@ def test_config_validation():
         MaarConfig(2, 1, 1.0)
     with pytest.raises(ValueError):
         MaarConfig(2, 3, 0.0)
+
+
+def test_config_takes_ridge_lanes_and_rejects_a_non_positive_one():
+    assert MaarConfig(2, 3, [0.1, 1.0]).a == (0.1, 1.0)
+    assert MaarConfig(2, 3, np.array([2.0])).a == (2.0,)
+    for bad in ([1.0, 0.0], [1.0, -2.0], [0.5, float("nan")], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            MaarConfig(2, 3, bad)
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+def test_lane_rows_have_the_ridge_shape_and_match_single_ridges(cls):
+    rng = np.random.default_rng(29)
+    n, d = 3, 4
+    lanes = cls(n, d, LANES)
+    singles = [cls(n, d, a) for a in LANES]
+    for step in range(2 * REFRESH_EVERY + 5):
+        x = rng.uniform(-1, 1, n)
+        y = np.eye(d)[rng.integers(d)]
+        rows = _raw(lanes, x)
+        assert rows.shape == (len(LANES), d)
+        for row, single in zip(rows, singles):
+            want = _raw(single, x)
+            assert want.shape == (d,)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+            single.update(x, y)
+        lanes.update(x, y)
+    assert _raw(cls(n, d, [1.0]), np.ones(n)).shape == (1, d)
+    with pytest.raises(ValueError):
+        lanes.predict(np.ones(n))   # predict takes one ridge
 
 
 def test_first_trial_zero_signal_is_uniform():
@@ -212,7 +250,7 @@ def _run(model, trials, seed=28):
     n, d = model.cfg.n, model.cfg.d
     for _ in range(trials):
         x = rng.uniform(-1, 1, n)
-        model.predict(x)
+        _raw(model, x)
         model.update(x, np.eye(d)[rng.integers(d)])
     return rng.uniform(-1, 1, n)
 
@@ -230,6 +268,19 @@ def test_corrupted_inverse_raises_naming_the_trial():
     with pytest.raises(InvariantViolation, match="trial 11: Sherman-Morrison denominator"):
         model.predict(x)
 
+    # three ridge lanes, one of them corrupted: the error names the trial and its ridge
+    model = MaarForecaster(3, 3, LANES)
+    x = _run(model, REFRESH_EVERY - 1)
+    model._inv[1, 0] *= 1.01
+    with pytest.raises(InvariantViolation, match=rf"trial {REFRESH_EVERY}: inverse drift .*\(ridge 1\.0\)"):
+        model.update(x, [1.0, 0.0, 0.0])
+
+    model = MaarForecaster(3, 3, LANES)
+    x = _run(model, 10)
+    model._inv[2, 1] *= -1.0
+    with pytest.raises(InvariantViolation, match=r"trial 11: Sherman-Morrison denominator .*\(ridge 10\.0\)"):
+        model.generalized(x)
+
 
 def test_non_positive_definite_refresh_raises_naming_the_trial():
     model = MaarForecaster(3, 3, 1.0)
@@ -244,19 +295,21 @@ def test_non_positive_definite_refresh_raises_naming_the_trial():
 @pytest.mark.parametrize("cls, stat", [(MaarForecaster, "h"), (CaarForecaster, "e")])
 @pytest.mark.parametrize("fault", ["drift", "not positive definite"])
 def test_failed_refresh_leaves_state_unchanged(cls, stat, fault):
-    model = cls(3, 3, 1.0)
-    x = _run(model, REFRESH_EVERY - 1)
-    if fault == "drift":
-        model._inv[0] *= 1.01
-    else:
-        model._c[:] = -1e3 * np.eye(3)
-    model.predict(x)
-    before = (model.c, model._inv.copy(), getattr(model, stat).copy())
-    with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: "):
-        model.update(x, [1.0, 0.0, 0.0])
-    assert model.t == REFRESH_EVERY - 1
-    for was, now in zip(before, (model.c, model._inv, getattr(model, stat))):
-        np.testing.assert_array_equal(now, was)
+    # one ridge, then three ridge lanes with the middle one corrupted
+    for ridge, lane in ((1.0, ()), (LANES, (1,))):
+        model = cls(3, 3, ridge)
+        x = _run(model, REFRESH_EVERY - 1)
+        if fault == "drift":
+            model._inv[lane + (0,)] *= 1.01
+        else:
+            model._c[:] = -1e3 * np.eye(3)
+        _raw(model, x)
+        before = (model.c, model._inv.copy(), getattr(model, stat).copy())
+        with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: "):
+            model.update(x, [1.0, 0.0, 0.0])
+        assert model.t == REFRESH_EVERY - 1
+        for was, now in zip(before, (model.c, model._inv, getattr(model, stat))):
+            np.testing.assert_array_equal(now, was)
 
 
 def test_forecaster_run_check_passes():

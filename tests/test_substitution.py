@@ -5,6 +5,7 @@ from simplexcast.core import brier_loss, vertex_to_probability
 from simplexcast.substitution import (
     GeneralizedPrediction,
     solve_substitution,
+    substitute_rows,
     substitution_threshold,
 )
 
@@ -128,3 +129,29 @@ def test_rejects_non_finite():
 def test_rejects_single_class():
     with pytest.raises(ValueError):
         solve_substitution([0.0])
+
+
+def _row_cases(rng):
+    """Random rows at several scales, rows with ties and one-hot rows, for d = 2..12."""
+    for d in range(2, 13):
+        for scale in (1e-3, 1.0, 1e3):
+            rows = rng.standard_normal((24, d)) * scale + 1.0 / d
+            rows[::4, 1] = rows[::4, 0]                     # a tie
+            rows[1::4] = rows[1::4, :1]                     # all equal
+            rows[2::4] = np.eye(d)[rng.integers(d, size=len(rows[2::4]))]   # one-hot
+            yield rows
+
+
+def test_substitute_rows_equals_solve_substitution_bit_for_bit():
+    rng = np.random.default_rng(60)
+    for rows in _row_cases(rng):
+        out = substitute_rows(rows)
+        assert out.shape == rows.shape
+        for row, got in zip(rows, out):
+            np.testing.assert_array_equal(got, solve_substitution(row).p)
+
+
+def test_substitute_rows_rejects_bad_batches():
+    for bad in (np.ones(3), np.ones((2, 1)), np.array([[0.0, np.nan]])):
+        with pytest.raises(ValueError):
+            substitute_rows(bad)
