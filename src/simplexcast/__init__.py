@@ -33,7 +33,7 @@ from .core import (
 )
 from .harness import verify_run
 from .maar import MaarConfig, MaarForecaster, solve_structured
-from .projection import project_rows, project_to_simplex
+from .projection import project_to_simplex
 from .substitution import GeneralizedPrediction, solve_substitution, substitute_rows, substitution_threshold
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "brier_loss",
     "expert_loss",
     "kernel_eval",
-    "project_rows",
     "project_to_simplex",
     "solve_structured",
     "solve_substitution",

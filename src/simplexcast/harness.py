@@ -9,9 +9,9 @@ of the stream; metrics (MSE and AMSE, the average of running MSEs) are
 collected on the last two thirds from a fresh run over the full stream.
 
 Ridge selection runs CAAR and MAAR as one forecaster with a ridge lane per
-grid value (see ``maar.RankOneCore``): each train trial is one generalized (raw)
-prediction for every lane, one row-wise substitution (projection) and one
-update, and every lane's forecast and loss pass the checks a single run makes.
+grid value (see ``maar.RankOneCore``): each train trial is one generalized
+prediction for every lane, one row-wise substitution and one update, and every
+lane's forecast and loss pass the checks a single run makes.
 KAAR's factors share nothing across ridges, so it runs one forecaster per grid
 value.  The final run over the full stream is a fresh single-ridge forecaster.
 """
@@ -34,7 +34,6 @@ from .caar import CaarForecaster
 from .core import (NEG_TOL, SUM_TOL, DimensionMismatch, InvariantViolation, LossLedger, ProbabilityVector,
                    _unwrap, brier_loss)
 from .maar import MaarForecaster
-from .projection import project_rows
 from .substitution import substitute_rows
 
 if TYPE_CHECKING:
@@ -271,17 +270,16 @@ def _lane_train_mse(train: LabeledStream, kind: str, ridges: list[float]) -> np.
 
     Each lane's forecast must be a simplex point (the ProbabilityVector tolerances) and
     its loss finite and nonnegative (the LossLedger rule); a lane that fails raises
-    InvariantViolation naming the trial and the ridge.
+    InvariantViolation naming the trial and the ridge (by its row among the ridges, when
+    the substitution itself rejects the forecast).
     """
-    if kind == "maar":
-        model = MaarForecaster(train.n, train.d, ridges)
-        raw, to_simplex = model.generalized, substitute_rows
-    else:
-        model = CaarForecaster(train.n, train.d, ridges)
-        raw, to_simplex = model.predict_raw, project_rows
+    model = (MaarForecaster if kind == "maar" else CaarForecaster)(train.n, train.d, ridges)
     total = np.zeros(len(ridges))
     for t, (x, y) in enumerate(zip(train.signals, train.labels), start=1):
-        gamma = to_simplex(raw(x))
+        try:
+            gamma = substitute_rows(model.generalized(x))
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"trial {t}: {kind} at ridges {ridges!r}: {exc}") from exc
         loss = np.square(gamma - y).sum(axis=1)
         bad = ((gamma.min(axis=1) < NEG_TOL) | ~(np.abs(gamma.sum(axis=1) - 1.0) <= SUM_TOL)
                | ~np.isfinite(loss) | (loss < 0.0))

@@ -20,8 +20,8 @@ of those one matrix-vector product and a rescale: O(n^2 + dn) per trial, plus a
 Cholesky rebuild that checks both inverses every REFRESH_EVERY trials.
 
 The core also runs ridge lanes: given a 1-D sequence of ridges instead of one,
-it keeps the inverses of a_g I + sC for every lane g, and MAAR's ``generalized``
-(CAAR's ``predict_raw``) returns one row per lane.  C, h (CAAR's E) and the
+it keeps the inverses of a_g I + sC for every lane g, and ``generalized`` (MAAR's
+and CAAR's alike) returns one row per lane.  C, h (CAAR's E) and the
 signals do not depend on the ridge and stay shared, so a trial over G ridges
 costs one stacked product instead of G forecasters' worth of Python calls.
 This is how the benchmark protocol scores a whole ridge grid in one pass.

@@ -8,9 +8,12 @@ sorting r and scanning the segments; no iteration is needed.
 The map is invariant under adding a common constant to every r_i, which is
 what lets the forecasters skip weight normalization when they assemble r.
 
+On r = -2g it is g's Euclidean projection onto the simplex (see ``projection``).
+
 ``substitute_rows`` runs the same scan on every row of a (G, d) batch at once, for
 the ridge lanes of the benchmark protocol; ``solve_substitution`` stays the
-per-trial path.
+per-trial path.  Both raise InvariantViolation on a forecast that rounding pushes
+off the simplex (ProbabilityVector's tolerances), as at |r| of 1e16 and beyond.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantViolation, ProbabilityVector, as_float_vector
+from .core import SUM_TOL, InvariantViolation, ProbabilityVector, as_float_vector
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,14 @@ def _coerce(r) -> np.ndarray:
     return as_float_vector(r, "generalized prediction")
 
 
-def substitution_threshold(r) -> float:
-    """The s solving sum_i (s - r_i)^+ = 2."""
-    arr = _coerce(r)
-    d = arr.size
+def _check_classes(d: int) -> None:
     if d < 2:
         raise ValueError(f"need at least 2 classes, got {d}")
+
+
+def _threshold(arr: np.ndarray) -> float:
+    """The s solving sum_i (s - r_i)^+ = 2, for a finite r of any length d >= 1."""
+    d = arr.size
     # Ascending sort; ties resolved by index order, which cannot change the
     # result since equal breakpoints merge into one segment.
     ordered = np.sort(arr, kind="stable")
@@ -65,12 +70,27 @@ def substitution_threshold(r) -> float:
     raise InvariantViolation("piecewise-linear scan failed to bracket s")
 
 
+def _substitute(arr: np.ndarray) -> ProbabilityVector:
+    """gamma_i = (s - r_i)^+ / 2 for a finite r of any length d >= 1; callers check d."""
+    gamma = np.maximum(_threshold(arr) - arr, 0.0) / 2.0
+    try:
+        return ProbabilityVector(gamma)
+    except ValueError as exc:
+        raise InvariantViolation(f"substitution left the simplex: {exc}") from exc
+
+
+def substitution_threshold(r) -> float:
+    """The s solving sum_i (s - r_i)^+ = 2."""
+    arr = _coerce(r)
+    _check_classes(arr.size)
+    return _threshold(arr)
+
+
 def solve_substitution(r) -> ProbabilityVector:
     """Forecast gamma with gamma_i = (s - r_i)^+ / 2 at the solved threshold."""
     arr = _coerce(r)
-    s = substitution_threshold(arr)
-    gamma = np.maximum(s - arr, 0.0) / 2.0
-    return ProbabilityVector(gamma)
+    _check_classes(arr.size)
+    return _substitute(arr)
 
 
 def substitute_rows(r) -> np.ndarray:
@@ -83,8 +103,7 @@ def substitute_rows(r) -> np.ndarray:
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise ValueError(f"generalized predictions must be a finite (G, d) array, got shape {arr.shape}")
     d = arr.shape[1]
-    if d < 2:
-        raise ValueError(f"need at least 2 classes, got {d}")
+    _check_classes(d)
     ordered = np.sort(arr, axis=1, kind="stable")
     s = (2.0 + np.cumsum(ordered, axis=1)) / np.arange(1, d + 1)
     upper = np.concatenate([ordered[:, 1:], np.full((len(arr), 1), np.inf)], axis=1)
@@ -92,4 +111,10 @@ def substitute_rows(r) -> np.ndarray:
     if not brackets.any(axis=1).all():
         raise InvariantViolation("piecewise-linear scan failed to bracket s")
     k = np.argmax(brackets, axis=1)
-    return np.maximum(s[np.arange(len(arr)), k][:, None] - arr, 0.0) / 2.0
+    gamma = np.maximum(s[np.arange(len(arr)), k][:, None] - arr, 0.0) / 2.0
+    # gamma >= 0 > NEG_TOL or NaN, and a NaN or infinite row fails the sum test
+    miss = np.abs(gamma.sum(axis=1) - 1.0)
+    if not miss.max() <= SUM_TOL:
+        g = int(np.argmax(~(miss <= SUM_TOL)))
+        raise InvariantViolation(f"substitution left the simplex at row {g}: {gamma[g].tolist()!r}")
+    return gamma

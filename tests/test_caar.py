@@ -5,6 +5,8 @@ from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.maar import REFRESH_EVERY
 from simplexcast.oracle import quadrature_component_forecast
+from simplexcast.projection import project_to_simplex
+from simplexcast.substitution import substitute_rows
 
 
 def test_zero_signal_gives_uniform():
@@ -153,3 +155,19 @@ def test_forecaster_wrapper_round_trip():
         assert abs(gamma.p.sum() - 1.0) < 1e-9
         model.update(x, np.eye(3)[rng.integers(3)])
     assert model.t == 20
+
+
+def test_forecast_is_the_projection_of_the_raw_forecast_bit_for_bit():
+    # predict substitutes r = -2 * raw, which is the raw forecast's projection exactly
+    rng = np.random.default_rng(37)
+    n, d, ridges = 3, 4, [0.1, 1.0, 10.0]
+    single, lanes = CaarForecaster(n, d, 1.0), CaarForecaster(n, d, ridges)
+    for _ in range(REFRESH_EVERY + 20):
+        x = rng.uniform(-1, 1, n)
+        y = np.eye(d)[rng.integers(d)]
+        np.testing.assert_array_equal(single.predict(x).p, project_to_simplex(single.predict_raw(x)).p)
+        rows = substitute_rows(lanes.generalized(x))
+        for row, raw in zip(rows, lanes.predict_raw(x)):
+            np.testing.assert_array_equal(row, project_to_simplex(raw).p)
+        single.update(x, y)
+        lanes.update(x, y)

@@ -32,7 +32,6 @@ from simplexcast.harness import (
 from simplexcast.kaar import Kernel
 from simplexcast.caar import CaarForecaster
 from simplexcast.maar import REFRESH_EVERY, MaarForecaster
-from simplexcast.projection import project_rows
 from simplexcast.substitution import substitute_rows
 
 
@@ -246,15 +245,10 @@ def _per_ridge_mse(train, kind, ridges):
 def test_lane_losses_match_per_ridge_ledgers(kind, n, d):
     data = random_stream(n, d, 2 * REFRESH_EVERY + 88, seed=n * d)
     ridges = list(DEFAULT_RIDGE_GRID)
-    if kind == "maar":
-        model = MaarForecaster(n, d, ridges)
-        raw, to_simplex = model.generalized, substitute_rows
-    else:
-        model = CaarForecaster(n, d, ridges)
-        raw, to_simplex = model.predict_raw, project_rows
+    model = (MaarForecaster if kind == "maar" else CaarForecaster)(n, d, ridges)
     losses = []
     for x, y in data:
-        losses.append(((to_simplex(raw(x)) - y) ** 2).sum(axis=1))
+        losses.append(((substitute_rows(model.generalized(x)) - y) ** 2).sum(axis=1))
         model.update(x, y)
     losses = np.array(losses)
     stream = LabeledStream(np.array([x for x, _ in data]), np.array([y for _, y in data]), n, 0.0)
@@ -281,13 +275,20 @@ def test_lane_pass_rejects_a_row_off_the_simplex_naming_trial_and_ridge(monkeypa
     stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
 
     def off_simplex(v):
-        rows = project_rows(v)
+        rows = substitute_rows(v)
         rows[2] += 1e-6   # the third lane's sum leaves SUM_TOL
         return rows
 
-    monkeypatch.setattr(harness, "project_rows", off_simplex)
+    monkeypatch.setattr(harness, "substitute_rows", off_simplex)
     with pytest.raises(InvariantViolation, match=r"trial 1: caar forecast .* at ridge 0\.1$"):
         grid_search_ridge(stream, "caar", [0.001, 0.01, 0.1, 1.0])
+
+    # a row the scan itself rejects: the lane pass adds the trial and the ridges
+    monkeypatch.undo()
+    monkeypatch.setattr(MaarForecaster, "generalized", lambda self, x: np.full((4, 3), 5e15))
+    with pytest.raises(InvariantViolation, match=r"trial 1: maar at ridges \[0\.001, 0\.01, 0\.1, 1\.0\]: "
+                                                 r"substitution left the simplex at row 0"):
+        grid_search_ridge(stream, "maar", [0.001, 0.01, 0.1, 1.0])
 
 
 def test_verify_run_kaar_without_kernel_raises_before_any_forecaster_runs():

@@ -17,11 +17,6 @@ def dense_system(a, d, c):
 LANES = (0.1, 1.0, 10.0)
 
 
-def _raw(model, x):
-    """The forecast before substitution or projection, one row per ridge lane."""
-    return model.generalized(x) if isinstance(model, MaarForecaster) else model.predict_raw(x)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         MaarConfig(0, 3, 1.0)
@@ -48,15 +43,15 @@ def test_lane_rows_have_the_ridge_shape_and_match_single_ridges(cls):
     for step in range(2 * REFRESH_EVERY + 5):
         x = rng.uniform(-1, 1, n)
         y = np.eye(d)[rng.integers(d)]
-        rows = _raw(lanes, x)
+        rows = lanes.generalized(x)
         assert rows.shape == (len(LANES), d)
         for row, single in zip(rows, singles):
-            want = _raw(single, x)
+            want = single.generalized(x)
             assert want.shape == (d,)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
             single.update(x, y)
         lanes.update(x, y)
-    assert _raw(cls(n, d, [1.0]), np.ones(n)).shape == (1, d)
+    assert cls(n, d, [1.0]).generalized(np.ones(n)).shape == (1, d)
     with pytest.raises(ValueError):
         lanes.predict(np.ones(n))   # predict takes one ridge
 
@@ -250,7 +245,7 @@ def _run(model, trials, seed=28):
     n, d = model.cfg.n, model.cfg.d
     for _ in range(trials):
         x = rng.uniform(-1, 1, n)
-        _raw(model, x)
+        model.generalized(x)
         model.update(x, np.eye(d)[rng.integers(d)])
     return rng.uniform(-1, 1, n)
 
@@ -303,7 +298,7 @@ def test_failed_refresh_leaves_state_unchanged(cls, stat, fault):
             model._inv[lane + (0,)] *= 1.01
         else:
             model._c[:] = -1e3 * np.eye(3)
-        _raw(model, x)
+        model.generalized(x)
         before = (model.c, model._inv.copy(), getattr(model, stat).copy())
         with pytest.raises(InvariantViolation, match=f"trial {REFRESH_EVERY}: "):
             model.update(x, [1.0, 0.0, 0.0])

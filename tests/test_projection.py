@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import brier_loss
+from simplexcast.core import InvariantViolation, brier_loss
 from simplexcast.oracle import qp_projection
-from simplexcast.projection import project_rows, project_to_simplex
+from simplexcast.projection import project_to_simplex
+from simplexcast.substitution import substitute_rows
+from test_substitution import _row_cases
 
 
 def test_fixed_point_on_interior():
@@ -75,27 +77,16 @@ def test_single_coordinate():
     np.testing.assert_array_equal(project_to_simplex([5.0]).p, [1.0])
 
 
-def _row_cases(rng):
-    """Random rows at several scales, rows with ties and one-hot rows, for d = 2..12."""
-    for d in range(2, 13):
-        for scale in (1e-3, 1.0, 1e3):
-            rows = rng.standard_normal((24, d)) * scale + 1.0 / d
-            rows[::4, 1] = rows[::4, 0]                     # a tie
-            rows[1::4] = rows[1::4, :1]                     # all equal
-            rows[2::4] = np.eye(d)[rng.integers(d, size=len(rows[2::4]))]   # one-hot
-            yield rows
-
-
-def test_project_rows_equals_project_to_simplex_bit_for_bit():
+def test_substitute_rows_of_minus_two_rows_equals_project_to_simplex_bit_for_bit():
     rng = np.random.default_rng(61)
     for rows in _row_cases(rng):
-        out = project_rows(rows)
+        out = substitute_rows(-2.0 * rows)
         assert out.shape == rows.shape
         for row, got in zip(rows, out):
             np.testing.assert_array_equal(got, project_to_simplex(row).p)
 
 
-def test_project_rows_rejects_bad_batches():
-    for bad in (np.ones(3), np.ones((2, 0)), np.array([[0.0, np.inf]])):
-        with pytest.raises(ValueError):
-            project_rows(bad)
+def test_a_point_too_large_for_the_scan_raises_invariant_violation():
+    # -2v = -2e17 absorbs the 2 the scan adds, so no segment brackets the threshold
+    with pytest.raises(InvariantViolation):
+        project_to_simplex([1e17, 1e17])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import brier_loss, vertex_to_probability
+from simplexcast.core import InvariantViolation, brier_loss, vertex_to_probability
 from simplexcast.substitution import (
     GeneralizedPrediction,
     solve_substitution,
@@ -155,3 +155,14 @@ def test_substitute_rows_rejects_bad_batches():
     for bad in (np.ones(3), np.ones((2, 1)), np.array([[0.0, np.nan]])):
         with pytest.raises(ValueError):
             substitute_rows(bad)
+
+
+def test_forecasts_that_rounding_pushes_off_the_simplex_raise_invariant_violation():
+    # at 5e15 the threshold rounds to r + 1, so every gamma_i is 1/2 and they sum to 3/2
+    with pytest.raises(InvariantViolation, match="left the simplex"):
+        solve_substitution([5e15] * 3)
+    rows = np.zeros((3, 3))
+    for big, name in ((5e15, r"\[0\.5, 0\.5, 0\.5\]"), (1e308, r"\[inf, inf, inf\]")):
+        rows[1] = big
+        with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match=rf"at row 1: {name}"):
+            substitute_rows(rows)
