@@ -24,7 +24,6 @@ from .caar import CaarForecaster
 from .core import (
     DimensionMismatch,
     InvariantViolation,
-    LossLedger,
     PredictionVector,
     ProbabilityVector,
     Vertex,
@@ -46,7 +45,6 @@ __all__ = [
     "Kernel",
     "KernelExpert",
     "LinearExpert",
-    "LossLedger",
     "MaarConfig",
     "MaarForecaster",
     "PredictionVector",

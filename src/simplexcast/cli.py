@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -67,8 +68,8 @@ def _parse_ridge(spec: str):
         value = float(spec)
     except ValueError:
         raise harness.InputError(f"ridge must be a number, a comma list, or 'grid', got {spec!r}") from None
-    if value <= 0:
-        raise harness.InputError("ridge must be positive")
+    if not 0.0 < value < math.inf:
+        raise harness.InputError(f"ridge must be positive and finite, got {value!r}")
     return value
 
 

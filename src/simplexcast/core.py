@@ -136,32 +136,3 @@ def brier_loss(y, g) -> float:
     diff = ga - ya
     return float(diff @ diff)
 
-
-class LossLedger:
-    """Per-step loss record plus running total for one online run."""
-
-    def __init__(self):
-        self._per_step: list[float] = []
-        self._cumulative = 0.0
-
-    def record(self, loss: float) -> None:
-        loss = float(loss)
-        if not np.isfinite(loss) or loss < 0.0:
-            raise ValueError(f"loss must be finite and nonnegative, got {loss!r}")
-        self._per_step.append(loss)
-        self._cumulative += loss
-
-    @property
-    def cumulative(self) -> float:
-        return self._cumulative
-
-    @property
-    def count(self) -> int:
-        return len(self._per_step)
-
-    @property
-    def per_step(self) -> np.ndarray:
-        return np.array(self._per_step)
-
-    def check_consistent(self, tol: float = 1e-9) -> bool:
-        return abs(self._cumulative - float(np.sum(self._per_step))) <= tol

@@ -3,23 +3,26 @@
 A raw series is normalized (center, scale to max |.| = 1), windowed into
 signals of its previous ``window`` observations, and labeled into three
 classes by whether the next change exceeds +epsilon, falls below -epsilon,
-or stays inside the tube.  Forecasters run strictly online: predict before
-seeing the outcome, then update.  The ridge is selected on the first third
-of the stream; metrics (MSE and AMSE, the average of running MSEs) are
-collected on the last two thirds from a fresh run over the full stream.
+or stays inside the tube.  The ridge is selected on the first third of the
+stream; metrics (MSE and AMSE, the average of running MSEs) are collected on the
+last two thirds from a fresh run over the full stream.
 
-Ridge selection runs CAAR and MAAR as one forecaster with a ridge lane per
-grid value (see ``maar.RankOneCore``): each train trial is one generalized
-prediction for every lane, one row-wise substitution and one update, and every
-lane's forecast and loss pass the checks a single run makes.
-KAAR's factors share nothing across ridges, so it runs one forecaster per grid
-value.  The final run over the full stream is a fresh single-ridge forecaster.
+Every run goes through one loop, ``run_online``: each trial takes the model's
+generalized prediction before the outcome is revealed, then updates on it.  A
+forecast never feeds back into the state, so the whole stack of generalized
+predictions becomes forecasts in one ``substitute_rows`` call after the loop, which
+checks them all; they equal what ``predict`` would have announced, bit for bit.
+Ridge selection runs CAAR and MAAR through that loop as one forecaster with a ridge
+lane per grid value (see ``maar.RankOneCore``).  KAAR's factors share nothing across
+ridges, so it runs one forecaster per grid value.  Only ``adversarial_stream``,
+whose outcomes depend on each forecast, calls ``predict``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 import warnings
 from collections import deque
@@ -31,10 +34,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import (NEG_TOL, SUM_TOL, DimensionMismatch, InvariantViolation, LossLedger, ProbabilityVector,
-                   _unwrap, brier_loss)
+from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap
 from .maar import MaarForecaster
-from .substitution import substitute_rows
+from .substitution import solve_substitution, substitute_rows
 
 if TYPE_CHECKING:
     from .kaar import Kernel
@@ -123,8 +125,8 @@ def label_stream(series, window: int = DEFAULT_WINDOW, epsilon: float = 0.0,
         raise InputError("window must be at least 1")
     if arr.size <= window:
         raise InputError(f"series of length {arr.size} too short for window {window}")
-    if epsilon < 0:
-        raise InputError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise InputError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if epsilon == 0.0:
         warnings.warn("epsilon = 0 degenerates the tube class to exact ties", stacklevel=2)
     count = arr.size - window
@@ -156,17 +158,20 @@ def split_train_test(stream: LabeledStream) -> tuple[LabeledStream, LabeledStrea
 # Forecasters and the online loop
 
 class SimpleBaseline:
-    """Running mean of up to the last ``window`` one-hot outcomes."""
+    """Running mean of up to the last ``window`` one-hot outcomes (uniform before any)."""
 
     def __init__(self, d: int, window: int = DEFAULT_WINDOW):
         self.d = d
         self.window = window
         self._recent: deque[np.ndarray] = deque(maxlen=window)
 
+    def generalized(self, x) -> np.ndarray:
+        """-2 times the running mean, whose threshold substitution is that mean."""
+        mean = np.mean(self._recent, axis=0) if self._recent else np.full(self.d, 1.0 / self.d)
+        return -2.0 * mean
+
     def predict(self, x) -> ProbabilityVector:
-        if not self._recent:
-            return ProbabilityVector(np.full(self.d, 1.0 / self.d))
-        return ProbabilityVector(np.mean(self._recent, axis=0))
+        return solve_substitution(self.generalized(x))
 
     def update(self, x, y) -> None:
         ya = _unwrap(y)
@@ -175,17 +180,7 @@ class SimpleBaseline:
         self._recent.append(ya.copy())   # the caller may rewrite its array later
 
 
-def simple_baseline(stream: LabeledStream) -> list[ProbabilityVector]:
-    """Forecast sequence of the running-mean baseline over the stream."""
-    model = SimpleBaseline(stream.d)
-    out = []
-    for x, y in stream.pairs():
-        out.append(model.predict(x))
-        model.update(x, y)
-    return out
-
-
-def make_forecaster(kind: str, n: int, d: int, ridge: float,
+def make_forecaster(kind: str, n: int, d: int, ridge: float | list[float],
                     kernel: Kernel | None = None, window: int = DEFAULT_WINDOW):
     if kind == "caar":
         return CaarForecaster(n, d, ridge)
@@ -199,17 +194,42 @@ def make_forecaster(kind: str, n: int, d: int, ridge: float,
     raise InputError(f"unknown algorithm {kind!r}")
 
 
-def run_online(stream, forecaster) -> tuple[LossLedger, list[ProbabilityVector]]:
-    """Strict online loop: predict before the outcome is revealed, then update."""
-    ledger = LossLedger()
-    forecasts: list[ProbabilityVector] = []
+def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
+    """Strict online loop: the model's generalized prediction before each outcome, then update.
+
+    After the loop one ``substitute_rows`` call maps the whole (T,) + lanes + (d,) stack
+    to forecasts and checks them.  Returns the per-step losses, of shape (T,) + lanes,
+    and the forecasts, of shape (T,) + lanes + (d,); lanes is () unless the model runs
+    ridge lanes.  A forecast off the simplex raises InvariantViolation and a non-finite
+    loss (an outcome too large to square) ValueError, each naming the first bad trial
+    and, with lanes, its ridge.
+    """
     pairs = stream.pairs() if isinstance(stream, LabeledStream) else list(stream)
+    if not pairs:
+        return np.zeros(0), np.zeros((0, 0))
+    rows = []
     for x, y in pairs:
-        gamma = forecaster.predict(x)
-        forecasts.append(gamma)
-        ledger.record(brier_loss(y, gamma))
-        forecaster.update(x, y)
-    return ledger, forecasts
+        rows.append(model.generalized(x))
+        model.update(x, y)
+    r = np.array(rows)
+    lanes = r.shape[1:-1]
+
+    def trial(row: int) -> str:   # a row of the (T * lanes, d) stack, named in the run's terms
+        t, g = divmod(row, math.prod(lanes))
+        return f"trial {t + 1}" + (f" at ridge {model.cfg.a[g]!r}" if lanes else "")
+
+    try:
+        gamma = substitute_rows(r.reshape(-1, r.shape[-1])).reshape(r.shape)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{trial(exc.row)}: {exc}") from exc
+    ys = np.array([y for _, y in pairs], dtype=float)
+    ys = ys.reshape((len(ys),) + (1,) * len(lanes) + ys.shape[1:])   # one outcome for every lane
+    with np.errstate(over="ignore"):
+        losses = np.square(gamma - ys).sum(axis=-1)
+    if not np.isfinite(losses).all():
+        row = int(np.argmin(np.isfinite(losses).ravel()))
+        raise ValueError(f"{trial(row)}: loss must be finite and nonnegative, got {float(losses.flat[row])!r}")
+    return losses, gamma
 
 
 def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[bounds_mod.BoundReport]:
@@ -224,13 +244,13 @@ def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> l
     if kind == "kaar" and kernel is None:
         raise ValueError("kernel required for kind='kaar'")
     x, y = data[0]
-    ledger, _ = run_online(data, make_forecaster(kind, np.size(x), np.size(y), ridge, kernel))
-    return bounds_mod.bound_reports(data, kind, ridge, ledger.cumulative, kernel)
+    losses, _ = run_online(data, make_forecaster(kind, np.size(x), np.size(y), ridge, kernel))
+    return bounds_mod.bound_reports(data, kind, ridge, float(losses.sum()), kernel)
 
 
 def mse_amse(losses) -> tuple[float, float]:
     """Mean loss and the mean of running means over a test segment."""
-    arr = losses.per_step if isinstance(losses, LossLedger) else np.asarray(losses, dtype=float)
+    arr = np.asarray(losses, dtype=float)
     if arr.size == 0:
         raise InputError("cannot compute metrics on an empty segment")
     running = np.cumsum(arr) / np.arange(1, arr.size + 1)
@@ -241,7 +261,7 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
                       kernel: Kernel | None = None, record: dict | None = None) -> float:
     """Smallest grid value achieving the best training MSE.
 
-    CAAR and MAAR score the whole grid in one pass of ridge lanes; other kinds run
+    CAAR and MAAR score the whole grid in one run of ridge lanes; other kinds run
     one forecaster per value.  ``record``, when given, receives the sorted grid
     (``ridges``), the train MSE of each value (``train_mse``) and ``seconds``.
     """
@@ -249,47 +269,20 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
     values = sorted(float(g) for g in grid)
     if not values:
         raise InputError("ridge grid is empty")
-    if any(v <= 0 for v in values):
-        raise InputError("ridge grid values must be positive")
+    if not all(0.0 < v < math.inf for v in values):
+        raise InputError(f"ridge grid values must be positive and finite, got {values!r}")
+    if len(train) == 0:
+        raise InputError("stream too short for ridge selection")
     if kind in ("caar", "maar"):
-        mses = _lane_train_mse(train, kind, values)
+        mses = run_online(train, make_forecaster(kind, train.n, train.d, values))[0].mean(axis=0)
     else:
-        mses = []
-        for a in values:
-            ledger, _ = run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))
-            mses.append(ledger.cumulative / max(ledger.count, 1))
+        mses = [run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))[0].mean()
+                for a in values]
     best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
     if record is not None:
         record.update(ridges=values, train_mse=[float(v) for v in mses],
                       seconds=time.perf_counter() - started)
     return values[best]
-
-
-def _lane_train_mse(train: LabeledStream, kind: str, ridges: list[float]) -> np.ndarray:
-    """Train MSE of CAAR or MAAR at every ridge, from one forecaster with a lane per ridge.
-
-    Each lane's forecast must be a simplex point (the ProbabilityVector tolerances) and
-    its loss finite and nonnegative (the LossLedger rule); a lane that fails raises
-    InvariantViolation naming the trial and the ridge (by its row among the ridges, when
-    the substitution itself rejects the forecast).
-    """
-    model = (MaarForecaster if kind == "maar" else CaarForecaster)(train.n, train.d, ridges)
-    total = np.zeros(len(ridges))
-    for t, (x, y) in enumerate(zip(train.signals, train.labels), start=1):
-        try:
-            gamma = substitute_rows(model.generalized(x))
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"trial {t}: {kind} at ridges {ridges!r}: {exc}") from exc
-        loss = np.square(gamma - y).sum(axis=1)
-        bad = ((gamma.min(axis=1) < NEG_TOL) | ~(np.abs(gamma.sum(axis=1) - 1.0) <= SUM_TOL)
-               | ~np.isfinite(loss) | (loss < 0.0))
-        if bad.any():
-            g = int(np.argmax(bad))
-            raise InvariantViolation(f"trial {t}: {kind} forecast {gamma[g].tolist()!r} with loss "
-                                     f"{float(loss[g])!r} fails its checks at ridge {ridges[g]!r}")
-        total += loss
-        model.update(x, y)
-    return total / max(len(train), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +441,18 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         elif np.ndim(ridge_spec) == 0:
             ridge = float(ridge_spec)
         else:
-            if len(train) == 0:
-                raise InputError("stream too short for ridge selection")
             grids[kind] = {}
             ridge = grid_search_ridge(train, kind, ridge_spec, kernel, grids[kind])
         chosen[kind] = ridge
         model = make_forecaster(kind, stream.n, stream.d, ridge or 1.0, kernel, stream.window)
         started = time.perf_counter()
-        ledger, _ = run_online(stream, model)
+        losses, _ = run_online(stream, model)
         elapsed = time.perf_counter() - started
-        mse, amse = mse_amse(ledger.per_step[cut:])
+        mse, amse = mse_amse(losses[cut:])
         slack = None
         if kind != "simple":
             # the kernel make_forecaster resolved (a dot kernel when none was given)
-            checks = bounds_mod.bound_reports(stream.pairs(), kind, ridge, ledger.cumulative,
+            checks = bounds_mod.bound_reports(stream.pairs(), kind, ridge, float(losses.sum()),
                                               getattr(model, "kernel", None))
             slack = min(check.slack for check in checks)
             if slack < -1e-6:
@@ -510,6 +501,4 @@ def prepare_stream(series, window: int, epsilon_spec) -> LabeledStream:
         epsilon = median_epsilon(normalized)
     else:
         epsilon = float(epsilon_spec)
-        if epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
     return label_stream(normalized, window, epsilon, mean, scale)

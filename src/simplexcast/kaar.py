@@ -147,8 +147,8 @@ class KaarForecaster:
     """
 
     def __init__(self, d: int, kernel: Kernel, a: float = 1.0):
-        if not (a > 0):
-            raise ValueError(f"ridge parameter must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"ridge parameter must be positive and finite, got {a}")
         if d < 2:
             raise ValueError(f"need at least 2 classes, got {d}")
         self.kernel, self.d, self.a = kernel, d, float(a)

@@ -69,8 +69,8 @@ class MaarConfig:
         elif np.ndim(self.a) != 0:
             raise ValueError(f"ridge must be a number or a 1-D sequence, got shape {np.shape(self.a)}")
         for a in ridges:
-            if not (a > 0):
-                raise ValueError(f"ridge parameter must be positive, got {a}")
+            if not 0.0 < a < math.inf:
+                raise ValueError(f"ridge parameter must be positive and finite, got {a}")
 
 
 def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:

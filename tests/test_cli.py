@@ -154,3 +154,22 @@ def test_deterministic_reports_across_runs(tmp_path):
     for a, b in zip(rows1, rows2):
         assert (a.algorithm, a.mse, a.amse, a.ridge, a.bound_slack) == \
                (b.algorithm, b.mse, b.amse, b.ridge, b.bound_slack)
+
+
+def test_an_infinite_ridge_is_input_error_naming_the_ridge(tmp_path):
+    series = ["--synth", "sine", "--length", "120", "--out", str(tmp_path / "out")]
+    for argv in (["bench", "--ridge", "inf"], ["forecast", "--algo", "kaar", "--ridge", "inf"],
+                 ["bench", "--ridge", "1,inf"], ["forecast", "--algo", "maar", "--ridge", "1,nan"]):
+        result = CliRunner().invoke(main, argv + series)
+        assert result.exit_code == 2, (argv, result.output)
+        assert "positive and finite" in result.output and ("inf" in result.output or "nan" in result.output)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_epsilon_is_input_error(tmp_path):
+    for eps in ("nan", "inf", "-0.5"):
+        result = CliRunner().invoke(main, ["bench", "--synth", "sine", "--length", "120", "--epsilon", eps,
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (eps, result.output)
+        assert "epsilon must be finite and nonnegative" in result.output
+    assert not (tmp_path / "out").exists()

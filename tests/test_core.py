@@ -3,7 +3,6 @@ import pytest
 
 from simplexcast.core import (
     DimensionMismatch,
-    LossLedger,
     PredictionVector,
     ProbabilityVector,
     Vertex,
@@ -90,15 +89,3 @@ def test_prediction_vector_allows_negatives_on_hyperplane():
     assert g.d == 2
     with pytest.raises(ValueError):
         PredictionVector([0.3, 0.3])
-
-
-def test_loss_ledger_accounting():
-    ledger = LossLedger()
-    for loss in (2.0, 0.0, 0.5):
-        ledger.record(loss)
-    assert ledger.count == 3
-    assert ledger.cumulative == pytest.approx(2.5)
-    assert np.array_equal(ledger.per_step, [2.0, 0.0, 0.5])
-    assert ledger.check_consistent()
-    with pytest.raises(ValueError):
-        ledger.record(-0.1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from simplexcast import harness
-from simplexcast.core import DimensionMismatch, InvariantViolation, LossLedger, brier_loss
+from simplexcast import substitution
+from simplexcast.core import DimensionMismatch, InvariantViolation, brier_loss
 from simplexcast.harness import (
     DEFAULT_RIDGE_GRID,
     ExperimentReport,
@@ -24,7 +25,6 @@ from simplexcast.harness import (
     random_stream,
     run_benchmark,
     run_online,
-    simple_baseline,
     split_train_test,
     synth_series,
     verify_run,
@@ -116,25 +116,57 @@ def test_split_train_test_boundaries():
 # online loop and metrics
 
 def test_run_online_empty_stream():
-    ledger, forecasts = run_online([], MaarForecaster(2, 3, 1.0))
-    assert ledger.count == 0 and forecasts == []
+    losses, forecasts = run_online([], MaarForecaster(2, 3, 1.0))
+    assert losses.size == 0 and forecasts.size == 0
 
 
 def test_run_online_replay_identical():
     stream = harness.random_stream(2, 3, 20, seed=3)
-    ledger1, f1 = run_online(stream, MaarForecaster(2, 3, 1.0))
-    ledger2, f2 = run_online(stream, MaarForecaster(2, 3, 1.0))
-    np.testing.assert_array_equal(ledger1.per_step, ledger2.per_step)
+    losses1, f1 = run_online(stream, MaarForecaster(2, 3, 1.0))
+    losses2, f2 = run_online(stream, MaarForecaster(2, 3, 1.0))
+    np.testing.assert_array_equal(losses1, losses2)
     for a, b in zip(f1, f2):
-        np.testing.assert_array_equal(a.p, b.p)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_run_online_ledger_matches_recomputation():
     stream = harness.random_stream(2, 3, 25, seed=4)
-    ledger, forecasts = run_online(stream, MaarForecaster(2, 3, 1.0))
+    losses, forecasts = run_online(stream, MaarForecaster(2, 3, 1.0))
+    assert losses.shape == (25,) and forecasts.shape == (25, 3)
     recomputed = [brier_loss(y, g) for (x, y), g in zip(stream, forecasts)]
-    np.testing.assert_allclose(ledger.per_step, recomputed, atol=1e-12)
-    assert ledger.check_consistent()
+    np.testing.assert_allclose(losses, recomputed, atol=1e-12)
+
+
+def _replay_models():
+    return {
+        "caar": lambda: CaarForecaster(3, 3, 0.5),
+        "maar": lambda: MaarForecaster(3, 3, 0.5),
+        "kaar-dot": lambda: harness.make_forecaster("kaar", 3, 3, 0.5, Kernel("dot")),
+        "kaar-rbf": lambda: harness.make_forecaster("kaar", 3, 3, 0.5, Kernel("rbf", sigma=0.8)),
+        "simple": lambda: SimpleBaseline(3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_replay_models()))
+def test_replay_forecasts_equal_predict_bit_for_bit(name):
+    data = random_stream(3, 3, 2 * REFRESH_EVERY + 40, seed=17)
+    losses, forecasts = run_online(data, _replay_models()[name]())
+    model = _replay_models()[name]()
+    announced = []
+    for x, y in data:
+        announced.append(model.predict(x).p)
+        model.update(x, y)
+    np.testing.assert_array_equal(forecasts, np.array(announced))
+    np.testing.assert_array_equal(losses, ((np.array(announced) - [y for _, y in data]) ** 2).sum(axis=1))
+
+
+def test_run_online_rejects_an_outcome_too_large_to_square_naming_the_trial():
+    data = random_stream(2, 3, 4, seed=5)
+    data[2] = (data[2][0], np.array([1e200, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^trial 3: loss must be finite"):
+        run_online(data, MaarForecaster(2, 3, 1.0))
+    with pytest.raises(ValueError, match=r"^trial 3 at ridge 0\.1: loss must be finite"):
+        run_online(data, CaarForecaster(2, 3, [0.1, 1.0]))
 
 
 def test_mse_amse_worked_example():
@@ -148,9 +180,9 @@ def test_mse_amse_constant_losses():
 
 
 def test_mse_amse_single_step_and_ledger_input():
-    ledger = LossLedger()
-    ledger.record(0.8)
-    mse, amse = mse_amse(ledger)
+    # the first forecast of the baseline is uniform, so a one-hot outcome costs 1 - 1/5
+    losses, _ = run_online([(None, np.eye(5)[0])], SimpleBaseline(5))
+    mse, amse = mse_amse(losses)
     assert mse == amse == pytest.approx(0.8)
     with pytest.raises(InputError):
         mse_amse([])
@@ -198,9 +230,9 @@ def test_baseline_keeps_a_copy_and_checks_the_outcome_length():
 
 def test_simple_baseline_functional_form():
     stream = label_stream(synth_series("sine", 60, 1), window=10, epsilon=0.05)
-    forecasts = simple_baseline(stream)
+    _, forecasts = run_online(stream, SimpleBaseline(stream.d))
     assert len(forecasts) == len(stream)
-    np.testing.assert_allclose(forecasts[0].p, [1 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_allclose(forecasts[0], [1 / 3, 1 / 3, 1 / 3])
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +267,8 @@ def _per_ridge_mse(train, kind, ridges):
     """The old protocol, kept as the oracle: one fresh forecaster per grid value."""
     out = []
     for a in ridges:
-        ledger, _ = run_online(train, make_forecaster(kind, train.n, train.d, a))
-        out.append(ledger.cumulative / ledger.count)
+        losses, _ = run_online(train, make_forecaster(kind, train.n, train.d, a))
+        out.append(losses.sum() / losses.size)
     return out
 
 
@@ -246,17 +278,20 @@ def test_lane_losses_match_per_ridge_ledgers(kind, n, d):
     data = random_stream(n, d, 2 * REFRESH_EVERY + 88, seed=n * d)
     ridges = list(DEFAULT_RIDGE_GRID)
     model = (MaarForecaster if kind == "maar" else CaarForecaster)(n, d, ridges)
-    losses = []
+    rows, losses = [], []
     for x, y in data:
-        losses.append(((substitute_rows(model.generalized(x)) - y) ** 2).sum(axis=1))
+        rows.append(substitute_rows(model.generalized(x)))
+        losses.append(((rows[-1] - y) ** 2).sum(axis=1))
         model.update(x, y)
     losses = np.array(losses)
     stream = LabeledStream(np.array([x for x, _ in data]), np.array([y for _, y in data]), n, 0.0)
-    lane_mse = harness._lane_train_mse(stream, kind, ridges)
+    lane_losses, lane_rows = run_online(stream, make_forecaster(kind, n, d, ridges))
+    np.testing.assert_array_equal(lane_rows, np.array(rows))
+    lane_mse = lane_losses.mean(axis=0)
     for g, a in enumerate(ridges):
-        ledger, _ = run_online(data, make_forecaster(kind, n, d, a))
-        np.testing.assert_allclose(losses[:, g], ledger.per_step, rtol=0, atol=1e-12)
-        assert lane_mse[g] == pytest.approx(ledger.cumulative / ledger.count, rel=0, abs=1e-12)
+        single, _ = run_online(data, make_forecaster(kind, n, d, a))
+        np.testing.assert_allclose(losses[:, g], single, rtol=0, atol=1e-12)
+        assert lane_mse[g] == pytest.approx(single.sum() / single.size, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["caar", "maar"])
@@ -273,22 +308,20 @@ def test_grid_search_picks_the_ridge_of_the_per_ridge_loop(kind):
 
 def test_lane_pass_rejects_a_row_off_the_simplex_naming_trial_and_ridge(monkeypatch):
     stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
+    thresholds = substitution._row_thresholds
 
-    def off_simplex(v):
-        rows = substitute_rows(v)
-        rows[2] += 1e-6   # the third lane's sum leaves SUM_TOL
-        return rows
+    def bad_threshold_at(row):
+        def patched(arr):
+            s = thresholds(arr)
+            s[row] += 1e-6   # that row's sum leaves SUM_TOL
+            return s
+        return patched
 
-    monkeypatch.setattr(harness, "substitute_rows", off_simplex)
-    with pytest.raises(InvariantViolation, match=r"trial 1: caar forecast .* at ridge 0\.1$"):
-        grid_search_ridge(stream, "caar", [0.001, 0.01, 0.1, 1.0])
-
-    # a row the scan itself rejects: the lane pass adds the trial and the ridges
-    monkeypatch.undo()
-    monkeypatch.setattr(MaarForecaster, "generalized", lambda self, x: np.full((4, 3), 5e15))
-    with pytest.raises(InvariantViolation, match=r"trial 1: maar at ridges \[0\.001, 0\.01, 0\.1, 1\.0\]: "
-                                                 r"substitution left the simplex at row 0"):
-        grid_search_ridge(stream, "maar", [0.001, 0.01, 0.1, 1.0])
+    # the scan rejects a row of the (trials x lanes, d) stack: the run names its trial and ridge
+    for kind, row, where in (("maar", 2, r"trial 1 at ridge 0\.1"), ("caar", 9, r"trial 3 at ridge 0\.01")):
+        monkeypatch.setattr(substitution, "_row_thresholds", bad_threshold_at(row))
+        with pytest.raises(InvariantViolation, match=rf"^{where}: substitution left the simplex at row {row}"):
+            grid_search_ridge(stream, kind, [0.001, 0.01, 0.1, 1.0])
 
 
 def test_verify_run_kaar_without_kernel_raises_before_any_forecaster_runs():

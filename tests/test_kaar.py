@@ -77,6 +77,12 @@ def test_kernel_validation():
 # ---------------------------------------------------------------------------
 # forecaster
 
+def test_a_ridge_must_be_positive_and_finite():
+    for bad in (float("inf"), 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KaarForecaster(3, Kernel("dot"), bad)
+
+
 def test_first_trial_leading_classes_tie():
     # With no history the label blocks are identical across classes, so all
     # leading forecast components agree; with two classes that means uniform.

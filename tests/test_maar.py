@@ -34,6 +34,12 @@ def test_config_takes_ridge_lanes_and_rejects_a_non_positive_one():
             MaarConfig(2, 3, bad)
 
 
+def test_an_infinite_ridge_is_rejected_like_zero_and_nan():
+    for bad in (float("inf"), [1.0, float("inf")]):
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            MaarConfig(2, 3, bad)
+
+
 @pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
 def test_lane_rows_have_the_ridge_shape_and_match_single_ridges(cls):
     rng = np.random.default_rng(29)

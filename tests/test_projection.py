@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import InvariantViolation, brier_loss
+from simplexcast.core import brier_loss
 from simplexcast.oracle import qp_projection
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import substitute_rows
@@ -86,7 +86,7 @@ def test_substitute_rows_of_minus_two_rows_equals_project_to_simplex_bit_for_bit
             np.testing.assert_array_equal(got, project_to_simplex(row).p)
 
 
-def test_a_point_too_large_for_the_scan_raises_invariant_violation():
-    # -2v = -2e17 absorbs the 2 the scan adds, so no segment brackets the threshold
-    with pytest.raises(InvariantViolation):
-        project_to_simplex([1e17, 1e17])
+def test_a_point_of_huge_magnitude_projects_to_the_right_simplex_point():
+    # -2v = -2e17 would absorb the 2 the scan adds, but the scan first subtracts min(-2v)
+    np.testing.assert_array_equal(project_to_simplex([1e17, 1e17]).p, [0.5, 0.5])
+    np.testing.assert_array_equal(project_to_simplex([1e17, 1e17 - 1e3]).p, [1.0, 0.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simplexcast import substitution
 from simplexcast.core import InvariantViolation, brier_loss, vertex_to_probability
 from simplexcast.substitution import (
     GeneralizedPrediction,
@@ -157,12 +158,30 @@ def test_substitute_rows_rejects_bad_batches():
             substitute_rows(bad)
 
 
-def test_forecasts_that_rounding_pushes_off_the_simplex_raise_invariant_violation():
-    # at 5e15 the threshold rounds to r + 1, so every gamma_i is 1/2 and they sum to 3/2
+def test_forecasts_that_rounding_pushes_off_the_simplex_raise_invariant_violation(monkeypatch):
+    # a correct scan lands on the simplex at any magnitude, so a bad threshold is forced
+    monkeypatch.setattr(substitution, "_threshold", lambda arr: 1.0)
     with pytest.raises(InvariantViolation, match="left the simplex"):
-        solve_substitution([5e15] * 3)
-    rows = np.zeros((3, 3))
-    for big, name in ((5e15, r"\[0\.5, 0\.5, 0\.5\]"), (1e308, r"\[inf, inf, inf\]")):
+        solve_substitution([0.0, 0.0, 0.0])
+    thresholds = substitution._row_thresholds
+
+    def one_off(arr):
+        s = thresholds(arr)
+        s[1] = 1.0
+        return s
+
+    monkeypatch.setattr(substitution, "_row_thresholds", one_off)
+    with pytest.raises(InvariantViolation, match=r"at row 1: \[0\.5, 0\.5, 0\.5\]") as info:
+        substitute_rows(np.zeros((3, 3)))
+    assert info.value.row == 1
+
+
+def test_the_scan_is_shift_invariant_at_any_magnitude():
+    # at 5e15 an unshifted scan rounds the threshold to r + 1 and every gamma_i to 1/2
+    for big in (5e15, 1e308):
+        np.testing.assert_array_equal(solve_substitution([big] * 3).p, np.full(3, 1 / 3))
+        rows = np.zeros((3, 3))
         rows[1] = big
-        with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match=rf"at row 1: {name}"):
-            substitute_rows(rows)
+        np.testing.assert_array_equal(substitute_rows(rows), np.full((3, 3), 1 / 3))
+    np.testing.assert_array_equal(solve_substitution([1e17, 1e17 + 64.0, 3e17]).p, [1.0, 0.0, 0.0])
+    assert substitution_threshold([5e15] * 3) == 5e15 + 2 / 3   # the true s, rounded
