@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import InvariantViolation, _unwrap, as_float_vector
+from .core import InvariantViolation, as_float_vector, stack_trials
 from .maar import solve_structured
 
 if TYPE_CHECKING:
@@ -66,23 +66,6 @@ class BoundReport:
         return self.bound_value - self.algorithm_loss
 
 
-class _Stacked(NamedTuple):
-    """A stream already validated and stacked, which ``_stack`` passes through."""
-
-    signals: np.ndarray
-    outcomes: np.ndarray
-
-
-def _stack(data) -> _Stacked:
-    if isinstance(data, _Stacked):
-        return data
-    xs, ys = [], []
-    for x, y in data:
-        xs.append(as_float_vector(x, "signal"))
-        ys.append(_unwrap(y))
-    return _Stacked(np.array(xs), np.array(ys))
-
-
 # ---------------------------------------------------------------------------
 # Linear comparators
 
@@ -97,7 +80,7 @@ def expert_forecasts(alpha, signals: np.ndarray, d: int) -> np.ndarray:
 
 def expert_loss(alpha, data) -> float:
     """Cumulative Brier loss of a linear expert over the stream."""
-    signals, outcomes = _stack(data)
+    signals, outcomes = stack_trials(data)
     if signals.shape[0] == 0:
         return 0.0
     xi = expert_forecasts(alpha, signals, outcomes.shape[1])
@@ -113,7 +96,7 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     """
     if not (a > 0):
         raise ValueError("ridge must be positive")
-    stream = _stack(data)
+    stream = stack_trials(data)
     signals, outcomes = stream
     if signals.shape[0] == 0:
         return LinearExpert(np.zeros(0)), 0.0
@@ -145,7 +128,7 @@ def _kernel_loss(expert: KernelExpert, gram: np.ndarray, outcomes: np.ndarray) -
 
 def kernel_expert_loss(expert: KernelExpert, data) -> float:
     """Cumulative Brier loss of a kernel comparator over its own stream."""
-    signals, outcomes = _stack(data)
+    signals, outcomes = stack_trials(data)
     return _kernel_loss(expert, expert.kernel.gram(signals), outcomes)
 
 
@@ -166,7 +149,7 @@ def best_kernel_expert(data, kernel: Kernel, a: float,
     """
     if not (a > 0):
         raise ValueError("ridge must be positive")
-    signals, outcomes = _stack(data)
+    signals, outcomes = stack_trials(data)
     t_len = signals.shape[0]
     d = outcomes.shape[1]
     m = d - 1
@@ -241,15 +224,19 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
     """Check every guarantee of algorithm ``kind`` at prior scale ``ridge`` against a run's loss.
 
     ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``) and ``loss``
-    is the run's cumulative loss over ``data``.  Returns one report per guarantee;
+    is the run's cumulative loss over ``data``, a LabeledStream, Trials or sequence of
+    (signal, outcome) pairs, validated once.  Returns one report per guarantee;
     slack below -1e-6 indicates a broken implementation.
     """
-    stream = _stack(data)
+    stream = stack_trials(data)
     signals, outcomes = stream
     t_len, n = signals.shape
     d = outcomes.shape[1]
     x_max = float(np.max(np.abs(signals))) if t_len else 0.0
     if kind == "caar":
+        if not d * ridge < math.inf:
+            raise ValueError(f"ridge {ridge!r} is too large: "
+                             f"CAAR's comparator ridge {d} * {ridge!r} overflows")
         expert, _ = best_linear_expert(stream, d * ridge)
         base = expert_loss(expert, stream)
         rhs = base + componentwise_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)

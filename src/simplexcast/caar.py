@@ -46,23 +46,27 @@ class CaarForecaster(RankOneCore):
     def predict_raw(self, x) -> np.ndarray:
         """Per-class forecasts before projection, of shape np.shape(a) + (d,); they may leave
         the simplex."""
-        xa, u, den = self._predicted(x)
-        lanes = self._lanes
-        shared = u[:, 0] / den[:, :1] if lanes else u[0] / den[0]   # (aI + B + xx')^{-1} x, per lane
-        d = self.cfg.d
-        offset = 1.0 / d + (d - 2.0) / (2.0 * d) * (shared @ xa)
-        return shared @ self.e.T + (offset[:, None] if lanes else offset)
+        return -0.5 * self.generalized(x)
 
     def generalized(self, x) -> np.ndarray:
         """-2 times ``predict_raw``: the raw forecast's vertex losses less a constant, whose
         threshold substitution is the raw forecast's projection onto the simplex."""
-        return -2.0 * self.predict_raw(x)
+        return self._generalized_row(*self._predicted(x))
 
     def predict(self, x) -> ProbabilityVector:
         return solve_substitution(self.generalized(x))
 
     def update(self, x, y) -> None:
         """Commit the trial: B += x x', E_i += (y^i - 1/d) x."""
-        ya = self._outcome(y)
-        xa = self._commit(x)
+        self._step(*self._checked(x, y))
+
+    def _generalized_row(self, xa, u, den) -> np.ndarray:
+        lanes = self._lanes
+        shared = u[:, 0] / den[:, :1] if lanes else u[0] / den[0]   # (aI + B + xx')^{-1} x, per lane
+        d = self.cfg.d
+        offset = 1.0 / d + (d - 2.0) / (2.0 * d) * (shared @ xa)
+        return -2.0 * (shared @ self.e.T + (offset[:, None] if lanes else offset))
+
+    def _step(self, last, ya: np.ndarray) -> None:
+        xa = self._commit(last)
         self.e += (ya - 1.0 / self.cfg.d)[:, None] * xa

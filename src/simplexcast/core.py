@@ -9,6 +9,7 @@ and outcome, summed over classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,74 @@ def as_float_vector(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def check_vector(x, size: int, name: str) -> np.ndarray:
+    """as_float_vector, of length ``size``."""
+    arr = as_float_vector(x, name)
+    if arr.size != size:
+        raise DimensionMismatch(f"{name} has length {arr.size}, expected {size}")
+    return arr
+
+
+class Trials(NamedTuple):
+    """A run's signals and outcomes as (T, n) and (T, d) float arrays, validated by check_trials."""
+
+    signals: np.ndarray
+    outcomes: np.ndarray
+
+
+def _stacked(rows, size: int):
+    """``rows`` as a finite (T, size) float array, or None when they do not form one."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):   # ragged or non-numeric rows
+        return None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, size)
+    return arr if arr.ndim == 2 and arr.shape[1] == size and np.isfinite(arr).all() else None
+
+
+def check_trials(signals, outcomes, n: int | None, d: int, first: int = 1) -> Trials:
+    """The signals and outcomes of a run, validated as whole (T, n) and (T, d) arrays.
+
+    ``n`` None leaves the signals unchecked, as given.  Only when a whole-array check
+    fails are the trials checked one at a time, signal before outcome, so that the error
+    keeps the type check_vector gives it and names the first bad trial, counted from
+    ``first``.
+    """
+    xs = signals if n is None else _stacked(signals, n)
+    ys = _stacked(outcomes, d)
+    if xs is not None and ys is not None and len(xs) == len(ys):
+        return Trials(xs, ys)
+    for t, (x, y) in enumerate(zip(signals, outcomes), start=first):
+        try:
+            if n is not None:
+                check_vector(x, n, "signal")
+            check_vector(y, d, "outcome")
+        except ValueError as exc:
+            raise type(exc)(f"trial {t}: {exc}") from exc
+    raise DimensionMismatch(f"need one outcome of length {d} per signal of length {n}, "
+                            f"got {len(signals)} signals and {len(outcomes)} outcomes")
+
+
+def stack_trials(data) -> Trials:
+    """``data`` as validated Trials: a Trials passes through, and the widths of a
+    LabeledStream (anything with ``signals`` and ``labels`` arrays) or of a sequence of
+    (signal, outcome) pairs are those of its first trial."""
+    if isinstance(data, Trials):
+        return data
+    if hasattr(data, "labels"):
+        signals, outcomes = data.signals, data.labels
+    else:
+        pairs = list(data)
+        signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
+    if not len(outcomes):
+        return Trials(np.empty((0, 0)), np.empty((0, 0)))
+    return check_trials(signals, outcomes, np.size(signals[0]), np.size(outcomes[0]))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -7,15 +7,17 @@ or stays inside the tube.  The ridge is selected on the first third of the
 stream; metrics (MSE and AMSE, the average of running MSEs) are collected on the
 last two thirds from a fresh run over the full stream.
 
-Every run goes through one loop, ``run_online``: each trial takes the model's
-generalized prediction before the outcome is revealed, then updates on it.  A
-forecast never feeds back into the state, so the whole stack of generalized
-predictions becomes forecasts in one ``substitute_rows`` call after the loop, which
-checks them all; they equal what ``predict`` would have announced, bit for bit.
-Ridge selection runs CAAR and MAAR through that loop as one forecaster with a ridge
-lane per grid value (see ``maar.RankOneCore``).  KAAR's factors share nothing across
-ridges, so it runs one forecaster per grid value.  Only ``adversarial_stream``,
-whose outcomes depend on each forecast, calls ``predict``.
+Every run goes through ``run_online``, which hands the whole stream to the model's
+``run``: the (T, n) signals and (T, d) outcomes are validated once, as whole arrays, and
+each trial takes the generalized prediction before its outcome is revealed, then updates
+on it, with the private steps ``generalized`` and ``update`` use.  A forecast never feeds
+back into the state, so the whole stack of generalized predictions becomes forecasts in
+one ``substitute_rows`` call after the run, which checks them all; they equal what
+``predict`` would have announced, bit for bit.  Ridge selection runs CAAR and MAAR as one
+forecaster with a ridge lane per grid value (see ``maar.RankOneCore``).  KAAR's factors
+share nothing across ridges, so it runs one forecaster per grid value.  ``verify_run``
+and ``run_benchmark`` hand the arrays they hold to the guarantees of ``bounds`` too.
+Only ``adversarial_stream``, whose outcomes depend on each forecast, calls ``predict``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap
+from .core import InvariantViolation, ProbabilityVector, Trials, check_trials, check_vector, stack_trials
 from .maar import MaarForecaster
 from .substitution import solve_substitution, substitute_rows
 
@@ -161,6 +163,8 @@ class SimpleBaseline:
     """Running mean of up to the last ``window`` one-hot outcomes (uniform before any)."""
 
     def __init__(self, d: int, window: int = DEFAULT_WINDOW):
+        if window < 1:
+            raise ValueError(f"baseline window must be at least 1, got {window}")
         self.d = d
         self.window = window
         self._recent: deque[np.ndarray] = deque(maxlen=window)
@@ -174,10 +178,33 @@ class SimpleBaseline:
         return solve_substitution(self.generalized(x))
 
     def update(self, x, y) -> None:
-        ya = _unwrap(y)
-        if ya.size != self.d:
-            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.d}")
-        self._recent.append(ya.copy())   # the caller may rewrite its array later
+        self._recent.append(check_vector(y, self.d, "outcome").copy())   # the caller may rewrite its array
+
+    def run(self, signals, outcomes) -> np.ndarray:
+        """``generalized`` then ``update`` on every row of the (T, d) outcomes, validated once
+        (the signals are ignored); returns the (T, d) generalized predictions.
+
+        Each running mean adds the rows of its window oldest first, as ``np.mean`` over the
+        window does, so it equals ``generalized``'s bit for bit: trials with at most
+        ``window`` outcomes before them read prefix sums, and the rest take ``window``
+        vectorized adds of shifted slices.
+        """
+        ys = check_trials(signals, outcomes, None, self.d).outcomes
+        w, d, t_len = self.window, self.d, len(ys)
+        k0 = len(self._recent)
+        history = np.concatenate([np.reshape(self._recent, (k0, d)), ys])
+        seen = np.minimum(k0 + np.arange(t_len), w)         # outcomes averaged at each trial
+        sums = np.empty((t_len, d))
+        head = min(t_len, w + 1 - k0)                        # trials that average every outcome so far
+        sums[:head] = np.cumsum(history[:w], axis=0)[np.maximum(k0 + np.arange(head) - 1, 0)]
+        start = k0 + head - w                                # the oldest outcome of the first window
+        tail = sums[head:]
+        np.copyto(tail, history[start:start + len(tail)])
+        for j in range(1, w):
+            tail += history[start + j:start + j + len(tail)]
+        means = np.divide(sums, seen[:, None], out=np.full((t_len, d), 1.0 / d), where=seen[:, None] > 0)
+        self._recent.extend(ys[-w:].copy())
+        return -2.0 * means
 
 
 def make_forecaster(kind: str, n: int, d: int, ridge: float | list[float],
@@ -195,23 +222,27 @@ def make_forecaster(kind: str, n: int, d: int, ridge: float | list[float],
 
 
 def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
-    """Strict online loop: the model's generalized prediction before each outcome, then update.
+    """Strict online run: the model's generalized prediction before each outcome, then update.
 
-    After the loop one ``substitute_rows`` call maps the whole (T,) + lanes + (d,) stack
-    to forecasts and checks them.  Returns the per-step losses, of shape (T,) + lanes,
-    and the forecasts, of shape (T,) + lanes + (d,); lanes is () unless the model runs
-    ridge lanes.  A forecast off the simplex raises InvariantViolation and a non-finite
-    loss (an outcome too large to square) ValueError, each naming the first bad trial
-    and, with lanes, its ridge.
+    ``stream`` is a LabeledStream or Trials, whose arrays go to ``model.run`` as they are,
+    or a sequence of (signal, outcome) pairs, which ``model.run`` stacks and validates.
+    One ``substitute_rows`` call then maps the whole (T,) + lanes + (d,) stack to forecasts
+    and checks them.  Returns the per-step losses, of shape (T,) + lanes, and the
+    forecasts, of shape (T,) + lanes + (d,); lanes is () unless the model runs ridge lanes.
+    A forecast off the simplex raises InvariantViolation and a non-finite loss (an outcome
+    too large to square) ValueError, each naming the first bad trial and, with lanes, its
+    ridge.
     """
-    pairs = stream.pairs() if isinstance(stream, LabeledStream) else list(stream)
-    if not pairs:
+    if isinstance(stream, LabeledStream):
+        signals, outcomes = stream.signals, stream.labels
+    elif isinstance(stream, Trials):
+        signals, outcomes = stream
+    else:
+        pairs = list(stream)
+        signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
+    if not len(outcomes):
         return np.zeros(0), np.zeros((0, 0))
-    rows = []
-    for x, y in pairs:
-        rows.append(model.generalized(x))
-        model.update(x, y)
-    r = np.array(rows)
+    r = model.run(signals, outcomes)
     lanes = r.shape[1:-1]
 
     def trial(row: int) -> str:   # a row of the (T * lanes, d) stack, named in the run's terms
@@ -222,7 +253,7 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
         gamma = substitute_rows(r.reshape(-1, r.shape[-1])).reshape(r.shape)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{trial(exc.row)}: {exc}") from exc
-    ys = np.array([y for _, y in pairs], dtype=float)
+    ys = np.asarray(outcomes, dtype=float)   # validated by model.run
     ys = ys.reshape((len(ys),) + (1,) * len(lanes) + ys.shape[1:])   # one outcome for every lane
     with np.errstate(over="ignore"):
         losses = np.square(gamma - ys).sum(axis=-1)
@@ -235,17 +266,18 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
 def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[bounds_mod.BoundReport]:
     """Run one algorithm over the stream and check every guarantee it carries.
 
-    ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``).  Returns
-    one report per guarantee; slack below -1e-6 indicates a broken implementation.
+    ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``).  ``data`` is
+    stacked and validated once, and the run and the guarantees share those arrays.
+    Returns one report per guarantee; slack below -1e-6 indicates a broken implementation.
     """
-    data = list(data)
-    if not data:
-        raise InputError("cannot verify an empty stream")
     if kind == "kaar" and kernel is None:
         raise ValueError("kernel required for kind='kaar'")
-    x, y = data[0]
-    losses, _ = run_online(data, make_forecaster(kind, np.size(x), np.size(y), ridge, kernel))
-    return bounds_mod.bound_reports(data, kind, ridge, float(losses.sum()), kernel)
+    stream = stack_trials(data)
+    if not len(stream.signals):
+        raise InputError("cannot verify an empty stream")
+    model = make_forecaster(kind, stream.signals.shape[1], stream.outcomes.shape[1], ridge, kernel)
+    losses, _ = run_online(stream, model)
+    return bounds_mod.bound_reports(stream, kind, ridge, float(losses.sum()), kernel)
 
 
 def mse_amse(losses) -> tuple[float, float]:
@@ -452,7 +484,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         slack = None
         if kind != "simple":
             # the kernel make_forecaster resolved (a dot kernel when none was given)
-            checks = bounds_mod.bound_reports(stream.pairs(), kind, ridge, float(losses.sum()),
+            checks = bounds_mod.bound_reports(stream, kind, ridge, float(losses.sum()),
                                               getattr(model, "kernel", None))
             slack = min(check.slack for check in checks)
             if slack < -1e-6:

@@ -52,7 +52,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dtpsv
 
-from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap, as_float_vector
+from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, as_float_vector, check_trials,
+                   check_vector)
 from .substitution import solve_substitution
 
 _KINDS = ("dot", "rbf", "poly")
@@ -143,7 +144,9 @@ class KaarForecaster:
 
     Holds the t stored signals and, per system aI + sK (s = d, then s = 1 when
     d > 2), the packed factor rows and G = L^{-1} R', in buffers that double when
-    full; ``update`` reuses ``predict``'s border rows.
+    full; ``update`` reuses ``predict``'s border rows.  As in ``maar.RankOneCore``, a
+    trial takes the same private steps from ``generalized`` / ``update`` and from ``run``:
+    ``_border``, ``_generalized_row`` and ``_step``.
     """
 
     def __init__(self, d: int, kernel: Kernel, a: float = 1.0):
@@ -187,9 +190,9 @@ class KaarForecaster:
         u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
-    def generalized(self, x) -> np.ndarray:
-        """The shifted generalized prediction r (length d, last entry 0)."""
-        *_, wg, u_last = self._last = self._border(self._signal(x).copy())
+    def _generalized_row(self, border) -> np.ndarray:
+        """The shifted generalized prediction r (length d, last entry 0) from ``_border``'s rows."""
+        *_, wg, u_last = border
         m = self.d - 1
         ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per system
         s_u = ru.sum(axis=1) + (m - 1) * u_last
@@ -199,18 +202,9 @@ class KaarForecaster:
             r[:m] += ru[1] - s_u[1] / m
         return r
 
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
+    def _step(self, border, ya: np.ndarray) -> None:
         """Commit the trial: store the signal and write one row into every factor and G."""
-        ya = _unwrap(y)
-        if ya.size != self.d:
-            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.d}")
-        last, self._last = self._last, None
-        if last is None or not np.array_equal(x, last[0]):
-            last = self._border(self._signal(x))
-        xa, w, pivots, wg, _ = last
+        xa, w, pivots, wg, _ = border
         t = self.t
         if t == self._x.shape[0]:
             self._reserve(xa.size)
@@ -221,6 +215,38 @@ class KaarForecaster:
         self._packed[:, start + t] = rho
         self._g[:, t] = (-2.0 * (ya[:-1] - ya[-1]) - wg) / rho[:, None]
         self.t = t + 1
+
+    def generalized(self, x) -> np.ndarray:
+        """The shifted generalized prediction r (length d, last entry 0)."""
+        self._last = self._border(self._signal(x).copy())
+        return self._generalized_row(self._last)
+
+    def predict(self, x) -> ProbabilityVector:
+        return solve_substitution(self.generalized(x))
+
+    def update(self, x, y) -> None:
+        """Commit the trial (x, y), reusing the border rows of a ``generalized`` call on the
+        same signal."""
+        ya = check_vector(y, self.d, "outcome")
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._border(self._signal(x))
+        self._step(last, ya)
+
+    def run(self, signals, outcomes) -> np.ndarray:
+        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
+        outcomes, validated once, as whole arrays, before anything changes; n is the stored
+        signals' length, or the first signal's.  Returns the (T, d) generalized predictions,
+        equal bit for bit to those of the per-trial loop."""
+        n = self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else 0
+        xs, ys = check_trials(signals, outcomes, n, self.d, self.t + 1)
+        self._last = None
+        out = np.empty((len(xs), self.d))
+        for t, (xa, ya) in enumerate(zip(xs, ys)):
+            border = self._border(xa)
+            out[t] = self._generalized_row(border)
+            self._step(border, ya)
+        return out
 
     def _reserve(self, n: int) -> None:
         """Double every buffer; the first call also fixes the signal length n."""

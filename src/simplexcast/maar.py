@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, _unwrap, as_float_vector
+from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, check_trials, check_vector
 from .substitution import solve_substitution
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -106,14 +106,6 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
     return flat[:, 0] if single else flat
 
 
-def check_signal(x, n: int) -> np.ndarray:
-    """Validate a signal of length n."""
-    arr = as_float_vector(x, "signal")
-    if arr.size != n:
-        raise DimensionMismatch(f"signal has length {arr.size}, expected {n}")
-    return arr
-
-
 def sm_denominator(x: np.ndarray, u: np.ndarray, scales, trial: int, ridges):
     """1 + s x'u for each row u = M_s^{-1} x of ``u`` and scale s of ``scales``: the
     Sherman-Morrison denominators, each >= 1 unless its M_s^{-1} is broken.
@@ -152,7 +144,8 @@ def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise InvariantViolation(f"trial {trial}: refresh found a system that is not positive definite") from exc
     fresh = linv.T @ linv
-    drift = np.linalg.norm(minv - fresh) / np.linalg.norm(fresh)
+    scale = np.abs(fresh).max()   # the ratio of norms at unit scale: no underflow at any ridge
+    drift = np.linalg.norm(minv / scale - fresh / scale) / np.linalg.norm(fresh / scale)
     if not drift <= DRIFT_TOL:
         cond = np.linalg.norm(mat, 1) * np.linalg.norm(fresh, 1)
         raise InvariantViolation(f"trial {trial}: inverse drift {drift:.3e}, condition estimate {cond:.3e}")
@@ -165,8 +158,13 @@ class RankOneCore:
     There is one inverse per scale s, stacked in ``_inv`` and kept by Sherman-Morrison
     steps; a Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds
     that rebuild, so it is kept as its value at the last rebuild plus the signals since.
-    ``_predicted`` keeps a prediction's products so that ``_commit`` on the same
-    signal (compared by value; the signal is copied) need not recompute them.
+    ``_predicted`` keeps a prediction's products so that ``update`` on the same signal
+    (compared by value; the signal is copied) need not recompute them.
+
+    A trial takes the same private steps whether it comes from ``generalized`` and
+    ``update`` or from ``run``: ``_products`` of the signal, the subclass's
+    ``_generalized_row`` from them, and its ``_step``, which commits them.  The public
+    methods validate one signal or outcome per call, ``run`` the whole arrays once.
 
     Ridge lanes: when ``a`` is a 1-D sequence of G ridges, ``_inv`` has shape
     (G, S, n, n), holding the inverse of a_g I + sC for lane g and scale s, and every
@@ -194,29 +192,16 @@ class RankOneCore:
         return self._c + pending.T @ pending
 
     def _products(self, xa: np.ndarray):
+        """(x, u, den) for a validated signal x: u = (aI + sC)^{-1} x and den = 1 + s x'u, one
+        per scale s (and lane)."""
         u = self._inv @ xa
         return xa, u, sm_denominator(xa, u, self._scales, self.t + 1, self._ridges)
 
-    def _predicted(self, x):
-        """(x, u, den) for a new signal: u = (aI + sC)^{-1} x and den = 1 + s x'u, one per scale s
-        (and lane)."""
-        self._last = self._products(check_signal(x, self.cfg.n).copy())
-        return self._last
-
-    def _outcome(self, y) -> np.ndarray:
-        ya = _unwrap(y)
-        if ya.size != self.cfg.d:
-            raise DimensionMismatch(f"outcome has {ya.size} classes, expected {self.cfg.d}")
-        return ya
-
-    def _commit(self, x) -> np.ndarray:
-        """C += xx' and every inverse follows; returns the validated signal.
+    def _commit(self, last) -> np.ndarray:
+        """C += xx' and every inverse follows, from the products ``last`` of x; returns x.
 
         A refresh that fails raises before anything changes, so the state stays that of trial t.
         """
-        last, self._last = self._last, None
-        if last is None or not np.array_equal(x, last[0]):
-            last = self._products(check_signal(x, self.cfg.n))
         xa, u, den = last
         slot = self.t % REFRESH_EVERY
         self._signals[slot] = xa   # past the rows that ``c`` reads until t moves
@@ -228,6 +213,37 @@ class RankOneCore:
             self._c = c
         self.t += 1
         return xa
+
+    def _predicted(self, x):
+        """The products of a new signal x, kept for an ``update`` on the same signal (compared by
+        value; x is copied)."""
+        self._last = self._products(check_vector(x, self.cfg.n, "signal").copy())
+        return self._last
+
+    def _checked(self, x, y):
+        """The products of x, reused from ``_predicted`` when they are x's, and the outcome y,
+        both validated."""
+        ya = check_vector(y, self.cfg.d, "outcome")
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._products(check_vector(x, self.cfg.n, "signal"))
+        return last, ya
+
+    def run(self, signals, outcomes) -> np.ndarray:
+        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
+        outcomes, validated once, as whole arrays, before anything changes.
+
+        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
+        for bit to those of the per-trial loop, since each row takes the same steps.
+        """
+        xs, ys = check_trials(signals, outcomes, self.cfg.n, self.cfg.d, self.t + 1)
+        self._last = None
+        out = np.empty((len(xs),) + self._lanes + (self.cfg.d,))
+        for t, (xa, ya) in enumerate(zip(xs, ys)):
+            last = self._products(xa)
+            out[t] = self._generalized_row(*last)
+            self._step(last, ya)
+        return out
 
     def _refreshed(self, inv: np.ndarray, c: np.ndarray, trial: int) -> np.ndarray:
         """Cholesky rebuilds of every inverse in ``inv``, each checked against it; new arrays."""
@@ -262,7 +278,16 @@ class MaarForecaster(RankOneCore):
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r (last entry 0), of shape np.shape(a) + (d,)."""
-        xa, u, den = self._predicted(x)
+        return self._generalized_row(*self._predicted(x))
+
+    def predict(self, x) -> ProbabilityVector:
+        return solve_substitution(self.generalized(x))
+
+    def update(self, x, y) -> None:
+        """Commit the trial: C += xx', h_i -= 2 (y^i - y^d) x, both inverses follow."""
+        self._step(*self._checked(x, y))
+
+    def _generalized_row(self, xa, u, den) -> np.ndarray:
         # (aI + C')^{-1} x and (aI + dC')^{-1} x, per lane
         q, p = (u / np.asarray(den)[..., None]).swapaxes(0, -2)
         m = self.cfg.d - 1
@@ -274,11 +299,6 @@ class MaarForecaster(RankOneCore):
         r[..., :m] = mean + q @ self.h.T - dev
         return r
 
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
-        """Commit the trial: C += xx', h_i -= 2 (y^i - y^d) x, both inverses follow."""
-        ya = self._outcome(y)
-        xa = self._commit(x)
+    def _step(self, last, ya: np.ndarray) -> None:
+        xa = self._commit(last)
         self.h -= (2.0 * (ya[:-1] - ya[-1]))[:, None] * xa

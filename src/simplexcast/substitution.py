@@ -134,7 +134,7 @@ def substitute_rows(r) -> np.ndarray:
     equals solve_substitution's forecast bit for bit.  A failure names the first bad row.
     """
     arr = np.asarray(r, dtype=float)
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or not np.isfinite(arr).all():
         raise ValueError(f"generalized predictions must be a finite (G, d) array, got shape {arr.shape}")
     _check_classes(arr.shape[1])
     ordered = np.sort(arr, axis=1, kind="stable")   # as _sorted_from_zero, row by row

@@ -9,6 +9,7 @@ from simplexcast.bounds import (
     LinearExpert,
     best_kernel_expert,
     best_linear_expert,
+    bound_reports,
     componentwise_bound_rhs,
     expert_loss,
     gram_logdet_regret,
@@ -19,7 +20,7 @@ from simplexcast.bounds import (
     kernel_expert_loss,
     per_component_bound_rhs,
 )
-from simplexcast.harness import adversarial_stream, random_stream, verify_run
+from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
 from simplexcast.kaar import Kernel
 from simplexcast.oracle import numeric_quadratic_min
 
@@ -271,3 +272,10 @@ def test_report_shape():
         verify_run(data, "unknown", 1.0)
     with pytest.raises(ValueError):
         verify_run(data, "kaar", 1.0)  # kernel missing
+
+
+@pytest.mark.parametrize("kind, kernel", [("caar", None), ("maar", None), ("kaar", Kernel("rbf", sigma=0.8))])
+def test_bound_reports_of_a_labeled_stream_equal_those_of_its_pairs(kind, kernel):
+    stream = prepare_stream(synth_series("ar1", 150, 4), 10, "auto")
+    pairs = stream.pairs()
+    assert bound_reports(stream, kind, 0.5, 30.0, kernel) == bound_reports(pairs, kind, 0.5, 30.0, kernel)

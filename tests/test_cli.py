@@ -173,3 +173,15 @@ def test_a_non_finite_epsilon_is_input_error(tmp_path):
         assert result.exit_code == 2, (eps, result.output)
         assert "epsilon must be finite and nonnegative" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_a_ridge_near_the_float_limit_runs_or_is_input_error_naming_the_ridge(tmp_path):
+    # the refresh measures inverse drift at unit scale, so entries near 1e-300 do not underflow
+    series = ["bench", "--synth", "ar1", "--length", "600", "--seed", "0"]
+    for ridge in ("1e200", "1e300"):
+        result = CliRunner().invoke(main, series + ["--ridge", ridge, "--out", str(tmp_path / ridge)])
+        assert result.exit_code == 0, (ridge, result.output)
+    # CAAR's guarantee compares against ridge d * a, which overflows here
+    result = CliRunner().invoke(main, series + ["--ridge", "1e308", "--out", str(tmp_path / "max")])
+    assert result.exit_code == 2, result.output
+    assert "ridge 1e+308 is too large" in result.output

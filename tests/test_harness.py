@@ -160,6 +160,51 @@ def test_replay_forecasts_equal_predict_bit_for_bit(name):
     np.testing.assert_array_equal(losses, ((np.array(announced) - [y for _, y in data]) ** 2).sum(axis=1))
 
 
+def _run_models():
+    return dict(_replay_models(), **{"maar-lanes": lambda: MaarForecaster(3, 3, list(DEFAULT_RIDGE_GRID))})
+
+
+@pytest.mark.parametrize("name", sorted(_run_models()))
+def test_run_equals_the_generalized_update_loop_bit_for_bit(name):
+    data = random_stream(3, 3, 2 * REFRESH_EVERY + 40, seed=19)
+    xs, ys = np.array([x for x, _ in data]), np.array([y for _, y in data])
+    looped = _run_models()[name]()
+    want = []
+    for x, y in data:
+        want.append(looped.generalized(x))
+        looped.update(x, y)
+    np.testing.assert_array_equal(_run_models()[name]().run(xs, ys), np.array(want))
+    # runs in pieces carry on from the state the last one left, as the loop does
+    model = _run_models()[name]()
+    pieces = [model.run(xs[a:b], ys[a:b]) for a, b in ((0, 5), (5, 5), (5, 300), (300, len(xs)))]
+    np.testing.assert_array_equal(np.concatenate(pieces), np.array(want))
+    x = np.array([0.3, -0.2, 0.9])
+    np.testing.assert_array_equal(model.generalized(x), looped.generalized(x))
+
+
+_FAULTS = {
+    "nan signal": ("signal", np.array([0.1, np.nan, 0.2]), ValueError),
+    "wide signal": ("signal", np.ones(4), DimensionMismatch),
+    "short outcome": ("outcome", np.array([1.0, 0.0]), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name, fault", [(name, fault) for name in sorted(_run_models()) for fault in _FAULTS
+                                         if name != "simple" or fault == "short outcome"])
+def test_run_rejects_a_bad_trial_by_number_before_any_state_changes(name, fault):
+    data = random_stream(3, 3, 30, seed=23)
+    xs, ys = [x for x, _ in data], [y for _, y in data]
+    which, bad, error = _FAULTS[fault]
+    (xs if which == "signal" else ys)[16] = bad
+    model = _run_models()[name]()
+    with pytest.raises(error, match=r"^trial 17: "):
+        model.run(np.array(xs) if fault == "nan signal" else xs, ys)
+    assert getattr(model, "t", 0) == 0
+    good = random_stream(3, 3, 40, seed=24)
+    good_xs, good_ys = np.array([x for x, _ in good]), np.array([y for _, y in good])
+    np.testing.assert_array_equal(model.run(good_xs, good_ys), _run_models()[name]().run(good_xs, good_ys))
+
+
 def test_run_online_rejects_an_outcome_too_large_to_square_naming_the_trial():
     data = random_stream(2, 3, 4, seed=5)
     data[2] = (data[2][0], np.array([1e200, 0.0, 0.0]))
@@ -226,6 +271,8 @@ def test_baseline_keeps_a_copy_and_checks_the_outcome_length():
     with pytest.raises(DimensionMismatch):
         model.update(None, [1.0, 0.0])
     np.testing.assert_allclose(model.predict(None).p, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        SimpleBaseline(3, window=0)
 
 
 def test_simple_baseline_functional_form():

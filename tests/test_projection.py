@@ -90,3 +90,11 @@ def test_a_point_of_huge_magnitude_projects_to_the_right_simplex_point():
     # -2v = -2e17 would absorb the 2 the scan adds, but the scan first subtracts min(-2v)
     np.testing.assert_array_equal(project_to_simplex([1e17, 1e17]).p, [0.5, 0.5])
     np.testing.assert_array_equal(project_to_simplex([1e17, 1e17 - 1e3]).p, [1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_point_near_the_float_limit_projects_without_overflow():
+    # v less max(v) is scaled, so -2v never overflows, and gaps below -2 are clipped
+    np.testing.assert_array_equal(project_to_simplex([1e308, 0.0]).p, [1.0, 0.0])
+    np.testing.assert_array_equal(project_to_simplex([1e308, -1e308]).p, [1.0, 0.0])
+    np.testing.assert_array_equal(project_to_simplex([-1e308, 1e308, 1e308]).p, [0.0, 0.5, 0.5])
