@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import InvariantViolation, as_float_vector, stack_trials
+from .core import InvariantViolation, as_float_vector, check_ridge, stack_trials
 from .maar import solve_structured
 
 if TYPE_CHECKING:
@@ -94,8 +94,7 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     + const, so the normal equations go through the same structured solve the
     forecaster uses.
     """
-    if not (a > 0):
-        raise ValueError("ridge must be positive")
+    check_ridge(a)
     stream = stack_trials(data)
     signals, outcomes = stream
     if signals.shape[0] == 0:
@@ -137,6 +136,52 @@ def kernel_expert_norms(expert: KernelExpert, gram: np.ndarray) -> float:
     return float(np.sum(expert.coeffs * (expert.coeffs @ gram)))
 
 
+def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det(I + (I+J) kron K / a), and the solution c of (aI + (I+J) kron K) c = v, both
+    (d-1, T).
+
+    The eigen-split of I+J leaves two T x T systems: I + dK/a, which block means go
+    through, and I + K/a for the deviations (d > 2 only).  Each is built in place and
+    factored once by Cholesky, one at a time, so that no two factors are alive together;
+    its diagonal gives the log-determinant and the same factor solves c's share.  A
+    system that is not positive definite raises InvariantViolation.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs   # scipy loads only for kernel guarantees
+    t_len = gram.shape[0]
+    mean = v.mean(axis=0)
+    c = np.empty_like(v)
+    logdet = 0.0
+    for s, weight in ((d, 1), (1, d - 2))[:1 if d == 2 else 2]:
+        system = np.multiply(gram, s / a)
+        system.flat[::t_len + 1] += 1.0
+        factor, info = dpotrf(system.T, lower=1, clean=0, overwrite_a=1)   # system is symmetric
+        logdet_s = math.nan if info else 2.0 * float(np.log(np.diagonal(factor)).sum())
+        if not math.isfinite(logdet_s):
+            raise InvariantViolation(f"kernel guarantee: I + {s:g}K/a is not positive definite (ridge {a!r})")
+        logdet += weight * logdet_s
+        if t_len:
+            rhs = mean[:, None] if s == d else (v - mean).T
+            solved, _ = dpotrs(factor, rhs / a, lower=1)
+            if s == d:
+                c[:] = solved[:, 0]   # the block mean's share, the same for every class
+            else:
+                c += solved.T         # each class's deviation from it
+        del system, factor   # one buffer: the next system is built only after this one is gone
+    return logdet, c
+
+
+def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
+    """``best_kernel_expert``'s three values and the determinant term, from one factor per system."""
+    check_ridge(a)
+    signals, outcomes = stack_trials(data)
+    m = outcomes.shape[1] - 1
+    if gram is None:
+        gram = kernel.gram(signals)
+    logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
+    expert = KernelExpert(coeffs, kernel)
+    return expert, _kernel_loss(expert, gram, outcomes), kernel_expert_norms(expert, gram), logdet
+
+
 def best_kernel_expert(data, kernel: Kernel, a: float,
                        gram: np.ndarray | None = None) -> tuple[KernelExpert, float, float]:
     """Minimizer of loss + a sum |f_i|^2 over representer coefficients.
@@ -147,18 +192,7 @@ def best_kernel_expert(data, kernel: Kernel, a: float,
     ``gram`` is the kernel's Gram matrix over the stream's signals, for a
     caller that already has it.
     """
-    if not (a > 0):
-        raise ValueError("ridge must be positive")
-    signals, outcomes = stack_trials(data)
-    t_len = signals.shape[0]
-    d = outcomes.shape[1]
-    m = d - 1
-    if gram is None:
-        gram = kernel.gram(signals)
-    v = (outcomes[:, :m] - outcomes[:, [m]]).T  # (m, T)
-    coeffs = solve_structured(a, d, gram, v.reshape(-1)).reshape(m, t_len)
-    expert = KernelExpert(coeffs, kernel)
-    return expert, _kernel_loss(expert, gram, outcomes), kernel_expert_norms(expert, gram)
+    return _kernel_comparator(data, kernel, a, gram)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +240,14 @@ def gram_logdet_regret(gram: np.ndarray, a: float, d: int) -> float:
 
     This is the determinant term of the kernel guarantee; normalizing by a
     keeps it invariant to the representation (primal or dual) of the system.
+    Each system is factored once by Cholesky, and each log-determinant is twice
+    the sum of the logs of its factor's diagonal; ``bound_reports`` solves the
+    comparator's systems with the same factors.  A system that is not positive
+    definite raises InvariantViolation.
     """
-    t_len = gram.shape[0]
-    eye = np.eye(t_len)
-    sign_d, logdet_d = np.linalg.slogdet(eye + d * gram / a)
-    sign_1, logdet_1 = np.linalg.slogdet(eye + gram / a)
-    if sign_d <= 0 or sign_1 <= 0:
-        raise InvariantViolation("kernel determinant term is not positive")
-    return float(logdet_d + (d - 2) * logdet_1)
+    check_ridge(a)
+    gram = np.asarray(gram, dtype=float)
+    return _kernel_systems(gram, a, d, np.zeros((d - 1, gram.shape[0])))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +287,7 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
     if kind == "kaar":
         if kernel is None:
             raise ValueError("kernel required for kind='kaar'")
-        gram = kernel.gram(signals)
-        _, loss_f, norms = best_kernel_expert(stream, kernel, ridge, gram)
-        rhs = kernel_bound_rhs(loss_f, norms, ridge, gram_logdet_regret(gram, ridge, d))
+        _, loss_f, norms, logdet = _kernel_comparator(stream, kernel, ridge, None)
+        rhs = kernel_bound_rhs(loss_f, norms, ridge, logdet)
         return [BoundReport("kernel", kind, loss, loss_f, rhs)]
     raise ValueError(f"unknown algorithm kind {kind!r}")

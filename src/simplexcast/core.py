@@ -8,6 +8,7 @@ and outcome, summed over classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,13 @@ def as_float_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def check_ridge(a) -> float:
+    """The ridge ``a`` as a float; raises ValueError naming it unless it is positive and finite."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"ridge parameter must be positive and finite, got {a}")
+    return float(a)
 
 
 def check_vector(x, size: int, name: str) -> np.ndarray:

@@ -13,10 +13,11 @@ each trial takes the generalized prediction before its outcome is revealed, then
 on it, with the private steps ``generalized`` and ``update`` use.  A forecast never feeds
 back into the state, so the whole stack of generalized predictions becomes forecasts in
 one ``substitute_rows`` call after the run, which checks them all; they equal what
-``predict`` would have announced, bit for bit.  Ridge selection runs CAAR and MAAR as one
-forecaster with a ridge lane per grid value (see ``maar.RankOneCore``).  KAAR's factors
-share nothing across ridges, so it runs one forecaster per grid value.  ``verify_run``
-and ``run_benchmark`` hand the arrays they hold to the guarantees of ``bounds`` too.
+``predict`` would have announced, bit for bit.  Ridge selection runs every kind as one
+forecaster with a ridge lane per grid value: CAAR and MAAR keep one inverse per lane (see
+``maar.RankOneCore``), KAAR one Cholesky factor per lane and system beside the shared
+signals and kernel rows (see ``kaar.KaarForecaster``).  ``verify_run`` and
+``run_benchmark`` hand the arrays they hold to the guarantees of ``bounds`` too.
 Only ``adversarial_stream``, whose outcomes depend on each forecast, calls ``predict``.
 """
 
@@ -293,9 +294,11 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
                       kernel: Kernel | None = None, record: dict | None = None) -> float:
     """Smallest grid value achieving the best training MSE.
 
-    CAAR and MAAR score the whole grid in one run of ridge lanes; other kinds run
-    one forecaster per value.  ``record``, when given, receives the sorted grid
-    (``ridges``), the train MSE of each value (``train_mse``) and ``seconds``.
+    Every kind scores the whole grid in one run of one forecaster with a ridge lane
+    per value; each lane equals the forecaster of its one ridge to rounding (KAAR's
+    bit for bit), and the baseline, which has no ridge, scores every value alike.
+    ``record``, when given, receives the sorted grid (``ridges``), the train MSE of
+    each value (``train_mse``) and ``seconds``.
     """
     started = time.perf_counter()
     values = sorted(float(g) for g in grid)
@@ -305,11 +308,8 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
         raise InputError(f"ridge grid values must be positive and finite, got {values!r}")
     if len(train) == 0:
         raise InputError("stream too short for ridge selection")
-    if kind in ("caar", "maar"):
-        mses = run_online(train, make_forecaster(kind, train.n, train.d, values))[0].mean(axis=0)
-    else:
-        mses = [run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))[0].mean()
-                for a in values]
+    losses, _ = run_online(train, make_forecaster(kind, train.n, train.d, values, kernel))
+    mses = np.broadcast_to(losses.mean(axis=0), len(values))   # the baseline has no lanes: one MSE for all
     best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
     if record is not None:
         record.update(ridges=values, train_mse=[float(v) for v in mses],

@@ -30,7 +30,17 @@ row (R_T' - w'G) / rho when L grows.  A trial therefore costs one triangular
 solve per system, O(t^2), plus O(t(n + d)) for the kernel row and the label
 terms; memory is O(t^2).  The factor rows sit back to back (row j at offset
 j(j+1)/2), which is LAPACK's packed storage of L', so BLAS solves with the
-factor in place; every buffer doubles when full.
+factor in place.  ``update`` doubles every buffer when it is full; ``run``
+reserves exactly the rows its trials need.
+
+Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
+and one G = L^{-1} R' per ridge and system, while the stored signals, the
+label rows and each trial's kernel row depend on no ridge and are computed once.
+Every lane takes the same BLAS call and arithmetic as a forecaster of its one
+ridge, so its predictions equal that forecaster's bit for bit, and a trial over
+G ridges costs one kernel row and G triangular solves per system instead of G
+forecasters' worth of Python calls.  This is how the benchmark protocol scores
+a whole ridge grid in one pass, as it does for CAAR and MAAR.
 
 There is no refresh.  Bordering computes the Cholesky factor of the grown
 matrix row by row, the rows equal, to rounding, those a factorization from
@@ -38,7 +48,8 @@ scratch would give, and G is a forward substitution done one row at a time.
 Nothing is corrected by rank-one updates, so no drift accumulates, unlike
 MAAR's Sherman-Morrison inverses.  What is checked is definiteness: a kernel
 row that is not finite, or a pivot rho^2 that is not positive and finite,
-raises InvariantViolation naming the trial, the system and the pivot.
+raises InvariantViolation naming the trial, the system and the pivot, and
+with ridge lanes the ridge of the first lane that fails.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from scipy.linalg.blas import dtpsv
 
 from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, as_float_vector, check_trials,
                    check_vector)
+from .maar import ridge_lanes
 from .substitution import solve_substitution
 
 _KINDS = ("dot", "rbf", "poly")
@@ -130,6 +142,20 @@ def kernel_eval(k: Kernel, x, y) -> float:
     return float(np.exp(-(diff @ diff) / (2.0 * k.sigma**2)))
 
 
+@dataclass(frozen=True)
+class KaarConfig:
+    """Number of classes and prior scale, validated once at construction; ``a`` is one ridge,
+    or a 1-D sequence of ridges (one per lane, kept as a tuple), as in ``maar.MaarConfig``."""
+
+    d: int
+    a: float | tuple[float, ...]
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"need at least 2 classes, got {self.d}")
+        object.__setattr__(self, "a", ridge_lanes(self.a))
+
+
 def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
     """Copy of ``buf`` with ``axis`` enlarged to ``size``; the new tail is uninitialized."""
     shape = list(buf.shape)
@@ -143,20 +169,23 @@ class KaarForecaster:
     """Sequential predict/update form of the kernelized forecaster.
 
     Holds the t stored signals and, per system aI + sK (s = d, then s = 1 when
-    d > 2), the packed factor rows and G = L^{-1} R', in buffers that double when
-    full; ``update`` reuses ``predict``'s border rows.  As in ``maar.RankOneCore``, a
-    trial takes the same private steps from ``generalized`` / ``update`` and from ``run``:
-    ``_border``, ``_generalized_row`` and ``_step``.
+    d > 2), the packed factor rows and G = L^{-1} R'; ``update`` reuses ``predict``'s
+    border rows.  As in ``maar.RankOneCore``, a trial takes the same private steps from
+    ``generalized`` / ``update`` and from ``run``: ``_border``, ``_generalized_row`` and
+    ``_step``.  With ridge lanes the factor of lane g and system j is row g S + j of
+    ``_packed`` and ``_g`` (S systems), so that every step treats one row per factor
+    as it does without lanes; ``_lanes`` is ``np.shape(a)``, () for one ridge.
     """
 
-    def __init__(self, d: int, kernel: Kernel, a: float = 1.0):
-        if not 0.0 < a < math.inf:
-            raise ValueError(f"ridge parameter must be positive and finite, got {a}")
-        if d < 2:
-            raise ValueError(f"need at least 2 classes, got {d}")
-        self.kernel, self.d, self.a = kernel, d, float(a)
+    def __init__(self, d: int, kernel: Kernel, a=1.0):
+        self.cfg = KaarConfig(d, a)
+        self.kernel, self.d = kernel, d
         self.t = 0
-        self._scales = np.array([d, 1.0][:1 if d == 2 else 2])
+        ridges = np.asarray(self.cfg.a, dtype=float)
+        self._lanes = ridges.shape
+        self._systems = _SYSTEMS[:1 if d == 2 else 2]
+        self._scales = np.tile([d, 1.0][:len(self._systems)], ridges.size)   # s of each factor
+        self._ridges = np.repeat(ridges.ravel(), len(self._systems))          # a of each factor
         self._x = np.empty((0, 0))                       # signals; the first update sets the width
         self._packed = np.empty((self._scales.size, 0))  # factor rows, row j at j(j+1)/2
         self._g = np.empty((self._scales.size, 0, d - 1))
@@ -174,7 +203,8 @@ class KaarForecaster:
         return self.kernel._row(stored, xa), self.kernel._at(xa)
 
     def _border(self, xa: np.ndarray):
-        """Border rows w and pivots rho^2 of every factor for signal ``xa``, and w'G."""
+        """Border rows w and pivots rho^2 of every factor (per lane and system) for signal
+        ``xa``, and w'G."""
         t = self.t
         row, kxx = self._extended_gram(xa)
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
@@ -183,23 +213,27 @@ class KaarForecaster:
         for packed, border in zip(self._packed, w) if t else ():
             dtpsv(t, packed, border, trans=1, overwrite_x=1)   # border = L^{-1} s c, in place
         ww = np.einsum("st,st->s", w, w)
-        pivots = self.a + self._scales * kxx - ww
-        for name, pivot in zip(_SYSTEMS, pivots.tolist()):
+        pivots = self._ridges + self._scales * kxx - ww
+        for i, pivot in enumerate(pivots.tolist()):
             if not 0.0 < pivot < math.inf:
-                raise InvariantViolation(f"trial {t + 1}: {name} has pivot {pivot!r}, not positive definite")
+                where = f" at ridge {float(self._ridges[i])!r}" if self._lanes else ""
+                raise InvariantViolation(f"trial {t + 1}{where}: {self._systems[i % len(self._systems)]} "
+                                         f"has pivot {pivot!r}, not positive definite")
         u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
     def _generalized_row(self, border) -> np.ndarray:
-        """The shifted generalized prediction r (length d, last entry 0) from ``_border``'s rows."""
+        """The shifted generalized prediction r (last entry 0) from ``_border``'s rows, of shape
+        np.shape(a) + (d,)."""
         *_, wg, u_last = border
         m = self.d - 1
-        ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per system
+        ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per factor
         s_u = ru.sum(axis=1) + (m - 1) * u_last
-        r = np.zeros(m + 1)
-        r[:m] = (1.0 + 1.0 / m) * s_u[0]
+        ru, s_u = ru.reshape(self._lanes + (-1, m)), s_u.reshape(self._lanes + (-1,))   # per lane, per system
+        r = np.zeros(self._lanes + (m + 1,))
+        r[..., :m] = (1.0 + 1.0 / m) * s_u[..., :1]
         if m > 1:
-            r[:m] += ru[1] - s_u[1] / m
+            r[..., :m] += ru[..., 1, :] - s_u[..., 1:] / m
         return r
 
     def _step(self, border, ya: np.ndarray) -> None:
@@ -207,7 +241,7 @@ class KaarForecaster:
         xa, w, pivots, wg, _ = border
         t = self.t
         if t == self._x.shape[0]:
-            self._reserve(xa.size)
+            self._reserve(xa.size, max(2 * t, _FIRST_CAPACITY))
         self._x[t] = xa
         rho = np.sqrt(pivots)
         start = t * (t + 1) // 2
@@ -217,7 +251,7 @@ class KaarForecaster:
         self.t = t + 1
 
     def generalized(self, x) -> np.ndarray:
-        """The shifted generalized prediction r (length d, last entry 0)."""
+        """The shifted generalized prediction r (last entry 0), of shape np.shape(a) + (d,)."""
         self._last = self._border(self._signal(x).copy())
         return self._generalized_row(self._last)
 
@@ -236,21 +270,23 @@ class KaarForecaster:
     def run(self, signals, outcomes) -> np.ndarray:
         """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
         outcomes, validated once, as whole arrays, before anything changes; n is the stored
-        signals' length, or the first signal's.  Returns the (T, d) generalized predictions,
-        equal bit for bit to those of the per-trial loop."""
+        signals' length, or the first signal's.  Reserves exactly the t + T rows the run
+        needs.  Returns the (T,) + np.shape(a) + (d,) generalized predictions, equal bit for
+        bit to those of the per-trial loop."""
         n = self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else 0
         xs, ys = check_trials(signals, outcomes, n, self.d, self.t + 1)
         self._last = None
-        out = np.empty((len(xs), self.d))
+        if self.t + len(xs) > self._x.shape[0]:
+            self._reserve(n, self.t + len(xs))
+        out = np.empty((len(xs),) + self._lanes + (self.d,))
         for t, (xa, ya) in enumerate(zip(xs, ys)):
             border = self._border(xa)
             out[t] = self._generalized_row(border)
             self._step(border, ya)
         return out
 
-    def _reserve(self, n: int) -> None:
-        """Double every buffer; the first call also fixes the signal length n."""
-        cap = max(2 * self.t, _FIRST_CAPACITY)
+    def _reserve(self, n: int, cap: int) -> None:
+        """Grow every buffer to ``cap`` rows; the first call also fixes the signal length n."""
         self._x = _grown(self._x if self.t else np.empty((0, n)), 0, cap)
         self._packed = _grown(self._packed, 1, cap * (cap + 1) // 2)
         self._g = _grown(self._g, 1, cap)

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, InvariantViolation, ProbabilityVector, check_trials, check_vector
+from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_ridge, check_trials,
+                   check_vector)
 from .substitution import solve_substitution
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -42,6 +43,17 @@ REFRESH_EVERY = 256
 # Largest relative drift of a maintained inverse from its rebuild, and largest
 # shortfall of a Sherman-Morrison denominator below 1 (measured: < 2e-8).
 DRIFT_TOL = 1e-6
+
+
+def ridge_lanes(a) -> float | tuple[float, ...]:
+    """``a`` validated: one ridge as a float, or a 1-D sequence of ridges as a tuple, one per lane."""
+    if np.ndim(a) == 0:
+        return check_ridge(a)
+    if np.ndim(a) != 1:
+        raise ValueError(f"ridge must be a number or a 1-D sequence, got shape {np.shape(a)}")
+    if not len(a):
+        raise ValueError("ridge lanes need at least one ridge")
+    return tuple(check_ridge(v) for v in a)
 
 
 @dataclass(frozen=True)
@@ -60,17 +72,7 @@ class MaarConfig:
             raise ValueError(f"signal dimension must be >= 1, got {self.n}")
         if self.d < 2:
             raise ValueError(f"need at least 2 classes, got {self.d}")
-        ridges = (self.a,)
-        if np.ndim(self.a) == 1:
-            ridges = tuple(float(v) for v in self.a)
-            if not ridges:
-                raise ValueError("ridge lanes need at least one ridge")
-            object.__setattr__(self, "a", ridges)
-        elif np.ndim(self.a) != 0:
-            raise ValueError(f"ridge must be a number or a 1-D sequence, got shape {np.shape(self.a)}")
-        for a in ridges:
-            if not 0.0 < a < math.inf:
-                raise ValueError(f"ridge parameter must be positive and finite, got {a}")
+        object.__setattr__(self, "a", ridge_lanes(self.a))
 
 
 def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
@@ -80,8 +82,7 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
     vector of length (d-1)*n or a matrix of such columns.  Block means travel
     through (aI + dC)^{-1} and deviations through (aI + C)^{-1}.
     """
-    if not (a > 0):
-        raise ValueError("structured solve needs a > 0")
+    check_ridge(a)
     m = d - 1
     n = c.shape[0]
     arr = np.asarray(rhs, dtype=float)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from simplexcast.bounds import (
     BoundReport,
@@ -20,8 +21,11 @@ from simplexcast.bounds import (
     kernel_expert_loss,
     per_component_bound_rhs,
 )
+from simplexcast.cli import main
+from simplexcast.core import InvariantViolation
 from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
 from simplexcast.kaar import Kernel
+from simplexcast.maar import solve_structured
 from simplexcast.oracle import numeric_quadratic_min
 
 
@@ -200,6 +204,54 @@ def test_kernel_logdet_identity_and_bound_helper():
     _, dense = np.linalg.slogdet(big)
     assert fast == pytest.approx(dense, abs=1e-8)
     assert kernel_bound_rhs(1.0, 2.0, 0.5, fast) == pytest.approx(1.0 + 1.0 + fast / 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+def test_kernel_guarantee_matches_a_dense_block_oracle(d, a):
+    data = random_stream(3, d, 30, seed=d)
+    xs, ys = np.array([x for x, _ in data]), np.array([y for _, y in data])
+    kernel = Kernel("rbf", sigma=0.8)
+    gram = kernel.gram(xs)
+    m, t_len = d - 1, len(data)
+    coupling = np.kron(np.eye(m) + np.ones((m, m)), gram)   # (I+J) kron K, one T x T block per class pair
+    coeffs = np.linalg.solve(a * np.eye(m * t_len) + coupling,
+                             (ys[:, :m] - ys[:, [m]]).T.reshape(-1)).reshape(m, t_len)
+    values = gram @ coeffs.T
+    forecasts = np.concatenate([1.0 / d + values, 1.0 / d - values.sum(axis=1, keepdims=True)], axis=1)
+    sign, logdet = np.linalg.slogdet(np.eye(m * t_len) + coupling / a)
+    assert sign > 0
+    dense = np.sum((ys - forecasts) ** 2) + a * np.sum(coeffs * (coeffs @ gram)) + 0.5 * logdet
+    (report,) = bound_reports(data, "kaar", a, 0.0, kernel)
+    assert report.bound_value == pytest.approx(dense, rel=1e-9, abs=0)
+
+
+def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation(monkeypatch, tmp_path):
+    data = random_stream(2, 3, 12, seed=8)
+    kernel = Kernel("rbf", sigma=0.8)
+    bad = -kernel.gram(np.array([x for x, _ in data]))   # I + sK/a is indefinite for small a
+    with pytest.raises(InvariantViolation, match=r"I \+ 3K/a is not positive definite \(ridge 0\.1\)"):
+        gram_logdet_regret(bad, 0.1, 3)
+    with pytest.raises(InvariantViolation, match="not positive definite"):
+        best_kernel_expert(data, kernel, 0.1, gram=bad)
+    # through the CLI: the forecaster runs on kernel rows, the guarantee on the Gram matrix
+    monkeypatch.setattr(Kernel, "gram", lambda self, signals: -np.eye(len(signals)))
+    result = CliRunner().invoke(main, ["bench", "--algos", "kaar", "--synth", "sine", "--length", "60",
+                                       "--ridge", "0.5", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert "not positive definite" in result.output
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_or_non_positive_ridge_is_rejected_before_any_numpy_work():
+    data = random_stream(2, 3, 20, seed=1)
+    gram = Kernel("dot").gram(np.array([x for x, _ in data]))
+    calls = (lambda a: best_linear_expert(data, a), lambda a: best_kernel_expert(data, Kernel("dot"), a),
+             lambda a: gram_logdet_regret(gram, a, 3), lambda a: solve_structured(a, 3, np.eye(2), np.ones(4)))
+    for call in calls:
+        for bad in (math.inf, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------

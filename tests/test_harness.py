@@ -161,7 +161,11 @@ def test_replay_forecasts_equal_predict_bit_for_bit(name):
 
 
 def _run_models():
-    return dict(_replay_models(), **{"maar-lanes": lambda: MaarForecaster(3, 3, list(DEFAULT_RIDGE_GRID))})
+    grid = list(DEFAULT_RIDGE_GRID)
+    return dict(_replay_models(), **{
+        "maar-lanes": lambda: MaarForecaster(3, 3, grid),
+        "kaar-lanes": lambda: harness.make_forecaster("kaar", 3, 3, grid, Kernel("rbf", sigma=0.8)),
+    })
 
 
 @pytest.mark.parametrize("name", sorted(_run_models()))
@@ -302,6 +306,13 @@ def test_grid_search_zero_signals_ties_to_smallest():
     assert grid_search_ridge(stream, "caar", [10.0, 0.1, 1.0]) == 0.1
 
 
+def test_grid_search_of_the_ridgeless_baseline_scores_every_value_alike():
+    stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
+    record = {}
+    assert grid_search_ridge(stream, "simple", [10.0, 0.1, 1.0], record=record) == 0.1
+    assert len(set(record["train_mse"])) == 1 and len(record["train_mse"]) == 3
+
+
 def test_grid_search_rejects_bad_grid():
     stream = label_stream(synth_series("sine", 40, 2), window=10, epsilon=0.05)
     with pytest.raises(InputError):
@@ -310,21 +321,26 @@ def test_grid_search_rejects_bad_grid():
         grid_search_ridge(stream, "caar", [0.0, 1.0])
 
 
-def _per_ridge_mse(train, kind, ridges):
+_LANE_KINDS = {"caar": ("caar", None), "maar": ("maar", None),
+               "kaar-dot": ("kaar", Kernel("dot")), "kaar-rbf": ("kaar", Kernel("rbf", sigma=0.8))}
+
+
+def _per_ridge_mse(train, kind, ridges, kernel=None):
     """The old protocol, kept as the oracle: one fresh forecaster per grid value."""
     out = []
     for a in ridges:
-        losses, _ = run_online(train, make_forecaster(kind, train.n, train.d, a))
+        losses, _ = run_online(train, make_forecaster(kind, train.n, train.d, a, kernel))
         out.append(losses.sum() / losses.size)
     return out
 
 
-@pytest.mark.parametrize("kind", ["caar", "maar"])
+@pytest.mark.parametrize("name", sorted(_LANE_KINDS))
 @pytest.mark.parametrize("n,d", [(3, 2), (10, 3), (4, 5)])
-def test_lane_losses_match_per_ridge_ledgers(kind, n, d):
+def test_lane_losses_match_per_ridge_ledgers(name, n, d):
+    kind, kernel = _LANE_KINDS[name]
     data = random_stream(n, d, 2 * REFRESH_EVERY + 88, seed=n * d)
     ridges = list(DEFAULT_RIDGE_GRID)
-    model = (MaarForecaster if kind == "maar" else CaarForecaster)(n, d, ridges)
+    model = make_forecaster(kind, n, d, ridges, kernel)
     rows, losses = [], []
     for x, y in data:
         rows.append(substitute_rows(model.generalized(x)))
@@ -332,23 +348,24 @@ def test_lane_losses_match_per_ridge_ledgers(kind, n, d):
         model.update(x, y)
     losses = np.array(losses)
     stream = LabeledStream(np.array([x for x, _ in data]), np.array([y for _, y in data]), n, 0.0)
-    lane_losses, lane_rows = run_online(stream, make_forecaster(kind, n, d, ridges))
+    lane_losses, lane_rows = run_online(stream, make_forecaster(kind, n, d, ridges, kernel))
     np.testing.assert_array_equal(lane_rows, np.array(rows))
     lane_mse = lane_losses.mean(axis=0)
     for g, a in enumerate(ridges):
-        single, _ = run_online(data, make_forecaster(kind, n, d, a))
+        single, _ = run_online(data, make_forecaster(kind, n, d, a, kernel))
         np.testing.assert_allclose(losses[:, g], single, rtol=0, atol=1e-12)
         assert lane_mse[g] == pytest.approx(single.sum() / single.size, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["caar", "maar"])
-def test_grid_search_picks_the_ridge_of_the_per_ridge_loop(kind):
+@pytest.mark.parametrize("name", sorted(_LANE_KINDS))
+def test_grid_search_picks_the_ridge_of_the_per_ridge_loop(name):
+    kind, kernel = _LANE_KINDS[name]
     for synth, seed in (("ar1", 7), ("ar1", 11), ("sine", 3), ("walk", 5)):
         stream = prepare_stream(synth_series(synth, 900, seed), 10, "auto")
         train, _ = split_train_test(stream)
         record = {}
-        chosen = grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, record=record)
-        oracle = _per_ridge_mse(train, kind, sorted(DEFAULT_RIDGE_GRID))
+        chosen = grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, kernel, record=record)
+        oracle = _per_ridge_mse(train, kind, sorted(DEFAULT_RIDGE_GRID), kernel)
         assert chosen == sorted(DEFAULT_RIDGE_GRID)[int(np.argmin(oracle))]
         np.testing.assert_allclose(record["train_mse"], oracle, rtol=0, atol=1e-12)
 

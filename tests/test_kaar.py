@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simplexcast.core import DimensionMismatch, InvariantViolation
+from simplexcast.harness import DEFAULT_RIDGE_GRID, random_stream, run_online
 from simplexcast.kaar import KaarForecaster, Kernel, kernel_eval
 from simplexcast.maar import MaarForecaster
 from simplexcast.oracle import dense_kaar_r
@@ -272,3 +273,74 @@ def test_dimension_errors():
         KaarForecaster(1, Kernel("dot"), 1.0)
     with pytest.raises(ValueError):
         KaarForecaster(3, Kernel("dot"), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ridge lanes
+
+@pytest.mark.parametrize("kernel", [Kernel("dot"), Kernel("rbf", sigma=0.8), Kernel("poly", degree=3)],
+                         ids=["dot", "rbf", "poly"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_every_lane_equals_its_single_ridge_forecaster_bit_for_bit(kernel, d):
+    data = random_stream(3, d, 70, seed=d)   # the buffers of update double at 16, 32 and 64
+    xs, ys = np.array([x for x, _ in data]), np.array([y for _, y in data])
+    grid = list(DEFAULT_RIDGE_GRID)
+    lanes = KaarForecaster(d, kernel, grid)
+    assert lanes.cfg.a == tuple(grid)
+    looped = KaarForecaster(d, kernel, grid)
+    rows = []
+    for x, y in data:
+        rows.append(looped.generalized(x))
+        looped.update(x, y)
+    run = lanes.run(xs, ys)
+    assert run.shape == (70, len(grid), d)
+    np.testing.assert_array_equal(np.array(rows), run)
+    for g, a in enumerate(grid):
+        np.testing.assert_array_equal(run[:, g], KaarForecaster(d, kernel, a).run(xs, ys))
+    with pytest.raises(ValueError):
+        lanes.predict(xs[0])   # a forecast needs one ridge
+
+
+def test_a_ridge_sequence_is_validated_as_maar_validates_it():
+    assert KaarForecaster(3, Kernel("dot"), np.array([2.0])).cfg.a == (2.0,)
+    for bad in ([1.0, 0.0], [0.5, float("nan")], [1.0, float("inf")], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            KaarForecaster(3, Kernel("dot"), bad)
+
+
+def test_run_reserves_exactly_the_rows_it_needs():
+    data = random_stream(2, 3, 130, seed=3)
+    xs, ys = np.array([x for x, _ in data]), np.array([y for _, y in data])
+    model = KaarForecaster(3, Kernel("rbf"), [0.1, 1.0])
+    model.run(xs[:100], ys[:100])
+    assert model._x.shape[0] == 100 and model._g.shape == (2 * 2, 100, 2)   # lanes x systems
+    model.run(xs[100:], ys[100:])
+    assert model._x.shape[0] == 130 and model._packed.shape == (2 * 2, 130 * 131 // 2)
+
+
+def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):
+    grid = list(DEFAULT_RIDGE_GRID)
+    data = random_stream(2, 3, 30, seed=51)
+    # K(x, x) = -1 at trial 17 leaves aI+dK without a positive pivot in the smallest-ridge lane first
+    extended = KaarForecaster._extended_gram
+
+    def bad_diagonal_at_17(self, xa):
+        row, kxx = extended(self, xa)
+        return row, -1.0 if self.t == 16 else kxx
+
+    monkeypatch.setattr(KaarForecaster, "_extended_gram", bad_diagonal_at_17)
+    model = KaarForecaster(3, Kernel("rbf", sigma=0.8), grid)
+    with pytest.raises(InvariantViolation, match=r"^trial 17 at ridge 0\.001: aI\+dK has pivot -"):
+        run_online(data, model)
+    assert model.t == 16
+    monkeypatch.undo()
+
+    # one lane's factor corrupted: only that lane fails, and the error names its ridge
+    model = KaarForecaster(3, Kernel("rbf", sigma=0.8), grid)
+    run_online(data[:10], model)
+    model._packed[3 * 2, 0] *= 1e-3   # border rows 1e3 times too long in lane a = 1, system aI+dK
+    with pytest.raises(InvariantViolation, match=r"^trial 11 at ridge 1\.0: aI\+dK has pivot -"):
+        model.generalized(data[10][0])
+    with pytest.raises(InvariantViolation, match=r"^trial 11 at ridge 1\.0: aI\+dK has pivot -"):
+        run_online(data[10:], model)
+    assert model.t == 10
