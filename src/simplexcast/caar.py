@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProbabilityVector
 from .maar import RankOneCore
-from .substitution import solve_substitution
 
 
 class CaarForecaster(RankOneCore):
@@ -40,33 +38,30 @@ class CaarForecaster(RankOneCore):
     """
 
     def __init__(self, n: int, d: int, a=1.0):
-        super().__init__(n, d, a, (1.0,))
-        self.e = np.zeros((d, n))
+        super().__init__(n, d, a, (1.0,), d)   # statistics: E
+
+    @property
+    def e(self) -> np.ndarray:
+        return self._stats[:-1]
 
     def predict_raw(self, x) -> np.ndarray:
         """Per-class forecasts before projection, of shape np.shape(a) + (d,); they may leave
         the simplex."""
         return -0.5 * self.generalized(x)
 
-    def generalized(self, x) -> np.ndarray:
-        """-2 times ``predict_raw``: the raw forecast's vertex losses less a constant, whose
+    def _generalized_row(self, last) -> list:
+        """-2 times the raw forecast per lane: its vertex losses less a constant, whose
         threshold substitution is the raw forecast's projection onto the simplex."""
-        return self._generalized_row(*self._predicted(x))
-
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
-        """Commit the trial: B += x x', E_i += (y^i - 1/d) x."""
-        self._step(*self._checked(x, y))
-
-    def _generalized_row(self, xa, u, den) -> np.ndarray:
-        lanes = self._lanes
-        shared = u[:, 0] / den[:, :1] if lanes else u[0] / den[0]   # (aI + B + xx')^{-1} x, per lane
+        # (aI + B + xx')^{-1} x = u / den, against E and x
+        _, _, products, den = last
         d = self.cfg.d
-        offset = 1.0 / d + (d - 2.0) / (2.0 * d) * (shared @ xa)
-        return -2.0 * (shared @ self.e.T + (offset[:, None] if lanes else offset))
+        half = (d - 2.0) / (2.0 * d)
+        rows = []
+        for row, v in zip(products, den):
+            offset = 1.0 / d + half * (row[d] / v)
+            rows.append([-2.0 * (e / v + offset) for e in row[:d]])
+        return rows
 
-    def _step(self, last, ya: np.ndarray) -> None:
-        xa = self._commit(last)
-        self.e += (ya - 1.0 / self.cfg.d)[:, None] * xa
+    def _coefficients(self, ya: list) -> list:
+        """E_i += (y^i - 1/d) x."""
+        return [v - 1.0 / self.cfg.d for v in ya]

@@ -45,6 +45,11 @@ def check_ridge(a) -> float:
     return float(a)
 
 
+def trial_name(trial: int, ridge: float | None = None) -> str:
+    """"trial k" for an error, or "trial k at ridge a" when it names one lane of a ridge-lane run."""
+    return f"trial {trial}" if ridge is None else f"trial {trial} at ridge {ridge!r}"
+
+
 def check_vector(x, size: int, name: str) -> np.ndarray:
     """as_float_vector, of length ``size``."""
     arr = as_float_vector(x, name)

@@ -5,7 +5,10 @@ signals of its previous ``window`` observations, and labeled into three
 classes by whether the next change exceeds +epsilon, falls below -epsilon,
 or stays inside the tube.  The ridge is selected on the first third of the
 stream; metrics (MSE and AMSE, the average of running MSEs) are collected on the
-last two thirds from a fresh run over the full stream.
+last two thirds.  Each algorithm runs once: over the first third with a ridge
+lane per candidate ridge, then, split off by the forecaster's ``lane``, only
+the selected lane goes on over the rest, as the forecaster of that one ridge
+in the state the first third left it.
 
 Every run goes through ``run_online``, which hands the whole stream to the model's
 ``run``: the (T, n) signals and (T, d) outcomes are validated once, as whole arrays, and
@@ -13,11 +16,13 @@ each trial takes the generalized prediction before its outcome is revealed, then
 on it, with the private steps ``generalized`` and ``update`` use.  A forecast never feeds
 back into the state, so the whole stack of generalized predictions becomes forecasts in
 one ``substitute_rows`` call after the run, which checks them all; they equal what
-``predict`` would have announced, bit for bit.  Ridge selection runs every kind as one
-forecaster with a ridge lane per grid value: CAAR and MAAR keep one inverse per lane (see
-``maar.RankOneCore``), KAAR one Cholesky factor per lane and system beside the shared
-signals and kernel rows (see ``kaar.KaarForecaster``).  ``verify_run`` and
-``run_benchmark`` hand the arrays they hold to the guarantees of ``bounds`` too.
+``predict`` would have announced, bit for bit.  A failure is named by the model's own
+trial count, so a run that carries on a model names its trials as one run from the start
+would.  Ridge selection runs every kind as one forecaster with a ridge lane per grid value:
+CAAR and MAAR keep one inverse per lane (see ``maar.RankOneCore``), KAAR one Cholesky
+factor per lane and system beside the shared signals and kernel rows (see
+``kaar.KaarForecaster``).  ``verify_run`` and ``run_benchmark`` hand the arrays they hold
+to the guarantees of ``bounds`` too.
 Only ``adversarial_stream``, whose outcomes depend on each forecast, calls ``predict``.
 """
 
@@ -37,7 +42,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import InvariantViolation, ProbabilityVector, Trials, check_trials, check_vector, stack_trials
+from .core import (InvariantViolation, ProbabilityVector, Trials, check_trials, check_vector, stack_trials,
+                   trial_name)
 from .maar import MaarForecaster
 from .substitution import solve_substitution, substitute_rows
 
@@ -168,6 +174,7 @@ class SimpleBaseline:
             raise ValueError(f"baseline window must be at least 1, got {window}")
         self.d = d
         self.window = window
+        self.t = 0   # committed trials
         self._recent: deque[np.ndarray] = deque(maxlen=window)
 
     def generalized(self, x) -> np.ndarray:
@@ -180,6 +187,7 @@ class SimpleBaseline:
 
     def update(self, x, y) -> None:
         self._recent.append(check_vector(y, self.d, "outcome").copy())   # the caller may rewrite its array
+        self.t += 1
 
     def run(self, signals, outcomes) -> np.ndarray:
         """``generalized`` then ``update`` on every row of the (T, d) outcomes, validated once
@@ -190,7 +198,7 @@ class SimpleBaseline:
         ``window`` outcomes before them read prefix sums, and the rest take ``window``
         vectorized adds of shifted slices.
         """
-        ys = check_trials(signals, outcomes, None, self.d).outcomes
+        ys = check_trials(signals, outcomes, None, self.d, self.t + 1).outcomes
         w, d, t_len = self.window, self.d, len(ys)
         k0 = len(self._recent)
         history = np.concatenate([np.reshape(self._recent, (k0, d)), ys])
@@ -205,6 +213,7 @@ class SimpleBaseline:
             tail += history[start + j:start + j + len(tail)]
         means = np.divide(sums, seen[:, None], out=np.full((t_len, d), 1.0 / d), where=seen[:, None] > 0)
         self._recent.extend(ys[-w:].copy())
+        self.t += t_len
         return -2.0 * means
 
 
@@ -232,7 +241,8 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     forecasts, of shape (T,) + lanes + (d,); lanes is () unless the model runs ridge lanes.
     A forecast off the simplex raises InvariantViolation and a non-finite loss (an outcome
     too large to square) ValueError, each naming the first bad trial and, with lanes, its
-    ridge.
+    ridge.  Trials are counted as the model counts them, so the first row of the stream is
+    trial t + 1 of a model that has committed t.
     """
     if isinstance(stream, LabeledStream):
         signals, outcomes = stream.signals, stream.labels
@@ -243,12 +253,13 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
         signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
     if not len(outcomes):
         return np.zeros(0), np.zeros((0, 0))
+    first = model.t + 1
     r = model.run(signals, outcomes)
     lanes = r.shape[1:-1]
 
     def trial(row: int) -> str:   # a row of the (T * lanes, d) stack, named in the run's terms
         t, g = divmod(row, math.prod(lanes))
-        return f"trial {t + 1}" + (f" at ridge {model.cfg.a[g]!r}" if lanes else "")
+        return trial_name(first + t, model.cfg.a[g] if lanes else None)
 
     try:
         gamma = substitute_rows(r.reshape(-1, r.shape[-1])).reshape(r.shape)
@@ -300,7 +311,11 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
     ``record``, when given, receives the sorted grid (``ridges``), the train MSE of
     each value (``train_mse``) and ``seconds``.
     """
-    started = time.perf_counter()
+    return _lane_run(train, kind, _grid_values(grid, train), kernel, record=record)[0]
+
+
+def _grid_values(grid, train: LabeledStream) -> list[float]:
+    """The ridge grid, sorted, once it and the train segment it is scored on are checked."""
     values = sorted(float(g) for g in grid)
     if not values:
         raise InputError("ridge grid is empty")
@@ -308,13 +323,32 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
         raise InputError(f"ridge grid values must be positive and finite, got {values!r}")
     if len(train) == 0:
         raise InputError("stream too short for ridge selection")
-    losses, _ = run_online(train, make_forecaster(kind, train.n, train.d, values, kernel))
-    mses = np.broadcast_to(losses.mean(axis=0), len(values))   # the baseline has no lanes: one MSE for all
-    best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
-    if record is not None:
-        record.update(ridges=values, train_mse=[float(v) for v in mses],
-                      seconds=time.perf_counter() - started)
-    return values[best]
+    return values
+
+
+def _lane_run(train: LabeledStream, kind: str, values: list, kernel: Kernel | None = None,
+              window: int = DEFAULT_WINDOW, record: dict | None = None):
+    """One run of ``kind`` over ``train`` with a ridge lane per value of ``values``.
+
+    Returns the smallest value with the least train MSE, its lane as a forecaster of that
+    one ridge in the state the run left (see ``lane``), and the lane's (T,) train losses.
+    The baseline runs without lanes, scores every value alike and goes on as it is.
+    ``record`` is as in ``grid_search_ridge``.
+    """
+    started = time.perf_counter()
+    model = make_forecaster(kind, train.n, train.d, values, kernel, window)
+    best, losses = 0, np.zeros((0, 1))
+    if len(train):   # a fixed ridge or the baseline may have no train trials
+        losses, _ = run_online(train, model)
+        losses = losses.reshape(len(train), -1)   # one column per lane, or the baseline's one
+        mses = np.broadcast_to(losses.mean(axis=0), len(values))
+        best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
+        if record is not None:
+            record.update(ridges=values, train_mse=[float(v) for v in mses],
+                          seconds=time.perf_counter() - started)
+    if kind != "simple":
+        model = model.lane(best)
+    return values[best], model, losses[:, best]   # the baseline's equal MSEs give best 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,35 +491,42 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
                   kernel: Kernel | None = None) -> tuple[list[ExperimentReport], dict]:
     """The full protocol: ridge selection on the train third, metrics on the rest.
 
-    ``ridge_spec`` is a fixed positive float or a grid (sequence of floats);
-    metrics come from a fresh run over the whole stream, sliced at the split.
+    ``ridge_spec`` is a fixed positive float or a grid (sequence of floats).  Each
+    algorithm runs once over the stream: the train third with a ridge lane per grid value
+    (one lane for a fixed ridge, none for the baseline), then only the selected lane, split
+    off by ``lane``, goes on over the rest, where the metrics are taken.  A lane equals the
+    forecaster of its one ridge (to rounding for CAAR and MAAR, bit for bit for KAAR), so
+    this is the fresh run at the chosen ridge without replaying the train third.
+    ``time_seconds`` covers that whole run, lanes and selection included; the run log's
+    grid ``seconds`` the lane pass over the train third and the selection alone.
     """
-    train, _ = split_train_test(stream)
+    train, test = split_train_test(stream)
     cut = stream.split_index
-    if len(stream) - cut == 0:
+    if len(test) == 0:
         raise InputError("stream too short to leave a test segment")
     reports = []
     chosen: dict[str, float | None] = {}
     grids: dict[str, dict] = {}
     for kind in algos:
+        started = time.perf_counter()
         if kind == "simple":
-            ridge = None
+            values = [None]
         elif np.ndim(ridge_spec) == 0:
-            ridge = float(ridge_spec)
+            values = [float(ridge_spec)]
         else:
             grids[kind] = {}
-            ridge = grid_search_ridge(train, kind, ridge_spec, kernel, grids[kind])
-        chosen[kind] = ridge
-        model = make_forecaster(kind, stream.n, stream.d, ridge or 1.0, kernel, stream.window)
-        started = time.perf_counter()
-        losses, _ = run_online(stream, model)
+            values = _grid_values(ridge_spec, train)
+        ridge, model, head = _lane_run(train, kind, values, kernel, stream.window, grids.get(kind))
+        tail, _ = run_online(test, model)
         elapsed = time.perf_counter() - started
-        mse, amse = mse_amse(losses[cut:])
+        chosen[kind] = ridge
+        mse, amse = mse_amse(tail)
         slack = None
         if kind != "simple":
-            # the kernel make_forecaster resolved (a dot kernel when none was given)
-            checks = bounds_mod.bound_reports(stream, kind, ridge, float(losses.sum()),
-                                              getattr(model, "kernel", None))
+            # the run's loss over the whole stream, and the kernel make_forecaster resolved (a dot
+            # kernel when none was given)
+            loss = float(np.concatenate([head, tail]).sum())
+            checks = bounds_mod.bound_reports(stream, kind, ridge, loss, getattr(model, "kernel", None))
             slack = min(check.slack for check in checks)
             if slack < -1e-6:
                 raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")

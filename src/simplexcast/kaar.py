@@ -40,7 +40,9 @@ Every lane takes the same BLAS call and arithmetic as a forecaster of its one
 ridge, so its predictions equal that forecaster's bit for bit, and a trial over
 G ridges costs one kernel row and G triangular solves per system instead of G
 forecasters' worth of Python calls.  This is how the benchmark protocol scores
-a whole ridge grid in one pass, as it does for CAAR and MAAR.
+a whole ridge grid in one pass, as it does for CAAR and MAAR; ``lane`` then
+copies the chosen lane's factors out, as a forecaster of its one ridge that runs
+on bit for bit as one that had that ridge from the start.
 
 There is no refresh.  Bordering computes the Cholesky factor of the grown
 matrix row by row, the rows equal, to rounding, those a factorization from
@@ -64,7 +66,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dtpsv
 
 from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, as_float_vector, check_trials,
-                   check_vector)
+                   check_vector, trial_name)
 from .maar import ridge_lanes
 from .substitution import solve_substitution
 
@@ -216,9 +218,9 @@ class KaarForecaster:
         pivots = self._ridges + self._scales * kxx - ww
         for i, pivot in enumerate(pivots.tolist()):
             if not 0.0 < pivot < math.inf:
-                where = f" at ridge {float(self._ridges[i])!r}" if self._lanes else ""
-                raise InvariantViolation(f"trial {t + 1}{where}: {self._systems[i % len(self._systems)]} "
-                                         f"has pivot {pivot!r}, not positive definite")
+                g, j = divmod(i, len(self._systems))
+                raise InvariantViolation(f"{trial_name(t + 1, self.cfg.a[g] if self._lanes else None)}: "
+                                         f"{self._systems[j]} has pivot {pivot!r}, not positive definite")
         u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
@@ -273,7 +275,7 @@ class KaarForecaster:
         signals' length, or the first signal's.  Reserves exactly the t + T rows the run
         needs.  Returns the (T,) + np.shape(a) + (d,) generalized predictions, equal bit for
         bit to those of the per-trial loop."""
-        n = self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else 0
+        n = self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None   # None: no rows
         xs, ys = check_trials(signals, outcomes, n, self.d, self.t + 1)
         self._last = None
         if self.t + len(xs) > self._x.shape[0]:
@@ -284,6 +286,17 @@ class KaarForecaster:
             out[t] = self._generalized_row(border)
             self._step(border, ya)
         return out
+
+    def lane(self, g: int) -> KaarForecaster:
+        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
+        state this one has reached; the two share no arrays."""
+        if not self._lanes:
+            raise ValueError("lane needs a forecaster with ridge lanes")
+        twin = KaarForecaster(self.d, self.kernel, self.cfg.a[g])
+        rows = slice(g * len(self._systems), (g + 1) * len(self._systems))
+        twin.t = self.t
+        twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
+        return twin
 
     def _reserve(self, n: int, cap: int) -> None:
         """Grow every buffer to ``cap`` rows; the first call also fixes the signal length n."""

@@ -15,16 +15,27 @@ where A = aI + (I+J) kron C' has 2C' diagonal blocks and C' off-diagonal
 blocks.  I+J (J the all-ones matrix of size d-1) has eigenvalue d on the
 all-ones direction and eigenvalue 1 elsewhere, so r needs only (aI + C')^{-1} x
 and (aI + dC')^{-1} x.  The forecaster keeps the inverses of aI + C and aI + dC
-in RankOneCore, the Sherman-Morrison core it shares with CAAR.  That makes each
-of those one matrix-vector product and a rescale: O(n^2 + dn) per trial, plus a
-Cholesky rebuild that checks both inverses every REFRESH_EVERY trials.
+in RankOneCore, the Sherman-Morrison core it shares with CAAR, and the row sum
+of h beside h.  With u = (aI + sC)^{-1} x, the vector (aI + sC')^{-1} x is
+u / (1 + s x'u), so every term of r is an inner product of u with a row of h,
+with their sum or with x, over that denominator.
+
+A trial's n-sized work is therefore four numpy operations, besides copying x
+into place: the product u of the inverses with x, one product of u against the
+rows [h; sum of h; x], the rank-one update of the inverses and the update of
+h.  The denominators and their check, r, the Sherman-Morrison factors and the
+coefficients of the h update are d-sized (per ridge lane), so they run on
+Python floats after one ``tolist``, which costs less than numpy's per-call
+overhead at these sizes.  That is O(n^2 + dn) per trial, plus a Cholesky
+rebuild that checks both inverses every REFRESH_EVERY trials.
 
 The core also runs ridge lanes: given a 1-D sequence of ridges instead of one,
 it keeps the inverses of a_g I + sC for every lane g, and ``generalized`` (MAAR's
 and CAAR's alike) returns one row per lane.  C, h (CAAR's E) and the
 signals do not depend on the ridge and stay shared, so a trial over G ridges
-costs one stacked product instead of G forecasters' worth of Python calls.
-This is how the benchmark protocol scores a whole ridge grid in one pass.
+takes the same numpy calls on a G times taller stack, and a forecaster of one
+ridge is the case G = 1.  This is how the benchmark protocol scores a whole
+ridge grid in one pass; ``lane`` then splits the chosen lane off to run on alone.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_ridge, check_trials,
-                   check_vector)
+                   check_vector, trial_name)
 from .substitution import solve_substitution
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -107,84 +118,63 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
     return flat[:, 0] if single else flat
 
 
-def sm_denominator(x: np.ndarray, u: np.ndarray, scales, trial: int, ridges):
-    """1 + s x'u for each row u = M_s^{-1} x of ``u`` and scale s of ``scales``: the
-    Sherman-Morrison denominators, each >= 1 unless its M_s^{-1} is broken.
-
-    With one ridge, ``u`` is (S, n) and the result a list of Python floats, since numpy
-    costs more per scalar.  With ridge lanes, ``u`` is (G, S, n) and the result a (G, S)
-    array; a lane that fails is named by its ridge, from ``ridges``.
-    """
-    if u.ndim == 2:
-        den = [1.0 + s * v for s, v in zip(scales, (u @ x).tolist())]
-        for v in den:
-            if not 1.0 - DRIFT_TOL <= v < math.inf:
-                raise InvariantViolation(f"trial {trial}: Sherman-Morrison denominator {den!r} is not >= 1")
-        return den
-    den = 1.0 + np.multiply(scales, u @ x)
-    healthy = ((den >= 1.0 - DRIFT_TOL) & (den < math.inf)).all(axis=-1)
-    if not healthy.all():
-        g = int(np.argmin(healthy))
-        raise InvariantViolation(f"trial {trial}: Sherman-Morrison denominator {den[g].tolist()!r} "
-                                 f"is not >= 1 (ridge {float(ridges[g])!r})")
-    return den
-
-
-def sm_update(minv: np.ndarray, u: np.ndarray, scales, den, out=None) -> np.ndarray:
-    """(M_s + s xx')^{-1} = M_s^{-1} - (s/den) uu' for each stacked M_s^{-1} (and lane), as
-    in sm_denominator; out=minv is in place."""
-    w = u * np.sqrt(np.divide(scales, den))[..., None]   # (i, j) and (j, i) get one product: exact symmetry
-    return np.subtract(minv, w[..., :, None] * w[..., None, :], out=out)
-
-
-def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int) -> np.ndarray:
-    """mat^{-1} rebuilt by Cholesky; raises InvariantViolation, naming the trial, when mat is
-    not positive definite or the maintained ``minv`` is more than DRIFT_TOL (relative) from it."""
+def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int, ridge: float | None = None) -> np.ndarray:
+    """mat^{-1} rebuilt by Cholesky; raises InvariantViolation, naming the trial (and the ridge
+    of a lane, when given), when mat is not positive definite or the maintained ``minv`` is more
+    than DRIFT_TOL (relative) from it."""
     try:
         linv = np.linalg.inv(np.linalg.cholesky(mat))
     except np.linalg.LinAlgError as exc:
-        raise InvariantViolation(f"trial {trial}: refresh found a system that is not positive definite") from exc
+        raise InvariantViolation(f"{trial_name(trial, ridge)}: refresh found a system that is not "
+                                 "positive definite") from exc
     fresh = linv.T @ linv
     scale = np.abs(fresh).max()   # the ratio of norms at unit scale: no underflow at any ridge
     drift = np.linalg.norm(minv / scale - fresh / scale) / np.linalg.norm(fresh / scale)
     if not drift <= DRIFT_TOL:
         cond = np.linalg.norm(mat, 1) * np.linalg.norm(fresh, 1)
-        raise InvariantViolation(f"trial {trial}: inverse drift {drift:.3e}, condition estimate {cond:.3e}")
+        raise InvariantViolation(f"{trial_name(trial, ridge)}: inverse drift {drift:.3e}, "
+                                 f"condition estimate {cond:.3e}")
     return fresh
 
 
 class RankOneCore:
     """State shared by the linear forecasters: C = sum x_t x_t' and the inverses of aI + sC.
 
-    There is one inverse per scale s, stacked in ``_inv`` and kept by Sherman-Morrison
-    steps; a Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds
-    that rebuild, so it is kept as its value at the last rebuild plus the signals since.
-    ``_predicted`` keeps a prediction's products so that ``update`` on the same signal
-    (compared by value; the signal is copied) need not recompute them.
+    There is one inverse per ridge lane and scale s, kept by Sherman-Morrison steps; a
+    Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds that rebuild,
+    so it is kept as its value at the last rebuild plus the signals since.  ``_stats``
+    holds the subclass's statistics (MAAR's h, CAAR's E) as rows, then a slot for the
+    current signal.  ``_predicted`` keeps a prediction's products so that ``update`` on
+    the same signal (compared by value; the signal is copied) need not recompute them.
 
     A trial takes the same private steps whether it comes from ``generalized`` and
     ``update`` or from ``run``: ``_products`` of the signal, the subclass's
-    ``_generalized_row`` from them, and its ``_step``, which commits them.  The public
-    methods validate one signal or outcome per call, ``run`` the whole arrays once.
+    ``_generalized_row`` from them, and ``_commit``, which commits them with the
+    subclass's ``_coefficients`` of the outcome.  The public methods validate one signal
+    or outcome per call, ``run`` the whole arrays once.
 
-    Ridge lanes: when ``a`` is a 1-D sequence of G ridges, ``_inv`` has shape
-    (G, S, n, n), holding the inverse of a_g I + sC for lane g and scale s, and every
-    step above (the products, the denominator check, the update and the guarded,
-    atomic rebuild) acts on the whole stack.  ``_lanes`` is ``np.shape(a)``: () for one
-    ridge, whose arrays keep the shapes and the arithmetic they have without lanes.
+    Ridge lanes: ``a`` is one ridge or a 1-D sequence of G ridges, and ``_inv`` has
+    shape np.shape(a) + (S, n, n): the inverse of a_g I + sC for lane g and scale s.
+    ``_flat`` views it as K = G S factors, lane by lane, and every step acts on that
+    stack the same way whatever G is, so one lane takes the same arithmetic as one ridge.
+    Only the shape of ``generalized`` and ``run``'s output, and the naming of a failed
+    lane, depend on whether ``a`` is a sequence; ``lane`` splits one lane off.
     """
 
-    def __init__(self, n: int, d: int, a, scales):
+    def __init__(self, n: int, d: int, a, scales, rows: int):
         self.cfg = MaarConfig(n, d, a)
         self.t = 0
-        self._scales = tuple(float(s) for s in scales)
-        self._ridges = np.asarray(self.cfg.a, dtype=float)
-        self._lanes = self._ridges.shape
+        self._lanes = np.shape(self.cfg.a)
+        self._ridges = np.ravel(self.cfg.a).tolist()
+        self._scales = [float(s) for s in scales] * len(self._ridges)   # s of each factor
         # (aI + sC)^{-1} per lane and scale s
-        self._inv = np.stack([np.eye(n) / self._ridges[..., None, None]] * len(self._scales), axis=-3)
+        self._inv = np.stack([np.eye(n) / a for a in self._ridges for _ in scales]).reshape(
+            self._lanes + (len(scales), n, n))
+        self._flat = self._inv.reshape(-1, n, n)
+        self._stats = np.zeros((rows + 1, n))
         self._c = np.zeros((n, n))                    # C up to the last refresh
         self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
-        self._last = None                             # (x, u, den) of the last prediction
+        self._last = None                             # _products of the last prediction
 
     @property
     def c(self) -> np.ndarray:
@@ -192,28 +182,49 @@ class RankOneCore:
         pending = self._signals[:self.t % REFRESH_EVERY]
         return self._c + pending.T @ pending
 
-    def _products(self, xa: np.ndarray):
-        """(x, u, den) for a validated signal x: u = (aI + sC)^{-1} x and den = 1 + s x'u, one
-        per scale s (and lane)."""
-        u = self._inv @ xa
-        return xa, u, sm_denominator(xa, u, self._scales, self.t + 1, self._ridges)
+    def _lane_ridge(self, g: int) -> float | None:
+        """The ridge that names lane g in an error; None for a forecaster of one ridge."""
+        return self.cfg.a[g] if self._lanes else None
 
-    def _commit(self, last) -> np.ndarray:
-        """C += xx' and every inverse follows, from the products ``last`` of x; returns x.
+    def _products(self, xa: np.ndarray):
+        """(x, u, products, den) for a validated signal x, per factor k: u_k = (aI + sC)^{-1} x,
+        the inner products of u_k with every row of ``_stats`` (x last) and the
+        Sherman-Morrison denominator 1 + s x'u_k, which is >= 1 unless the inverse is broken;
+        the last two as Python floats, since numpy costs more per scalar."""
+        u = self._flat @ xa
+        self._stats[-1] = xa
+        products = (u @ self._stats.T).tolist()
+        den = [1.0 + s * row[-1] for s, row in zip(self._scales, products)]
+        for k, v in enumerate(den):
+            if not 1.0 - DRIFT_TOL <= v < math.inf:
+                size = self._inv.shape[-3]   # scales per lane
+                g = k // size
+                raise InvariantViolation(f"{trial_name(self.t + 1, self._lane_ridge(g))}: Sherman-Morrison "
+                                         f"denominator {den[g * size:(g + 1) * size]!r} is not >= 1")
+        return xa, u, products, den
+
+    def _commit(self, last, coefficients) -> None:
+        """C += xx', every inverse follows, from the products ``last`` of x, and row i of the
+        statistics gains coefficients[i] x.
 
         A refresh that fails raises before anything changes, so the state stays that of trial t.
         """
-        xa, u, den = last
+        xa, u, _, den = last
         slot = self.t % REFRESH_EVERY
         self._signals[slot] = xa   # past the rows that ``c`` reads until t moves
+        # (M_s + s xx')^{-1} = M_s^{-1} - ww' with w = sqrt(s/den) u: (i, j) and (j, i) get one
+        # product, so the inverses stay exactly symmetric
+        w = u * np.array([math.sqrt(s / v) for s, v in zip(self._scales, den)])[:, None]
+        step = w[:, :, None] * w[:, None, :]
         if slot + 1 < REFRESH_EVERY:
-            sm_update(self._inv, u, self._scales, den, out=self._inv)
+            self._flat -= step
         else:
             c = self._c + self._signals.T @ self._signals
-            self._inv = self._refreshed(sm_update(self._inv, u, self._scales, den), c, self.t + 1)
+            self._inv = self._refreshed((self._flat - step).reshape(self._inv.shape), c, self.t + 1)
+            self._flat = self._inv.reshape(step.shape)
             self._c = c
+        self._stats[:-1] += np.array(coefficients)[:, None] * xa
         self.t += 1
-        return xa
 
     def _predicted(self, x):
         """The products of a new signal x, kept for an ``update`` on the same signal (compared by
@@ -223,12 +234,26 @@ class RankOneCore:
 
     def _checked(self, x, y):
         """The products of x, reused from ``_predicted`` when they are x's, and the outcome y,
-        both validated."""
-        ya = check_vector(y, self.cfg.d, "outcome")
+        both validated, y as a list."""
+        ya = check_vector(y, self.cfg.d, "outcome").tolist()
         last, self._last = self._last, None
         if last is None or not np.array_equal(x, last[0]):
             last = self._products(check_vector(x, self.cfg.n, "signal"))
         return last, ya
+
+    def generalized(self, x) -> np.ndarray:
+        """The shifted generalized prediction r, of shape np.shape(a) + (d,), from
+        ``_generalized_row``'s lists (one per lane, d floats each)."""
+        return np.array(self._generalized_row(self._predicted(x))).reshape(self._lanes + (self.cfg.d,))
+
+    def predict(self, x) -> ProbabilityVector:
+        return solve_substitution(self.generalized(x))
+
+    def update(self, x, y) -> None:
+        """Commit the trial (x, y), reusing the products of a ``generalized`` call on the same
+        signal."""
+        last, ya = self._checked(x, y)
+        self._commit(last, self._coefficients(ya))
 
     def run(self, signals, outcomes) -> np.ndarray:
         """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
@@ -239,25 +264,31 @@ class RankOneCore:
         """
         xs, ys = check_trials(signals, outcomes, self.cfg.n, self.cfg.d, self.t + 1)
         self._last = None
-        out = np.empty((len(xs),) + self._lanes + (self.cfg.d,))
-        for t, (xa, ya) in enumerate(zip(xs, ys)):
+        out = []
+        for xa, ya in zip(xs, ys.tolist()):
             last = self._products(xa)
-            out[t] = self._generalized_row(*last)
-            self._step(last, ya)
-        return out
+            out.append(self._generalized_row(last))
+            self._commit(last, self._coefficients(ya))
+        return np.array(out).reshape((len(xs),) + self._lanes + (self.cfg.d,))
+
+    def lane(self, g: int):
+        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
+        state this one has reached; the two share no arrays."""
+        if not self._lanes:
+            raise ValueError("lane needs a forecaster with ridge lanes")
+        twin = type(self)(self.cfg.n, self.cfg.d, self.cfg.a[g])
+        twin.t = self.t
+        twin._inv = self._inv[g].copy()
+        twin._flat = twin._inv.reshape(twin._flat.shape)
+        twin._stats, twin._c, twin._signals = self._stats.copy(), self._c.copy(), self._signals.copy()
+        return twin
 
     def _refreshed(self, inv: np.ndarray, c: np.ndarray, trial: int) -> np.ndarray:
         """Cholesky rebuilds of every inverse in ``inv``, each checked against it; new arrays."""
-        fresh = []
-        eye = np.eye(self.cfg.n)
-        for idx in np.ndindex(inv.shape[:-2]):
-            a = self._ridges[idx[:-1]]
-            try:
-                fresh.append(refresh_inverse(inv[idx], a * eye + self._scales[idx[-1]] * c, trial))
-            except InvariantViolation as exc:
-                if not self._lanes:
-                    raise
-                raise InvariantViolation(f"{exc} (ridge {float(a)!r})") from exc
+        size, eye = inv.shape[-3], np.eye(self.cfg.n)
+        fresh = [refresh_inverse(m, self._ridges[k // size] * eye + self._scales[k] * c, trial,
+                                 self._lane_ridge(k // size))
+                 for k, m in enumerate(inv.reshape(self._flat.shape))]
         return np.stack(fresh).reshape(inv.shape)
 
     def run_check(self) -> None:
@@ -268,38 +299,30 @@ class RankOneCore:
 class MaarForecaster(RankOneCore):
     """Sequential predict/update form of the joint forecaster.
 
-    Holds h (row i is h_i = -2 sum (y^i - y^d) x_t) beside the core's C and the
-    inverses of aI + C and aI + dC.  With ridge lanes (``a`` a 1-D sequence), h stays
-    shared and ``generalized`` returns one row per ridge; ``predict`` needs one ridge.
+    Holds h (row i is h_i = -2 sum (y^i - y^d) x_t) and its row sum beside the core's C
+    and the inverses of aI + C and aI + dC.  With ridge lanes (``a`` a 1-D sequence), h
+    stays shared and ``generalized`` returns one row per ridge; ``predict`` needs one ridge.
     """
 
     def __init__(self, n: int, d: int, a=1.0):
-        super().__init__(n, d, a, (1.0, d))
-        self.h = np.zeros((d - 1, n))
+        super().__init__(n, d, a, (1.0, d), d)   # statistics: h, then sum_i h_i
 
-    def generalized(self, x) -> np.ndarray:
-        """The shifted generalized prediction r (last entry 0), of shape np.shape(a) + (d,)."""
-        return self._generalized_row(*self._predicted(x))
+    @property
+    def h(self) -> np.ndarray:
+        return self._stats[:self.cfg.d - 1]
 
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
-        """Commit the trial: C += xx', h_i -= 2 (y^i - y^d) x, both inverses follow."""
-        self._step(*self._checked(x, y))
-
-    def _generalized_row(self, xa, u, den) -> np.ndarray:
-        # (aI + C')^{-1} x and (aI + dC')^{-1} x, per lane
-        q, p = (u / np.asarray(den)[..., None]).swapaxes(0, -2)
+    def _generalized_row(self, last) -> list:
+        # per lane: q = (aI + C')^{-1} x and p = (aI + dC')^{-1} x, each u / den
+        _, _, products, den = last
         m = self.cfg.d - 1
-        common = self.h.sum(axis=0) + (m - 1) * xa
-        mean, dev = (1.0 + 1.0 / m) * (p @ common), (q @ common) / m
-        if self._lanes:   # per-lane scalars become columns against the per-lane rows
-            mean, dev = mean[:, None], dev[:, None]
-        r = np.zeros(self._lanes + (m + 1,))
-        r[..., :m] = mean + q @ self.h.T - dev
-        return r
+        rows = []
+        for uq, up, dq, dp in zip(products[::2], products[1::2], den[::2], den[1::2]):
+            mean = (1.0 + 1.0 / m) * ((up[m] + (m - 1) * up[m + 1]) / dp)
+            dev = (uq[m] + (m - 1) * uq[m + 1]) / dq / m
+            rows.append([mean + v / dq - dev for v in uq[:m]] + [0.0])
+        return rows
 
-    def _step(self, last, ya: np.ndarray) -> None:
-        xa = self._commit(last)
-        self.h -= (2.0 * (ya[:-1] - ya[-1]))[:, None] * xa
+    def _coefficients(self, ya: list) -> list:
+        """h_i -= 2 (y^i - y^d) x, and their sum."""
+        c = [-2.0 * (v - ya[-1]) for v in ya[:-1]]
+        return c + [sum(c)]

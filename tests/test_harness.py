@@ -5,6 +5,7 @@ import pytest
 
 from simplexcast import harness
 from simplexcast import substitution
+from simplexcast.bounds import bound_reports
 from simplexcast.core import DimensionMismatch, InvariantViolation, brier_loss
 from simplexcast.harness import (
     DEFAULT_RIDGE_GRID,
@@ -386,6 +387,110 @@ def test_lane_pass_rejects_a_row_off_the_simplex_naming_trial_and_ridge(monkeypa
         monkeypatch.setattr(substitution, "_row_thresholds", bad_threshold_at(row))
         with pytest.raises(InvariantViolation, match=rf"^{where}: substitution left the simplex at row {row}"):
             grid_search_ridge(stream, kind, [0.001, 0.01, 0.1, 1.0])
+
+
+def _trials(n, d, t_len, seed):
+    data = random_stream(n, d, t_len, seed)
+    return np.array([x for x, _ in data]), np.array([y for _, y in data])
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_KINDS))
+def test_a_one_lane_forecaster_equals_the_single_ridge_forecaster_bit_for_bit(name):
+    kind, kernel = _LANE_KINDS[name]
+    xs, ys = _trials(4, 3, 2 * REFRESH_EVERY + 20, seed=41)
+    for a in (0.01, 1.0, 30.0):
+        one = make_forecaster(kind, 4, 3, [a], kernel)
+        rows = one.run(xs, ys)
+        assert rows.shape == (len(xs), 1, 3)
+        np.testing.assert_array_equal(rows[:, 0], make_forecaster(kind, 4, 3, a, kernel).run(xs, ys))
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_KINDS))
+def test_a_lane_split_off_runs_on_as_the_forecaster_of_its_ridge(name):
+    kind, kernel = _LANE_KINDS[name]
+    # CAAR and MAAR split off on either side of a refresh; KAAR has none, and costs O(T^2)
+    splits = (0, 7, 60) if kind == "kaar" else (0, 7, REFRESH_EVERY - 1, REFRESH_EVERY + 3)
+    xs, ys = _trials(4, 3, splits[-1] + REFRESH_EVERY + 30, seed=43)
+    ridges = list(DEFAULT_RIDGE_GRID)
+    singles = {g: make_forecaster(kind, 4, 3, ridges[g], kernel).run(xs, ys) for g in (0, 3, len(ridges) - 1)}
+    for k in splits:
+        lanes = make_forecaster(kind, 4, 3, ridges, kernel)
+        lanes.run(xs[:k], ys[:k])
+        for g, want in singles.items():
+            twin = lanes.lane(g)
+            assert twin.t == k and twin.cfg.a == ridges[g]
+            got = twin.run(xs[k:], ys[k:])
+            if kind == "kaar":
+                np.testing.assert_array_equal(got, want[k:])
+            else:
+                np.testing.assert_allclose(got, want[k:], rtol=1e-12, atol=1e-12)
+        # the lanes share no state with what was split off: they run on as before
+        rest = make_forecaster(kind, 4, 3, ridges, kernel)
+        rest.run(xs[:k], ys[:k])
+        np.testing.assert_array_equal(lanes.run(xs[k:], ys[k:]), rest.run(xs[k:], ys[k:]))
+    with pytest.raises(ValueError, match="ridge lanes"):
+        make_forecaster(kind, 4, 3, 1.0, kernel).lane(0)
+
+
+def _fresh_protocol(stream, kind, ridge, kernel):
+    """The old protocol at a known ridge: one fresh forecaster over the whole stream."""
+    model = make_forecaster(kind, stream.n, stream.d, ridge, kernel)
+    losses, _ = run_online(stream, model)
+    mse, amse = mse_amse(losses[stream.split_index:])
+    checks = bound_reports(stream, kind, ridge, float(losses.sum()), getattr(model, "kernel", None))
+    return mse, amse, min(check.slack for check in checks)
+
+
+@pytest.mark.parametrize("name", ["caar", "maar", "kaar-rbf"])
+def test_run_benchmark_equals_a_fresh_run_at_the_chosen_ridge(name):
+    kind, kernel = _LANE_KINDS[name]
+    for synth, seed, length in (("ar1", 7, 900), ("sine", 3, 400), ("walk", 5, 600)):
+        stream = prepare_stream(synth_series(synth, length, seed), 10, "auto")
+        (report,), log = run_benchmark(stream, [kind], DEFAULT_RIDGE_GRID, kernel)
+        train, _ = split_train_test(stream)
+        assert report.ridge == grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, kernel) == log["ridge"][kind]
+        want = _fresh_protocol(stream, kind, report.ridge, kernel)
+        got = (report.mse, report.amse, report.bound_slack)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        (fixed,), _ = run_benchmark(stream, [kind], report.ridge, kernel)
+        np.testing.assert_allclose((fixed.mse, fixed.amse, fixed.bound_slack), want, rtol=1e-12, atol=0)
+
+
+def _holding_ten(name, data):
+    model = _replay_models()[name]()
+    run_online(data[:10], model)
+    assert model.t == 10
+    return model
+
+
+@pytest.mark.parametrize("name", sorted(_replay_models()))
+def test_run_online_names_a_failure_by_the_model_s_own_trial_count(name, monkeypatch):
+    data = random_stream(3, 3, 14, seed=31)
+    model = _holding_ten(name, data)
+    thresholds = substitution._row_thresholds
+
+    def off_at_first_row(arr):
+        s = thresholds(arr)
+        s[0] += 1e-6   # that row's sum leaves SUM_TOL
+        return s
+
+    monkeypatch.setattr(substitution, "_row_thresholds", off_at_first_row)
+    with pytest.raises(InvariantViolation, match=r"^trial 11: substitution left the simplex at row 0"):
+        run_online(data[10:], model)
+    monkeypatch.undo()
+    bad = data[10:]
+    bad[0] = (bad[0][0], np.array([1e200, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^trial 11: loss must be finite"):
+        run_online(bad, _holding_ten(name, data))
+
+
+def test_baseline_counts_its_trials_as_the_forecasters_do():
+    baseline = SimpleBaseline(3)
+    baseline.update(None, [1.0, 0.0, 0.0])
+    baseline.run(np.zeros((4, 2)), np.eye(3)[[0, 1, 2, 0]])
+    assert baseline.t == 5
+    with pytest.raises(DimensionMismatch, match=r"^trial 7: "):
+        baseline.run(np.zeros((2, 2)), [[1.0, 0.0, 0.0], [1.0, 0.0]])
 
 
 def test_verify_run_kaar_without_kernel_raises_before_any_forecaster_runs():
