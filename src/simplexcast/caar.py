@@ -49,11 +49,11 @@ class CaarForecaster(RankOneCore):
         the simplex."""
         return -0.5 * self.generalized(x)
 
-    def _generalized_row(self, last) -> list:
+    def _row(self, trial) -> list:
         """-2 times the raw forecast per lane: its vertex losses less a constant, whose
         threshold substitution is the raw forecast's projection onto the simplex."""
         # (aI + B + xx')^{-1} x = u / den, against E and x
-        _, _, products, den = last
+        _, _, products, den = trial
         d = self.cfg.d
         half = (d - 2.0) / (2.0 * d)
         rows = []

@@ -17,16 +17,12 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
 from . import harness
-from .core import InvariantViolation
-
-if TYPE_CHECKING:
-    from .kaar import Kernel
+from .core import InvariantViolation, stack_trials
 
 _EXIT_INPUT = 2
 _EXIT_INVARIANT = 3
@@ -82,15 +78,21 @@ def _parse_epsilon(spec: str):
         raise harness.InputError(f"epsilon must be a number or 'auto', got {spec!r}") from None
 
 
-def _make_kernel(name: str, sigma: float, degree: int) -> Kernel:
-    from .kaar import Kernel  # scipy loads only when a kernel run needs it
-    if name == "dot":
-        return Kernel("dot")
-    if name == "rbf":
-        return Kernel("rbf", sigma=sigma)
-    if name == "poly":
-        return Kernel("poly", degree=degree)
-    raise harness.InputError(f"unknown kernel {name!r}")
+def _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
+            out_dir) -> None:
+    """Run the algorithms ``names`` over one series through the benchmark protocol and write
+    the report."""
+    series = _series_from(input_path, synth, length, seed)
+    stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
+    kernel = None
+    if "kaar" in names:
+        from .kaar import Kernel  # scipy loads only when a kernel run needs it
+        kernel = Kernel(kernel_name, sigma=sigma, degree=degree)
+    reports, log = harness.run_benchmark(stream, names, _parse_ridge(ridge), kernel)
+    log.update({"seed": seed, "synth": synth, "input": input_path, "algorithms": names})
+    paths = harness.emit_report(reports, out_dir, log)
+    click.echo(paths["table"].read_text().rstrip())
+    click.echo(f"report written to {paths['csv']}")
 
 
 _series_options = [
@@ -132,16 +134,8 @@ def main():
 def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length, seed,
              window, epsilon, out_dir):
     """Run one algorithm over one series and write the report."""
-    def work():
-        series = _series_from(input_path, synth, length, seed)
-        stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
-        kernel = _make_kernel(kernel_name, sigma, degree) if algo == "kaar" else None
-        reports, log = harness.run_benchmark(stream, [algo], _parse_ridge(ridge), kernel)
-        log.update({"seed": seed, "synth": synth, "input": input_path, "algorithms": [algo]})
-        paths = harness.emit_report(reports, out_dir, log)
-        click.echo(paths["table"].read_text().rstrip())
-        click.echo(f"report written to {paths['csv']}")
-    _guard(work)
+    _guard(_report, [algo], kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window,
+           epsilon, out_dir)
 
 
 @main.command()
@@ -163,14 +157,8 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
         for name in names:
             if name not in ("caar", "maar", "kaar", "simple"):
                 raise harness.InputError(f"unknown algorithm {name!r}")
-        series = _series_from(input_path, synth, length, seed)
-        stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
-        kernel = _make_kernel(kernel_name, sigma, degree) if "kaar" in names else None
-        reports, log = harness.run_benchmark(stream, names, _parse_ridge(ridge), kernel)
-        log.update({"seed": seed, "synth": synth, "input": input_path, "algorithms": names})
-        paths = harness.emit_report(reports, out_dir, log)
-        click.echo(paths["table"].read_text().rstrip())
-        click.echo(f"report written to {paths['csv']}")
+        _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
+                out_dir)
     _guard(work)
 
 
@@ -206,13 +194,12 @@ def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
             d = int(rng.integers(2, 5))
             t_len = int(rng.integers(10, max_steps + 1))
             stream_seed = int(rng.integers(2**31))
+            origin = "random" if idx < streams else "adversarial"
+            if origin == "random":   # one random stream serves every check; adversarial ones answer each model
+                data = stack_trials(harness.random_stream(n, d, t_len, stream_seed))
             for kind, kernel in checks:
-                if idx < streams:
-                    data = harness.random_stream(n, d, t_len, stream_seed)
-                    origin = "random"
-                else:
+                if origin == "adversarial":
                     data = harness.adversarial_stream(kind, n, d, t_len, ridge, stream_seed, kernel)
-                    origin = "adversarial"
                 for report in harness.verify_run(data, kind, ridge, kernel):
                     tag = kind if kernel is None else f"{kind}-{kernel.kind}"
                     rows.append((idx, origin, tag, report.bound, report.algorithm_loss,

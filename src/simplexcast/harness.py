@@ -193,24 +193,20 @@ class SimpleBaseline:
         """``generalized`` then ``update`` on every row of the (T, d) outcomes, validated once
         (the signals are ignored); returns the (T, d) generalized predictions.
 
-        Each running mean adds the rows of its window oldest first, as ``np.mean`` over the
-        window does, so it equals ``generalized``'s bit for bit: trials with at most
-        ``window`` outcomes before them read prefix sums, and the rest take ``window``
-        vectorized adds of shifted slices.
+        The outcomes follow ``window`` - k0 rows of -0.0 (k0 outcomes held), so that trial t
+        averages rows t ... t + window - 1 and every window takes ``window`` vectorized adds
+        of shifted slices.  Adding -0.0 changes no sum, not even a zero's sign, and each window
+        adds its rows oldest first, as ``np.mean`` over the window does, so every running mean
+        equals ``generalized``'s bit for bit (the sign of a zero aside).
         """
         ys = check_trials(signals, outcomes, None, self.d, self.t + 1).outcomes
         w, d, t_len = self.window, self.d, len(ys)
         k0 = len(self._recent)
-        history = np.concatenate([np.reshape(self._recent, (k0, d)), ys])
+        history = np.concatenate([np.full((w - k0, d), -0.0), np.reshape(self._recent, (k0, d)), ys])
         seen = np.minimum(k0 + np.arange(t_len), w)         # outcomes averaged at each trial
-        sums = np.empty((t_len, d))
-        head = min(t_len, w + 1 - k0)                        # trials that average every outcome so far
-        sums[:head] = np.cumsum(history[:w], axis=0)[np.maximum(k0 + np.arange(head) - 1, 0)]
-        start = k0 + head - w                                # the oldest outcome of the first window
-        tail = sums[head:]
-        np.copyto(tail, history[start:start + len(tail)])
+        sums = history[:t_len].copy()
         for j in range(1, w):
-            tail += history[start + j:start + j + len(tail)]
+            sums += history[j:j + t_len]
         means = np.divide(sums, seen[:, None], out=np.full((t_len, d), 1.0 / d), where=seen[:, None] > 0)
         self._recent.extend(ys[-w:].copy())
         self.t += t_len
@@ -251,8 +247,6 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     else:
         pairs = list(stream)
         signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
-    if not len(outcomes):
-        return np.zeros(0), np.zeros((0, 0))
     first = model.t + 1
     r = model.run(signals, outcomes)
     lanes = r.shape[1:-1]
@@ -266,7 +260,7 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     except InvariantViolation as exc:
         raise InvariantViolation(f"{trial(exc.row)}: {exc}") from exc
     ys = np.asarray(outcomes, dtype=float)   # validated by model.run
-    ys = ys.reshape((len(ys),) + (1,) * len(lanes) + ys.shape[1:])   # one outcome for every lane
+    ys = ys.reshape((len(r),) + (1,) * len(lanes) + r.shape[-1:])   # one outcome for every lane
     with np.errstate(over="ignore"):
         losses = np.square(gamma - ys).sum(axis=-1)
     if not np.isfinite(losses).all():
@@ -337,18 +331,17 @@ def _lane_run(train: LabeledStream, kind: str, values: list, kernel: Kernel | No
     """
     started = time.perf_counter()
     model = make_forecaster(kind, train.n, train.d, values, kernel, window)
-    best, losses = 0, np.zeros((0, 1))
+    losses, _ = run_online(train, model)   # (T, lanes), or the baseline's (T,)
+    best = 0
     if len(train):   # a fixed ridge or the baseline may have no train trials
-        losses, _ = run_online(train, model)
-        losses = losses.reshape(len(train), -1)   # one column per lane, or the baseline's one
         mses = np.broadcast_to(losses.mean(axis=0), len(values))
         best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
         if record is not None:
             record.update(ridges=values, train_mse=[float(v) for v in mses],
                           seconds=time.perf_counter() - started)
     if kind != "simple":
-        model = model.lane(best)
-    return values[best], model, losses[:, best]   # the baseline's equal MSEs give best 0
+        model, losses = model.lane(best), losses[:, best]
+    return values[best], model, losses   # the baseline's equal MSEs give best 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ j(j+1)/2), which is LAPACK's packed storage of L', so BLAS solves with the
 factor in place.  ``update`` doubles every buffer when it is full; ``run``
 reserves exactly the rows its trials need.
 
+The protocol is ``maar.Forecaster``'s, shared with CAAR and MAAR; a trial's three
+steps here are ``_trial`` (the kernel row, and the border row and pivot of every
+factor), ``_row`` (r from them) and ``_commit`` (one new row in every factor and G).
+
 Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
 and one G = L^{-1} R' per ridge and system, while the stored signals, the
 label rows and each trial's kernel row depend on no ridge and are computed once.
@@ -65,10 +69,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dtpsv
 
-from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, as_float_vector, check_trials,
-                   check_vector, trial_name)
-from .maar import ridge_lanes
-from .substitution import solve_substitution
+from .core import DimensionMismatch, InvariantViolation, as_float_vector, trial_name
+from .maar import Forecaster, ridge_lanes
 
 _KINDS = ("dot", "rbf", "poly")
 _SYSTEMS = ("aI+dK", "aI+K")
@@ -167,31 +169,25 @@ def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
     return out
 
 
-class KaarForecaster:
+class KaarForecaster(Forecaster):
     """Sequential predict/update form of the kernelized forecaster.
 
     Holds the t stored signals and, per system aI + sK (s = d, then s = 1 when
-    d > 2), the packed factor rows and G = L^{-1} R'; ``update`` reuses ``predict``'s
-    border rows.  As in ``maar.RankOneCore``, a trial takes the same private steps from
-    ``generalized`` / ``update`` and from ``run``: ``_border``, ``_generalized_row`` and
-    ``_step``.  With ridge lanes the factor of lane g and system j is row g S + j of
-    ``_packed`` and ``_g`` (S systems), so that every step treats one row per factor
-    as it does without lanes; ``_lanes`` is ``np.shape(a)``, () for one ridge.
+    d > 2), the packed factor rows and G = L^{-1} R'.  With ridge lanes the factor of
+    lane g and system j is row g S + j of ``_packed`` and ``_g`` (S systems), so that
+    every step treats one row per factor as it does without lanes.
     """
 
     def __init__(self, d: int, kernel: Kernel, a=1.0):
-        self.cfg = KaarConfig(d, a)
-        self.kernel, self.d = kernel, d
-        self.t = 0
+        super().__init__(KaarConfig(d, a))
+        self.kernel = kernel
         ridges = np.asarray(self.cfg.a, dtype=float)
-        self._lanes = ridges.shape
         self._systems = _SYSTEMS[:1 if d == 2 else 2]
         self._scales = np.tile([d, 1.0][:len(self._systems)], ridges.size)   # s of each factor
         self._ridges = np.repeat(ridges.ravel(), len(self._systems))          # a of each factor
         self._x = np.empty((0, 0))                       # signals; the first update sets the width
         self._packed = np.empty((self._scales.size, 0))  # factor rows, row j at j(j+1)/2
         self._g = np.empty((self._scales.size, 0, d - 1))
-        self._last = None                                # _border of the last predict
 
     def _signal(self, x) -> np.ndarray:
         xa = as_float_vector(x, "signal")
@@ -199,14 +195,18 @@ class KaarForecaster:
             raise DimensionMismatch(f"signal has length {xa.size}, stored history has {self._x.shape[1]}")
         return xa
 
+    def _width(self, signals) -> int | None:
+        """The stored signals' length, or the first signal's; None when there are neither."""
+        return self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None
+
     def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, float]:
         """Kernel row of ``xa`` against the stored signals, and K(xa, xa)."""
         stored = self._x[:self.t] if self.t else np.empty((0, xa.size))
         return self.kernel._row(stored, xa), self.kernel._at(xa)
 
-    def _border(self, xa: np.ndarray):
+    def _trial(self, xa: np.ndarray):
         """Border rows w and pivots rho^2 of every factor (per lane and system) for signal
-        ``xa``, and w'G."""
+        ``xa``, w'G and u[T] of each system's solve."""
         t = self.t
         row, kxx = self._extended_gram(xa)
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
@@ -219,31 +219,32 @@ class KaarForecaster:
         for i, pivot in enumerate(pivots.tolist()):
             if not 0.0 < pivot < math.inf:
                 g, j = divmod(i, len(self._systems))
-                raise InvariantViolation(f"{trial_name(t + 1, self.cfg.a[g] if self._lanes else None)}: "
+                raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(g))}: "
                                          f"{self._systems[j]} has pivot {pivot!r}, not positive definite")
-        u_last = (kxx - ww / self._scales) / pivots   # u[T] of each system's solve
+        u_last = (kxx - ww / self._scales) / pivots
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
 
-    def _generalized_row(self, border) -> np.ndarray:
-        """The shifted generalized prediction r (last entry 0) from ``_border``'s rows, of shape
-        np.shape(a) + (d,)."""
-        *_, wg, u_last = border
-        m = self.d - 1
+    def _row(self, trial) -> np.ndarray:
+        """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, one row
+        per lane."""
+        *_, wg, u_last = trial
+        m = self.cfg.d - 1
         ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per factor
         s_u = ru.sum(axis=1) + (m - 1) * u_last
-        ru, s_u = ru.reshape(self._lanes + (-1, m)), s_u.reshape(self._lanes + (-1,))   # per lane, per system
-        r = np.zeros(self._lanes + (m + 1,))
-        r[..., :m] = (1.0 + 1.0 / m) * s_u[..., :1]
+        size = len(self._systems)
+        ru, s_u = ru.reshape(-1, size, m), s_u.reshape(-1, size)   # per lane, per system
+        r = np.zeros((len(s_u), m + 1))
+        r[:, :m] = (1.0 + 1.0 / m) * s_u[:, :1]
         if m > 1:
-            r[..., :m] += ru[..., 1, :] - s_u[..., 1:] / m
+            r[:, :m] += ru[:, 1, :] - s_u[:, 1:] / m
         return r
 
-    def _step(self, border, ya: np.ndarray) -> None:
-        """Commit the trial: store the signal and write one row into every factor and G."""
-        xa, w, pivots, wg, _ = border
+    def _commit(self, trial, ya: np.ndarray) -> None:
+        """Store the signal and write one row into every factor and G."""
+        xa, w, pivots, wg, _ = trial
         t = self.t
         if t == self._x.shape[0]:
-            self._reserve(xa.size, max(2 * t, _FIRST_CAPACITY))
+            self._grow(xa.size, max(2 * t, _FIRST_CAPACITY))
         self._x[t] = xa
         rho = np.sqrt(pivots)
         start = t * (t + 1) // 2
@@ -252,53 +253,18 @@ class KaarForecaster:
         self._g[:, t] = (-2.0 * (ya[:-1] - ya[-1]) - wg) / rho[:, None]
         self.t = t + 1
 
-    def generalized(self, x) -> np.ndarray:
-        """The shifted generalized prediction r (last entry 0), of shape np.shape(a) + (d,)."""
-        self._last = self._border(self._signal(x).copy())
-        return self._generalized_row(self._last)
-
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
-        """Commit the trial (x, y), reusing the border rows of a ``generalized`` call on the
-        same signal."""
-        ya = check_vector(y, self.d, "outcome")
-        last, self._last = self._last, None
-        if last is None or not np.array_equal(x, last[0]):
-            last = self._border(self._signal(x))
-        self._step(last, ya)
-
-    def run(self, signals, outcomes) -> np.ndarray:
-        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
-        outcomes, validated once, as whole arrays, before anything changes; n is the stored
-        signals' length, or the first signal's.  Reserves exactly the t + T rows the run
-        needs.  Returns the (T,) + np.shape(a) + (d,) generalized predictions, equal bit for
-        bit to those of the per-trial loop."""
-        n = self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None   # None: no rows
-        xs, ys = check_trials(signals, outcomes, n, self.d, self.t + 1)
-        self._last = None
+    def _reserve(self, xs) -> None:
+        """Exactly the t + T rows a run of T trials needs."""
         if self.t + len(xs) > self._x.shape[0]:
-            self._reserve(n, self.t + len(xs))
-        out = np.empty((len(xs),) + self._lanes + (self.d,))
-        for t, (xa, ya) in enumerate(zip(xs, ys)):
-            border = self._border(xa)
-            out[t] = self._generalized_row(border)
-            self._step(border, ya)
-        return out
+            self._grow(xs.shape[1], self.t + len(xs))
 
-    def lane(self, g: int) -> KaarForecaster:
-        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
-        state this one has reached; the two share no arrays."""
-        if not self._lanes:
-            raise ValueError("lane needs a forecaster with ridge lanes")
-        twin = KaarForecaster(self.d, self.kernel, self.cfg.a[g])
+    def _lane(self, g: int) -> KaarForecaster:
+        twin = KaarForecaster(self.cfg.d, self.kernel, self.cfg.a[g])
         rows = slice(g * len(self._systems), (g + 1) * len(self._systems))
-        twin.t = self.t
         twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
         return twin
 
-    def _reserve(self, n: int, cap: int) -> None:
+    def _grow(self, n: int, cap: int) -> None:
         """Grow every buffer to ``cap`` rows; the first call also fixes the signal length n."""
         self._x = _grown(self._x if self.t else np.empty((0, n)), 0, cap)
         self._packed = _grown(self._packed, 1, cap * (cap + 1) // 2)

@@ -36,6 +36,12 @@ signals do not depend on the ridge and stay shared, so a trial over G ridges
 takes the same numpy calls on a G times taller stack, and a forecaster of one
 ridge is the case G = 1.  This is how the benchmark protocol scores a whole
 ridge grid in one pass; ``lane`` then splits the chosen lane off to run on alone.
+
+``Forecaster`` holds the online protocol that CAAR, MAAR and KAAR share:
+``generalized``, ``predict``, ``update``, ``run`` and ``lane`` are written there
+once.  Each forecaster supplies only the three steps of a trial: ``_trial``, the
+products of a signal; ``_row``, the generalized prediction from them; and
+``_commit``, which commits them with the outcome.
 """
 
 from __future__ import annotations
@@ -137,34 +143,94 @@ def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int, ridge: float 
     return fresh
 
 
-class RankOneCore:
+class Forecaster:
+    """The online protocol of CAAR, MAAR and KAAR, written once for all three.
+
+    Each forecaster supplies the three steps of a trial: ``_trial`` gives the products of a
+    validated signal x (x first), ``_row`` the generalized prediction from them, one row per
+    ridge lane, and ``_commit`` commits them with the outcome y.  It also supplies
+    ``_signal``, the check of one signal, ``_width``, the signal length a run checks, and
+    ``_lane(g)``, a forecaster of lane g's ridge holding copies of that lane's state.
+    ``update`` reuses the products of a ``generalized`` call on the same signal (compared
+    by value; the signal is copied), and ``run`` takes the same three steps on every row, so
+    the two paths agree bit for bit.
+
+    ``a`` is one ridge or a 1-D sequence of ridges, one lane each; ``_lanes`` is np.shape(a).
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.t = 0
+        self._lanes = np.shape(cfg.a)
+        self._last = None   # _trial of the last prediction
+
+    def _lane_ridge(self, g: int) -> float | None:
+        """The ridge that names lane g in an error; None for a forecaster of one ridge."""
+        return self.cfg.a[g] if self._lanes else None
+
+    def generalized(self, x) -> np.ndarray:
+        """The shifted generalized prediction r, of shape np.shape(a) + (d,)."""
+        self._last = self._trial(self._signal(x).copy())
+        return np.array(self._row(self._last)).reshape(self._lanes + (self.cfg.d,))
+
+    def predict(self, x) -> ProbabilityVector:
+        return solve_substitution(self.generalized(x))
+
+    def update(self, x, y) -> None:
+        """Commit the trial (x, y), reusing the products of a ``generalized`` call on the same
+        signal."""
+        ya = check_vector(y, self.cfg.d, "outcome")
+        last, self._last = self._last, None
+        if last is None or not np.array_equal(x, last[0]):
+            last = self._trial(self._signal(x))
+        self._commit(last, ya)
+
+    def run(self, signals, outcomes) -> np.ndarray:
+        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
+        outcomes, validated once, as whole arrays, before anything changes.
+
+        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
+        for bit to those of the per-trial loop, since each row takes the same steps.
+        """
+        xs, ys = check_trials(signals, outcomes, self._width(signals), self.cfg.d, self.t + 1)
+        self._last = None
+        self._reserve(xs)
+        out = []
+        for xa, ya in zip(xs, ys):
+            trial = self._trial(xa)
+            out.append(self._row(trial))
+            self._commit(trial, ya)
+        return np.array(out).reshape((len(xs),) + self._lanes + (self.cfg.d,))
+
+    def _reserve(self, xs) -> None:
+        """Make room for the run's validated signals ``xs`` before its first trial."""
+
+    def lane(self, g: int):
+        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
+        state this one has reached; the two share no arrays."""
+        if not self._lanes:
+            raise ValueError("lane needs a forecaster with ridge lanes")
+        twin = self._lane(g)
+        twin.t = self.t
+        return twin
+
+
+class RankOneCore(Forecaster):
     """State shared by the linear forecasters: C = sum x_t x_t' and the inverses of aI + sC.
 
     There is one inverse per ridge lane and scale s, kept by Sherman-Morrison steps; a
     Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds that rebuild,
     so it is kept as its value at the last rebuild plus the signals since.  ``_stats``
     holds the subclass's statistics (MAAR's h, CAAR's E) as rows, then a slot for the
-    current signal.  ``_predicted`` keeps a prediction's products so that ``update`` on
-    the same signal (compared by value; the signal is copied) need not recompute them.
+    current signal; the subclass gives ``_row`` and the ``_coefficients`` of an outcome.
 
-    A trial takes the same private steps whether it comes from ``generalized`` and
-    ``update`` or from ``run``: ``_products`` of the signal, the subclass's
-    ``_generalized_row`` from them, and ``_commit``, which commits them with the
-    subclass's ``_coefficients`` of the outcome.  The public methods validate one signal
-    or outcome per call, ``run`` the whole arrays once.
-
-    Ridge lanes: ``a`` is one ridge or a 1-D sequence of G ridges, and ``_inv`` has
-    shape np.shape(a) + (S, n, n): the inverse of a_g I + sC for lane g and scale s.
-    ``_flat`` views it as K = G S factors, lane by lane, and every step acts on that
-    stack the same way whatever G is, so one lane takes the same arithmetic as one ridge.
-    Only the shape of ``generalized`` and ``run``'s output, and the naming of a failed
-    lane, depend on whether ``a`` is a sequence; ``lane`` splits one lane off.
+    ``_inv`` has shape np.shape(a) + (S, n, n): the inverse of a_g I + sC for lane g and
+    scale s.  ``_flat`` views it as K = G S factors, lane by lane, and every step acts on
+    that stack the same way whatever G is, so one lane takes the same arithmetic as one ridge.
     """
 
     def __init__(self, n: int, d: int, a, scales, rows: int):
-        self.cfg = MaarConfig(n, d, a)
-        self.t = 0
-        self._lanes = np.shape(self.cfg.a)
+        super().__init__(MaarConfig(n, d, a))
         self._ridges = np.ravel(self.cfg.a).tolist()
         self._scales = [float(s) for s in scales] * len(self._ridges)   # s of each factor
         # (aI + sC)^{-1} per lane and scale s
@@ -174,7 +240,6 @@ class RankOneCore:
         self._stats = np.zeros((rows + 1, n))
         self._c = np.zeros((n, n))                    # C up to the last refresh
         self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
-        self._last = None                             # _products of the last prediction
 
     @property
     def c(self) -> np.ndarray:
@@ -182,11 +247,13 @@ class RankOneCore:
         pending = self._signals[:self.t % REFRESH_EVERY]
         return self._c + pending.T @ pending
 
-    def _lane_ridge(self, g: int) -> float | None:
-        """The ridge that names lane g in an error; None for a forecaster of one ridge."""
-        return self.cfg.a[g] if self._lanes else None
+    def _signal(self, x) -> np.ndarray:
+        return check_vector(x, self.cfg.n, "signal")
 
-    def _products(self, xa: np.ndarray):
+    def _width(self, signals) -> int:
+        return self.cfg.n
+
+    def _trial(self, xa: np.ndarray):
         """(x, u, products, den) for a validated signal x, per factor k: u_k = (aI + sC)^{-1} x,
         the inner products of u_k with every row of ``_stats`` (x last) and the
         Sherman-Morrison denominator 1 + s x'u_k, which is >= 1 unless the inverse is broken;
@@ -203,13 +270,13 @@ class RankOneCore:
                                          f"denominator {den[g * size:(g + 1) * size]!r} is not >= 1")
         return xa, u, products, den
 
-    def _commit(self, last, coefficients) -> None:
-        """C += xx', every inverse follows, from the products ``last`` of x, and row i of the
-        statistics gains coefficients[i] x.
+    def _commit(self, trial, ya: np.ndarray) -> None:
+        """C += xx', every inverse follows, from the products ``trial`` of x, and row i of the
+        statistics gains the subclass's coefficient i of outcome y times x.
 
         A refresh that fails raises before anything changes, so the state stays that of trial t.
         """
-        xa, u, _, den = last
+        xa, u, _, den = trial
         slot = self.t % REFRESH_EVERY
         self._signals[slot] = xa   # past the rows that ``c`` reads until t moves
         # (M_s + s xx')^{-1} = M_s^{-1} - ww' with w = sqrt(s/den) u: (i, j) and (j, i) get one
@@ -223,61 +290,11 @@ class RankOneCore:
             self._inv = self._refreshed((self._flat - step).reshape(self._inv.shape), c, self.t + 1)
             self._flat = self._inv.reshape(step.shape)
             self._c = c
-        self._stats[:-1] += np.array(coefficients)[:, None] * xa
+        self._stats[:-1] += np.array(self._coefficients(ya.tolist()))[:, None] * xa
         self.t += 1
 
-    def _predicted(self, x):
-        """The products of a new signal x, kept for an ``update`` on the same signal (compared by
-        value; x is copied)."""
-        self._last = self._products(check_vector(x, self.cfg.n, "signal").copy())
-        return self._last
-
-    def _checked(self, x, y):
-        """The products of x, reused from ``_predicted`` when they are x's, and the outcome y,
-        both validated, y as a list."""
-        ya = check_vector(y, self.cfg.d, "outcome").tolist()
-        last, self._last = self._last, None
-        if last is None or not np.array_equal(x, last[0]):
-            last = self._products(check_vector(x, self.cfg.n, "signal"))
-        return last, ya
-
-    def generalized(self, x) -> np.ndarray:
-        """The shifted generalized prediction r, of shape np.shape(a) + (d,), from
-        ``_generalized_row``'s lists (one per lane, d floats each)."""
-        return np.array(self._generalized_row(self._predicted(x))).reshape(self._lanes + (self.cfg.d,))
-
-    def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
-
-    def update(self, x, y) -> None:
-        """Commit the trial (x, y), reusing the products of a ``generalized`` call on the same
-        signal."""
-        last, ya = self._checked(x, y)
-        self._commit(last, self._coefficients(ya))
-
-    def run(self, signals, outcomes) -> np.ndarray:
-        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
-        outcomes, validated once, as whole arrays, before anything changes.
-
-        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
-        for bit to those of the per-trial loop, since each row takes the same steps.
-        """
-        xs, ys = check_trials(signals, outcomes, self.cfg.n, self.cfg.d, self.t + 1)
-        self._last = None
-        out = []
-        for xa, ya in zip(xs, ys.tolist()):
-            last = self._products(xa)
-            out.append(self._generalized_row(last))
-            self._commit(last, self._coefficients(ya))
-        return np.array(out).reshape((len(xs),) + self._lanes + (self.cfg.d,))
-
-    def lane(self, g: int):
-        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
-        state this one has reached; the two share no arrays."""
-        if not self._lanes:
-            raise ValueError("lane needs a forecaster with ridge lanes")
+    def _lane(self, g: int):
         twin = type(self)(self.cfg.n, self.cfg.d, self.cfg.a[g])
-        twin.t = self.t
         twin._inv = self._inv[g].copy()
         twin._flat = twin._inv.reshape(twin._flat.shape)
         twin._stats, twin._c, twin._signals = self._stats.copy(), self._c.copy(), self._signals.copy()
@@ -311,9 +328,9 @@ class MaarForecaster(RankOneCore):
     def h(self) -> np.ndarray:
         return self._stats[:self.cfg.d - 1]
 
-    def _generalized_row(self, last) -> list:
+    def _row(self, trial) -> list:
         # per lane: q = (aI + C')^{-1} x and p = (aI + dC')^{-1} x, each u / den
-        _, _, products, den = last
+        _, _, products, den = trial
         m = self.cfg.d - 1
         rows = []
         for uq, up, dq, dp in zip(products[::2], products[1::2], den[::2], den[1::2]):

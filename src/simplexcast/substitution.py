@@ -142,7 +142,7 @@ def substitute_rows(r) -> np.ndarray:
     gamma = np.maximum(_row_thresholds(ordered - low)[:, None] - (arr - low), 0.0) / 2.0
     # gamma >= 0 > NEG_TOL or NaN, and a NaN or infinite row fails the sum test
     miss = np.abs(gamma.sum(axis=1) - 1.0)
-    if not miss.max() <= SUM_TOL:
+    if not (miss <= SUM_TOL).all():
         g = int(np.argmax(~(miss <= SUM_TOL)))
         raise _row_error(g, f"substitution left the simplex at row {g}: {gamma[g].tolist()!r}")
     return gamma

@@ -117,8 +117,10 @@ def test_split_train_test_boundaries():
 # online loop and metrics
 
 def test_run_online_empty_stream():
-    losses, forecasts = run_online([], MaarForecaster(2, 3, 1.0))
-    assert losses.size == 0 and forecasts.size == 0
+    for name, make in _run_models().items():
+        lanes = (len(DEFAULT_RIDGE_GRID),) if name.endswith("-lanes") else ()
+        losses, forecasts = run_online([], make())
+        assert losses.shape == (0,) + lanes and forecasts.shape == (0,) + lanes + (3,), name
 
 
 def test_run_online_replay_identical():
@@ -185,6 +187,33 @@ def test_run_equals_the_generalized_update_loop_bit_for_bit(name):
     np.testing.assert_array_equal(np.concatenate(pieces), np.array(want))
     x = np.array([0.3, -0.2, 0.9])
     np.testing.assert_array_equal(model.generalized(x), looped.generalized(x))
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["one-ridge", "lanes"])
+@pytest.mark.parametrize("name", ["caar", "maar", "kaar-dot", "kaar-rbf"])
+def test_update_after_other_or_no_predict_equals_cold_update(name, lanes):
+    kind, _, kernel = name.partition("-")
+    ridge = [0.1, 0.7, 5.0] if lanes else 0.7
+
+    def make():
+        return make_forecaster(kind, 2, 4, ridge, Kernel(kernel) if kernel else None)
+
+    cold, predicted, other, rewritten = make(), make(), make(), make()
+    for x, y in random_stream(2, 4, REFRESH_EVERY + 4, seed=49):
+        cold.update(x, y)
+        predicted.generalized(x)
+        predicted.update(x, y)
+        other.generalized(x + 0.5)
+        other.update(x, y)
+        buf = x + 0.5
+        rewritten.generalized(buf)
+        buf[:] = x   # the caller reuses its array: the update must see the new values
+        rewritten.update(buf, y)
+    probes = [np.array([0.3, -0.8]), np.array([-0.1, 0.05])]
+    for model in (predicted, other, rewritten):
+        assert model.t == cold.t
+        for x in probes:
+            np.testing.assert_array_equal(model.generalized(x), cold.generalized(x))
 
 
 _FAULTS = {

@@ -214,27 +214,6 @@ def test_predict_leaves_factors_and_t_unchanged():
     _assert_same_state(_state(model), before)
 
 
-def test_update_after_other_or_no_predict_equals_cold_update():
-    rng = np.random.default_rng(49)
-    stream = _stream(rng, 2, 4, 40)
-    cold = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
-    predicted = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
-    other = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
-    rewritten = KaarForecaster(4, Kernel("poly", degree=2), 0.7)
-    for x, y in stream:
-        cold.update(x, y)
-        predicted.predict(x)
-        predicted.update(x, y)
-        other.predict(x + 0.5)
-        other.update(x, y)
-        buf = x + 0.5
-        rewritten.predict(buf)
-        buf[:] = x   # the caller reuses its array: the update must see the new values
-        rewritten.update(buf, y)
-        for model in (predicted, other, rewritten):
-            _assert_same_state(_state(model), _state(cold))
-
-
 def test_kernel_overflow_raises_invariant_violation():
     model = KaarForecaster(3, Kernel("poly", degree=3), 1.0)
     with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
