@@ -31,21 +31,19 @@ from .core import (
     vertex_to_probability,
 )
 from .harness import verify_run
-from .maar import MaarConfig, MaarForecaster, solve_structured
+from .maar import MaarForecaster, solve_structured
 from .projection import project_to_simplex
-from .substitution import GeneralizedPrediction, solve_substitution, substitute_rows, substitution_threshold
+from .substitution import solve_substitution, substitute_rows, substitution_threshold
 
 __all__ = [
     "BoundReport",
     "CaarForecaster",
     "DimensionMismatch",
-    "GeneralizedPrediction",
     "InvariantViolation",
     "KaarForecaster",
     "Kernel",
     "KernelExpert",
     "LinearExpert",
-    "MaarConfig",
     "MaarForecaster",
     "PredictionVector",
     "ProbabilityVector",
@@ -54,7 +52,6 @@ __all__ = [
     "best_linear_expert",
     "brier_loss",
     "expert_loss",
-    "kernel_eval",
     "project_to_simplex",
     "solve_structured",
     "solve_substitution",
@@ -68,7 +65,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):  # kaar needs scipy, so it loads on first use and numpy alone serves the rest
-    if name in ("KaarForecaster", "Kernel", "kernel_eval"):
+    if name in ("KaarForecaster", "Kernel"):
         from . import kaar
         return getattr(kaar, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

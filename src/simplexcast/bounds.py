@@ -66,25 +66,25 @@ class BoundReport:
         return self.bound_value - self.algorithm_loss
 
 
+def _comparator_loss(values: np.ndarray, outcomes: np.ndarray) -> float:
+    """Cumulative Brier loss against the (T, d) outcomes of a comparator whose (T, d-1) values
+    v (alpha_i'x_t, or f_i(x_t) for a kernel comparator) give the forecasts 1/d + v_i for
+    i < d and 1/d - sum_i v_i for class d."""
+    d = outcomes.shape[1]
+    xi = np.concatenate([1.0 / d + values, 1.0 / d - values.sum(axis=1, keepdims=True)], axis=1)
+    return float(np.sum((outcomes - xi) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # Linear comparators
-
-def expert_forecasts(alpha, signals: np.ndarray, d: int) -> np.ndarray:
-    """(T, d) forecasts of one linear expert: blocks on top, remainder last."""
-    alpha = alpha.alpha if isinstance(alpha, LinearExpert) else as_float_vector(alpha)
-    m = d - 1
-    blocks = alpha.reshape(m, -1)
-    u = signals @ blocks.T
-    return np.concatenate([1.0 / d + u, 1.0 / d - u.sum(axis=1, keepdims=True)], axis=1)
-
 
 def expert_loss(alpha, data) -> float:
     """Cumulative Brier loss of a linear expert over the stream."""
     signals, outcomes = stack_trials(data)
     if signals.shape[0] == 0:
         return 0.0
-    xi = expert_forecasts(alpha, signals, outcomes.shape[1])
-    return float(np.sum((outcomes - xi) ** 2))
+    alpha = alpha.alpha if isinstance(alpha, LinearExpert) else as_float_vector(alpha)
+    return _comparator_loss(signals @ alpha.reshape(outcomes.shape[1] - 1, -1).T, outcomes)
 
 
 def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
@@ -113,22 +113,10 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
 # ---------------------------------------------------------------------------
 # Kernel comparators
 
-def kernel_expert_values(expert: KernelExpert, gram: np.ndarray) -> np.ndarray:
-    """(T, d-1) values f_i(x_t) = (K c_i)_t on the training signals."""
-    return (gram @ expert.coeffs.T)
-
-
-def _kernel_loss(expert: KernelExpert, gram: np.ndarray, outcomes: np.ndarray) -> float:
-    values = kernel_expert_values(expert, gram)
-    d = outcomes.shape[1]
-    xi = np.concatenate([1.0 / d + values, 1.0 / d - values.sum(axis=1, keepdims=True)], axis=1)
-    return float(np.sum((outcomes - xi) ** 2))
-
-
 def kernel_expert_loss(expert: KernelExpert, data) -> float:
     """Cumulative Brier loss of a kernel comparator over its own stream."""
     signals, outcomes = stack_trials(data)
-    return _kernel_loss(expert, expert.kernel.gram(signals), outcomes)
+    return _comparator_loss(expert.kernel.gram(signals) @ expert.coeffs.T, outcomes)
 
 
 def kernel_expert_norms(expert: KernelExpert, gram: np.ndarray) -> float:
@@ -179,7 +167,7 @@ def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
         gram = kernel.gram(signals)
     logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
     expert = KernelExpert(coeffs, kernel)
-    return expert, _kernel_loss(expert, gram, outcomes), kernel_expert_norms(expert, gram), logdet
+    return expert, _comparator_loss(gram @ coeffs.T, outcomes), kernel_expert_norms(expert, gram), logdet
 
 
 def best_kernel_expert(data, kernel: Kernel, a: float,

@@ -54,7 +54,7 @@ class CaarForecaster(RankOneCore):
         threshold substitution is the raw forecast's projection onto the simplex."""
         # (aI + B + xx')^{-1} x = u / den, against E and x
         _, _, products, den = trial
-        d = self.cfg.d
+        d = self.d
         half = (d - 2.0) / (2.0 * d)
         rows = []
         for row, v in zip(products, den):
@@ -64,4 +64,4 @@ class CaarForecaster(RankOneCore):
 
     def _coefficients(self, ya: list) -> list:
         """E_i += (y^i - 1/d) x."""
-        return [v - 1.0 / self.cfg.d for v in ya]
+        return [v - 1.0 / self.d for v in ya]

@@ -69,21 +69,12 @@ def _parse_ridge(spec: str):
     return value
 
 
-def _parse_epsilon(spec: str):
-    if spec == "auto":
-        return "auto"
-    try:
-        return float(spec)
-    except ValueError:
-        raise harness.InputError(f"epsilon must be a number or 'auto', got {spec!r}") from None
-
-
 def _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
             out_dir) -> None:
     """Run the algorithms ``names`` over one series through the benchmark protocol and write
     the report."""
     series = _series_from(input_path, synth, length, seed)
-    stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
+    stream = harness.prepare_stream(series, window, epsilon)
     kernel = None
     if "kaar" in names:
         from .kaar import Kernel  # scipy loads only when a kernel run needs it
@@ -112,10 +103,22 @@ _series_options = [
 ]
 
 
-def _with_series_options(fn):
-    for opt in reversed(_series_options):
-        fn = opt(fn)
-    return fn
+_model_options = [
+    click.option("--kernel", "kernel_name", type=click.Choice(["dot", "rbf", "poly"]), default="dot",
+                 show_default=True, help="Kernel for kaar."),
+    click.option("--sigma", type=float, default=1.0, show_default=True),
+    click.option("--degree", type=int, default=2, show_default=True),
+    click.option("--ridge", default="grid", show_default=True),
+]
+
+
+def _with_options(*options):
+    """Apply click ``options`` to a command as a stack of decorators in this order would."""
+    def apply(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return apply
 
 
 @click.group()
@@ -125,12 +128,7 @@ def main():
 
 @main.command()
 @click.option("--algo", type=click.Choice(["caar", "maar", "kaar"]), required=True)
-@click.option("--kernel", "kernel_name", type=click.Choice(["dot", "rbf", "poly"]), default="dot",
-              show_default=True, help="Kernel for --algo kaar.")
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--degree", type=int, default=2, show_default=True)
-@click.option("--ridge", default="grid", show_default=True)
-@_with_series_options
+@_with_options(*_model_options, *_series_options)
 def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length, seed,
              window, epsilon, out_dir):
     """Run one algorithm over one series and write the report."""
@@ -142,12 +140,7 @@ def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length,
 @click.option("--algos", default="caar,maar,simple", show_default=True,
               help="Comma list of caar,maar,kaar,simple, or 'all'. "
                    "kaar is opt-in: its per-trial cost grows with the stream.")
-@click.option("--kernel", "kernel_name", type=click.Choice(["dot", "rbf", "poly"]), default="dot",
-              show_default=True)
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--degree", type=int, default=2, show_default=True)
-@click.option("--ridge", default="grid", show_default=True)
-@_with_series_options
+@_with_options(*_model_options, *_series_options)
 def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, seed,
           window, epsilon, out_dir):
     """Benchmark several algorithms plus the baseline on one series."""
@@ -157,6 +150,8 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
         for name in names:
             if name not in ("caar", "maar", "kaar", "simple"):
                 raise harness.InputError(f"unknown algorithm {name!r}")
+        if not names or len(set(names)) < len(names):
+            raise harness.InputError(f"--algos must name at least one algorithm, each once, got {algos!r}")
         _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
                 out_dir)
     _guard(work)
@@ -225,12 +220,12 @@ def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
 
 
 @main.command()
-@_with_series_options
+@_with_options(*_series_options)
 def label(input_path, synth, length, seed, window, epsilon, out_dir):
     """Write the labeled stream (signals and classes) for inspection."""
     def work():
         series = _series_from(input_path, synth, length, seed)
-        stream = harness.prepare_stream(series, window, _parse_epsilon(epsilon))
+        stream = harness.prepare_stream(series, window, epsilon)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "labeled_stream.csv"

@@ -38,6 +38,13 @@ def as_float_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def check_classes(d: int) -> int:
+    """The number of classes ``d``; raises ValueError unless it is at least 2."""
+    if d < 2:
+        raise ValueError(f"need at least 2 classes, got {d}")
+    return d
+
+
 def check_ridge(a) -> float:
     """The ridge ``a`` as a float; raises ValueError naming it unless it is positive and finite."""
     if not 0.0 < a < math.inf:

@@ -253,7 +253,7 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
 
     def trial(row: int) -> str:   # a row of the (T * lanes, d) stack, named in the run's terms
         t, g = divmod(row, math.prod(lanes))
-        return trial_name(first + t, model.cfg.a[g] if lanes else None)
+        return trial_name(first + t, model.a[g] if lanes else None)
 
     try:
         gamma = substitute_rows(r.reshape(-1, r.shape[-1])).reshape(r.shape)
@@ -559,12 +559,13 @@ def load_series(path) -> np.ndarray:
 
 
 def prepare_stream(series, window: int, epsilon_spec) -> LabeledStream:
-    """Normalize, resolve epsilon ('auto' = median absolute change), label."""
+    """Normalize, resolve epsilon ('auto' = median absolute change, else any ``float()``-able
+    spec, such as the CLI's text), label."""
     normalized, mean, scale = normalize_series(series)
-    if isinstance(epsilon_spec, str):
-        if epsilon_spec != "auto":
-            raise InputError(f"epsilon must be a number or 'auto', got {epsilon_spec!r}")
-        epsilon = median_epsilon(normalized)
-    else:
+    if isinstance(epsilon_spec, str) and epsilon_spec == "auto":
+        epsilon_spec = median_epsilon(normalized)
+    try:
         epsilon = float(epsilon_spec)
+    except (TypeError, ValueError):
+        raise InputError(f"epsilon must be a number or 'auto', got {epsilon_spec!r}") from None
     return label_stream(normalized, window, epsilon, mean, scale)

@@ -69,8 +69,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dtpsv
 
-from .core import DimensionMismatch, InvariantViolation, as_float_vector, trial_name
-from .maar import Forecaster, ridge_lanes
+from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_vector, trial_name
+from .maar import Forecaster
 
 _KINDS = ("dot", "rbf", "poly")
 _SYSTEMS = ("aI+dK", "aI+K")
@@ -83,7 +83,7 @@ class Kernel:
 
     kind "dot":  K(x, y) = x . y
     kind "rbf":  K(x, y) = exp(-|x - y|^2 / (2 sigma^2))
-    kind "poly": K(x, y) = (x . y + offset)^degree
+    kind "poly": K(x, y) = (x . y + offset)^degree, PSD only for offset >= 0
     """
 
     kind: str
@@ -98,9 +98,13 @@ class Kernel:
             raise ValueError(f"rbf width must be positive, got {self.sigma}")
         if self.kind == "poly" and (int(self.degree) != self.degree or self.degree < 1):
             raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree}")
+        if self.kind == "poly" and not 0.0 <= self.offset < math.inf:
+            raise ValueError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     def __call__(self, x, y) -> float:
-        return kernel_eval(self, x, y)
+        """K(x, y) for two finite signals of one length, by the formula of ``gram``."""
+        xa = as_float_vector(x, "signal")
+        return float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
 
     def gram(self, signals: np.ndarray) -> np.ndarray:
         """Gram matrix over the rows of ``signals``."""
@@ -133,33 +137,6 @@ class Kernel:
         return np.exp(-v / (2.0 * self.sigma**2))
 
 
-def kernel_eval(k: Kernel, x, y) -> float:
-    xa = as_float_vector(x, "signal")
-    ya = as_float_vector(y, "signal")
-    if xa.size != ya.size:
-        raise DimensionMismatch(f"signals have lengths {xa.size} and {ya.size}")
-    if k.kind == "dot":
-        return float(xa @ ya)
-    if k.kind == "poly":
-        return float((xa @ ya + k.offset) ** k.degree)
-    diff = xa - ya
-    return float(np.exp(-(diff @ diff) / (2.0 * k.sigma**2)))
-
-
-@dataclass(frozen=True)
-class KaarConfig:
-    """Number of classes and prior scale, validated once at construction; ``a`` is one ridge,
-    or a 1-D sequence of ridges (one per lane, kept as a tuple), as in ``maar.MaarConfig``."""
-
-    d: int
-    a: float | tuple[float, ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"need at least 2 classes, got {self.d}")
-        object.__setattr__(self, "a", ridge_lanes(self.a))
-
-
 def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
     """Copy of ``buf`` with ``axis`` enlarged to ``size``; the new tail is uninitialized."""
     shape = list(buf.shape)
@@ -179,9 +156,9 @@ class KaarForecaster(Forecaster):
     """
 
     def __init__(self, d: int, kernel: Kernel, a=1.0):
-        super().__init__(KaarConfig(d, a))
+        super().__init__(d, a)
         self.kernel = kernel
-        ridges = np.asarray(self.cfg.a, dtype=float)
+        ridges = np.asarray(self.a, dtype=float)
         self._systems = _SYSTEMS[:1 if d == 2 else 2]
         self._scales = np.tile([d, 1.0][:len(self._systems)], ridges.size)   # s of each factor
         self._ridges = np.repeat(ridges.ravel(), len(self._systems))          # a of each factor
@@ -228,7 +205,7 @@ class KaarForecaster(Forecaster):
         """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, one row
         per lane."""
         *_, wg, u_last = trial
-        m = self.cfg.d - 1
+        m = self.d - 1
         ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per factor
         s_u = ru.sum(axis=1) + (m - 1) * u_last
         size = len(self._systems)
@@ -259,7 +236,7 @@ class KaarForecaster(Forecaster):
             self._grow(xs.shape[1], self.t + len(xs))
 
     def _lane(self, g: int) -> KaarForecaster:
-        twin = KaarForecaster(self.cfg.d, self.kernel, self.cfg.a[g])
+        twin = KaarForecaster(self.d, self.kernel, self.a[g])
         rows = slice(g * len(self._systems), (g + 1) * len(self._systems))
         twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
         return twin

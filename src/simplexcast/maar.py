@@ -47,12 +47,11 @@ products of a signal; ``_row``, the generalized prediction from them; and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_ridge, check_trials,
-                   check_vector, trial_name)
+from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_classes, check_ridge,
+                   check_trials, check_vector, trial_name)
 from .substitution import solve_substitution
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -71,25 +70,6 @@ def ridge_lanes(a) -> float | tuple[float, ...]:
     if not len(a):
         raise ValueError("ridge lanes need at least one ridge")
     return tuple(check_ridge(v) for v in a)
-
-
-@dataclass(frozen=True)
-class MaarConfig:
-    """Game dimensions and prior scale, validated once at construction.
-
-    ``a`` is one ridge, or a 1-D sequence of ridges (one per lane, kept as a tuple).
-    """
-
-    n: int
-    d: int
-    a: float | tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"signal dimension must be >= 1, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"need at least 2 classes, got {self.d}")
-        object.__setattr__(self, "a", ridge_lanes(self.a))
 
 
 def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
@@ -155,23 +135,25 @@ class Forecaster:
     by value; the signal is copied), and ``run`` takes the same three steps on every row, so
     the two paths agree bit for bit.
 
-    ``a`` is one ridge or a 1-D sequence of ridges, one lane each; ``_lanes`` is np.shape(a).
+    ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
+    ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
     """
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self, d: int, a):
+        self.d = check_classes(d)
+        self.a = ridge_lanes(a)
         self.t = 0
-        self._lanes = np.shape(cfg.a)
+        self._lanes = np.shape(self.a)
         self._last = None   # _trial of the last prediction
 
     def _lane_ridge(self, g: int) -> float | None:
         """The ridge that names lane g in an error; None for a forecaster of one ridge."""
-        return self.cfg.a[g] if self._lanes else None
+        return self.a[g] if self._lanes else None
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r, of shape np.shape(a) + (d,)."""
         self._last = self._trial(self._signal(x).copy())
-        return np.array(self._row(self._last)).reshape(self._lanes + (self.cfg.d,))
+        return np.array(self._row(self._last)).reshape(self._lanes + (self.d,))
 
     def predict(self, x) -> ProbabilityVector:
         return solve_substitution(self.generalized(x))
@@ -179,7 +161,7 @@ class Forecaster:
     def update(self, x, y) -> None:
         """Commit the trial (x, y), reusing the products of a ``generalized`` call on the same
         signal."""
-        ya = check_vector(y, self.cfg.d, "outcome")
+        ya = check_vector(y, self.d, "outcome")
         last, self._last = self._last, None
         if last is None or not np.array_equal(x, last[0]):
             last = self._trial(self._signal(x))
@@ -192,7 +174,7 @@ class Forecaster:
         Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
         for bit to those of the per-trial loop, since each row takes the same steps.
         """
-        xs, ys = check_trials(signals, outcomes, self._width(signals), self.cfg.d, self.t + 1)
+        xs, ys = check_trials(signals, outcomes, self._width(signals), self.d, self.t + 1)
         self._last = None
         self._reserve(xs)
         out = []
@@ -200,7 +182,7 @@ class Forecaster:
             trial = self._trial(xa)
             out.append(self._row(trial))
             self._commit(trial, ya)
-        return np.array(out).reshape((len(xs),) + self._lanes + (self.cfg.d,))
+        return np.array(out).reshape((len(xs),) + self._lanes + (self.d,))
 
     def _reserve(self, xs) -> None:
         """Make room for the run's validated signals ``xs`` before its first trial."""
@@ -230,8 +212,11 @@ class RankOneCore(Forecaster):
     """
 
     def __init__(self, n: int, d: int, a, scales, rows: int):
-        super().__init__(MaarConfig(n, d, a))
-        self._ridges = np.ravel(self.cfg.a).tolist()
+        if n < 1:
+            raise ValueError(f"signal dimension must be >= 1, got {n}")
+        super().__init__(d, a)
+        self.n = n
+        self._ridges = np.ravel(self.a).tolist()
         self._scales = [float(s) for s in scales] * len(self._ridges)   # s of each factor
         # (aI + sC)^{-1} per lane and scale s
         self._inv = np.stack([np.eye(n) / a for a in self._ridges for _ in scales]).reshape(
@@ -248,10 +233,10 @@ class RankOneCore(Forecaster):
         return self._c + pending.T @ pending
 
     def _signal(self, x) -> np.ndarray:
-        return check_vector(x, self.cfg.n, "signal")
+        return check_vector(x, self.n, "signal")
 
     def _width(self, signals) -> int:
-        return self.cfg.n
+        return self.n
 
     def _trial(self, xa: np.ndarray):
         """(x, u, products, den) for a validated signal x, per factor k: u_k = (aI + sC)^{-1} x,
@@ -294,7 +279,7 @@ class RankOneCore(Forecaster):
         self.t += 1
 
     def _lane(self, g: int):
-        twin = type(self)(self.cfg.n, self.cfg.d, self.cfg.a[g])
+        twin = type(self)(self.n, self.d, self.a[g])
         twin._inv = self._inv[g].copy()
         twin._flat = twin._inv.reshape(twin._flat.shape)
         twin._stats, twin._c, twin._signals = self._stats.copy(), self._c.copy(), self._signals.copy()
@@ -302,7 +287,7 @@ class RankOneCore(Forecaster):
 
     def _refreshed(self, inv: np.ndarray, c: np.ndarray, trial: int) -> np.ndarray:
         """Cholesky rebuilds of every inverse in ``inv``, each checked against it; new arrays."""
-        size, eye = inv.shape[-3], np.eye(self.cfg.n)
+        size, eye = inv.shape[-3], np.eye(self.n)
         fresh = [refresh_inverse(m, self._ridges[k // size] * eye + self._scales[k] * c, trial,
                                  self._lane_ridge(k // size))
                  for k, m in enumerate(inv.reshape(self._flat.shape))]
@@ -326,12 +311,12 @@ class MaarForecaster(RankOneCore):
 
     @property
     def h(self) -> np.ndarray:
-        return self._stats[:self.cfg.d - 1]
+        return self._stats[:self.d - 1]
 
     def _row(self, trial) -> list:
         # per lane: q = (aI + C')^{-1} x and p = (aI + dC')^{-1} x, each u / den
         _, _, products, den = trial
-        m = self.cfg.d - 1
+        m = self.d - 1
         rows = []
         for uq, up, dq, dp in zip(products[::2], products[1::2], den[::2], den[1::2]):
             mean = (1.0 + 1.0 / m) * ((up[m] + (m - 1) * up[m + 1]) / dp)

@@ -20,42 +20,10 @@ path.  Both raise InvariantViolation on a forecast off the simplex
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUM_TOL, InvariantViolation, ProbabilityVector, as_float_vector
-
-
-@dataclass(frozen=True)
-class GeneralizedPrediction:
-    """Shifted potential-loss vector, one entry per possible outcome class."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        arr = as_float_vector(self.r, "generalized prediction")
-        arr = np.array(arr, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "r", arr)
-
-    @property
-    def d(self) -> int:
-        return self.r.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.r, dtype=dtype)
-
-
-def _coerce(r) -> np.ndarray:
-    if isinstance(r, GeneralizedPrediction):
-        return r.r
-    return as_float_vector(r, "generalized prediction")
-
-
-def _check_classes(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"need at least 2 classes, got {d}")
+from .core import SUM_TOL, InvariantViolation, ProbabilityVector, as_float_vector, check_classes
 
 
 def _sorted_from_zero(arr: np.ndarray) -> tuple[float, list[float]]:
@@ -114,16 +82,16 @@ def _substitute(arr: np.ndarray) -> ProbabilityVector:
 
 def substitution_threshold(r) -> float:
     """The s solving sum_i (s - r_i)^+ = 2."""
-    arr = _coerce(r)
-    _check_classes(arr.size)
+    arr = as_float_vector(r, "generalized prediction")
+    check_classes(arr.size)
     low, ordered = _sorted_from_zero(arr)
     return _threshold(ordered) + low
 
 
 def solve_substitution(r) -> ProbabilityVector:
     """Forecast gamma with gamma_i = (s - r_i)^+ / 2 at the solved threshold."""
-    arr = _coerce(r)
-    _check_classes(arr.size)
+    arr = as_float_vector(r, "generalized prediction")
+    check_classes(arr.size)
     return _substitute(arr)
 
 
@@ -136,7 +104,7 @@ def substitute_rows(r) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
     if arr.ndim != 2 or not np.isfinite(arr).all():
         raise ValueError(f"generalized predictions must be a finite (G, d) array, got shape {arr.shape}")
-    _check_classes(arr.shape[1])
+    check_classes(arr.shape[1])
     ordered = np.sort(arr, axis=1, kind="stable")   # as _sorted_from_zero, row by row
     low = ordered[:, :1]
     gamma = np.maximum(_row_thresholds(ordered - low)[:, None] - (arr - low), 0.0) / 2.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvariantViolation, as_float_vector
+from simplexcast.core import InvariantViolation, as_float_vector
 
 GRID_NODES = 2001          # per-axis node floor for the tensor quadrature
 GRID_STDS = 12.0           # half-width in marginal standard deviations

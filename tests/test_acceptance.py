@@ -21,9 +21,10 @@ from simplexcast.caar import CaarForecaster
 from simplexcast.core import PredictionVector, brier_loss, vertex_to_probability
 from simplexcast.kaar import KaarForecaster, Kernel
 from simplexcast.maar import MaarForecaster, solve_structured
-from simplexcast.oracle import qp_projection, quadrature_component_forecast, quadrature_r
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import solve_substitution, substitution_threshold
+
+from oracle import qp_projection, quadrature_component_forecast, quadrature_r
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -26,7 +26,8 @@ from simplexcast.core import InvariantViolation
 from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
 from simplexcast.kaar import Kernel
 from simplexcast.maar import solve_structured
-from simplexcast.oracle import numeric_quadratic_min
+
+from oracle import numeric_quadratic_min
 
 
 def quadratic_fit(fn, dim):

@@ -4,9 +4,10 @@ import pytest
 from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.maar import REFRESH_EVERY
-from simplexcast.oracle import quadrature_component_forecast
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import substitute_rows
+
+from oracle import quadrature_component_forecast
 
 
 def test_zero_signal_gives_uniform():

@@ -129,6 +129,16 @@ def test_unknown_algos_rejected(tmp_path):
     assert result.exit_code == 2
 
 
+def test_empty_or_repeated_algos_rejected(tmp_path):
+    for algos in (",", " , ", "maar,maar", "caar,simple,caar"):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["bench", "--algos", algos, "--synth", "sine", "--length", "120",
+                                           "--out", str(out)])
+        assert result.exit_code == 2, (algos, result.output)
+        assert f"--algos must name at least one algorithm, each once, got {algos!r}" in result.output
+        assert not out.exists()
+
+
 def test_bad_ridge_rejected():
     result = CliRunner().invoke(
         main, ["forecast", "--algo", "caar", "--synth", "sine", "--ridge", "-1"])
@@ -172,6 +182,15 @@ def test_a_non_finite_epsilon_is_input_error(tmp_path):
                                            "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, (eps, result.output)
         assert "epsilon must be finite and nonnegative" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_numeric_epsilon_is_input_error(tmp_path):
+    for verb in (["bench"], ["forecast", "--algo", "maar"], ["label"]):
+        result = CliRunner().invoke(main, verb + ["--synth", "sine", "--length", "120", "--epsilon", "wide",
+                                                  "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (verb, result.output)
+        assert "epsilon must be a number or 'auto', got 'wide'" in result.output
     assert not (tmp_path / "out").exists()
 
 

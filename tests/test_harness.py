@@ -447,7 +447,7 @@ def test_a_lane_split_off_runs_on_as_the_forecaster_of_its_ridge(name):
         lanes.run(xs[:k], ys[:k])
         for g, want in singles.items():
             twin = lanes.lane(g)
-            assert twin.t == k and twin.cfg.a == ridges[g]
+            assert twin.t == k and twin.a == ridges[g]
             got = twin.run(xs[k:], ys[k:])
             if kind == "kaar":
                 np.testing.assert_array_equal(got, want[k:])
@@ -610,6 +610,15 @@ def test_prepare_stream_auto_epsilon():
     normalized, _, _ = normalize_series(series)
     assert stream.epsilon == pytest.approx(median_epsilon(normalized))
     assert stream.d == 3 and stream.n == 10
+
+
+def test_prepare_stream_takes_auto_or_any_float_spec():
+    series = synth_series("sine", 120, 5)
+    for spec in ("0.05", 0.05, np.float64(0.05)):
+        assert prepare_stream(series, 10, spec).epsilon == 0.05
+    for bad in ("wide", "", None, [0.05, 0.1], np.array([0.05, 0.1])):
+        with pytest.raises(InputError, match="epsilon must be a number or 'auto'"):
+            prepare_stream(series, 10, bad)
 
 
 def test_run_benchmark_protocol():

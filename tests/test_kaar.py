@@ -3,10 +3,11 @@ import pytest
 
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.harness import DEFAULT_RIDGE_GRID, random_stream, run_online
-from simplexcast.kaar import KaarForecaster, Kernel, kernel_eval
+from simplexcast.kaar import KaarForecaster, Kernel
 from simplexcast.maar import MaarForecaster
-from simplexcast.oracle import dense_kaar_r
 from simplexcast.substitution import solve_substitution
+
+from oracle import _literal_gram, dense_kaar_r
 
 
 def _stream(rng, n, d, trials):
@@ -30,9 +31,9 @@ def _assert_same_state(left, right):
 # kernels
 
 def test_kernel_eval_examples():
-    assert kernel_eval(Kernel("dot"), [1.0, 2.0], [1.0, 2.0]) == 5.0
-    assert kernel_eval(Kernel("rbf", sigma=1.0), [0.3, -0.2], [0.3, -0.2]) == 1.0
-    assert kernel_eval(Kernel("poly", degree=2, offset=1.0), [1.0], [2.0]) == 9.0
+    assert Kernel("dot")([1.0, 2.0], [1.0, 2.0]) == 5.0
+    assert Kernel("rbf", sigma=1.0)([0.3, -0.2], [0.3, -0.2]) == 1.0
+    assert Kernel("poly", degree=2, offset=1.0)([1.0], [2.0]) == 9.0
 
 
 def test_kernel_symmetry_and_gram_psd():
@@ -44,18 +45,20 @@ def test_kernel_symmetry_and_gram_psd():
         assert np.linalg.eigvalsh(gram).min() >= -1e-9
         for _ in range(10):
             x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            assert kernel_eval(kernel, x, y) == pytest.approx(kernel_eval(kernel, y, x))
+            assert kernel(x, y) == pytest.approx(kernel(y, x))
 
 
 @pytest.mark.parametrize("norm", [1e2, 1e4, 1e6])
 def test_rbf_values_at_large_norms_match_kernel_eval(norm):
-    # |x|^2 + |y|^2 - 2x.y cancels here: at norm 1e5 it was 2.3e-6 off
+    # |x|^2 + |y|^2 - 2x.y cancels here: at norm 1e5 it was 2.3e-6 off.  The reference is
+    # the oracle's Gram matrix from pairwise differences, which shares no code with Kernel.
     rng = np.random.default_rng(41)
     kernel = Kernel("rbf", sigma=0.5)
     base = norm * np.ones(3) / np.sqrt(3)
     pts = base + rng.uniform(-0.4, 0.4, size=(6, 3))
-    direct = np.array([[kernel_eval(kernel, p, q) for q in pts] for p in pts])
+    direct = _literal_gram(kernel, pts)
     np.testing.assert_allclose(kernel.gram(pts), direct, rtol=0, atol=1e-12)
+    np.testing.assert_allclose([[kernel(p, q) for q in pts] for p in pts], direct, rtol=0, atol=1e-12)
     model = KaarForecaster(3, kernel, 1.0)
     for p in pts[:-1]:
         model.update(p, [1.0, 0.0, 0.0])
@@ -71,8 +74,15 @@ def test_kernel_validation():
         Kernel("poly", degree=0)
     with pytest.raises(ValueError):
         Kernel("sigmoid")
+    # (x.y + c)^p is positive semidefinite only for c >= 0
+    for offset in (-1.0, -1e-12, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="polynomial offset must be finite and >= 0"):
+            Kernel("poly", degree=2, offset=offset)
+    assert Kernel("poly", degree=2, offset=0.0)([1.0], [2.0]) == 4.0
     with pytest.raises(DimensionMismatch):
-        kernel_eval(Kernel("dot"), [1.0], [1.0, 2.0])
+        Kernel("dot")([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="signal contains NaN"):
+        Kernel("rbf")([1.0], [np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +275,7 @@ def test_every_lane_equals_its_single_ridge_forecaster_bit_for_bit(kernel, d):
     xs, ys = np.array([x for x, _ in data]), np.array([y for _, y in data])
     grid = list(DEFAULT_RIDGE_GRID)
     lanes = KaarForecaster(d, kernel, grid)
-    assert lanes.cfg.a == tuple(grid)
+    assert lanes.a == tuple(grid)
     looped = KaarForecaster(d, kernel, grid)
     rows = []
     for x, y in data:
@@ -281,7 +291,7 @@ def test_every_lane_equals_its_single_ridge_forecaster_bit_for_bit(kernel, d):
 
 
 def test_a_ridge_sequence_is_validated_as_maar_validates_it():
-    assert KaarForecaster(3, Kernel("dot"), np.array([2.0])).cfg.a == (2.0,)
+    assert KaarForecaster(3, Kernel("dot"), np.array([2.0])).a == (2.0,)
     for bad in ([1.0, 0.0], [0.5, float("nan")], [1.0, float("inf")], [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
             KaarForecaster(3, Kernel("dot"), bad)

@@ -3,9 +3,11 @@ import pytest
 
 from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
-from simplexcast.maar import REFRESH_EVERY, MaarConfig, MaarForecaster, refresh_inverse, solve_structured
-from simplexcast.oracle import dense_maar_r, quadrature_r
+from simplexcast.kaar import KaarForecaster, Kernel
+from simplexcast.maar import REFRESH_EVERY, MaarForecaster, refresh_inverse, solve_structured
 from simplexcast.substitution import solve_substitution
+
+from oracle import dense_maar_r, quadrature_r
 
 
 def dense_system(a, d, c):
@@ -17,27 +19,31 @@ def dense_system(a, d, c):
 LANES = (0.1, 1.0, 10.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MaarConfig(0, 3, 1.0)
-    with pytest.raises(ValueError):
-        MaarConfig(2, 1, 1.0)
-    with pytest.raises(ValueError):
-        MaarConfig(2, 3, 0.0)
+def _construct(cls, n, d, a):
+    """The forecaster ``cls`` of n-long signals (which KAAR does not fix), d classes and ridge a."""
+    return KaarForecaster(d, Kernel("dot"), a) if cls is KaarForecaster else cls(n, d, a)
 
 
-def test_config_takes_ridge_lanes_and_rejects_a_non_positive_one():
-    assert MaarConfig(2, 3, [0.1, 1.0]).a == (0.1, 1.0)
-    assert MaarConfig(2, 3, np.array([2.0])).a == (2.0,)
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster, KaarForecaster])
+def test_constructor_validates_the_game_and_the_ridge_lanes(cls):
+    if cls is not KaarForecaster:
+        with pytest.raises(ValueError, match="signal dimension must be >= 1, got 0"):
+            _construct(cls, 0, 3, 1.0)
+        assert _construct(cls, 2, 3, 1.0).n == 2
+    with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
+        _construct(cls, 2, 1, 1.0)
+    with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+        _construct(cls, 2, 3, 0.0)
+    model = _construct(cls, 2, 3, 1.0)
+    assert (model.d, model.a) == (3, 1.0)
+    assert _construct(cls, 2, 3, [0.1, 1.0]).a == (0.1, 1.0)
+    assert _construct(cls, 2, 3, np.array([2.0])).a == (2.0,)
     for bad in ([1.0, 0.0], [1.0, -2.0], [0.5, float("nan")], [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
-            MaarConfig(2, 3, bad)
-
-
-def test_an_infinite_ridge_is_rejected_like_zero_and_nan():
+            _construct(cls, 2, 3, bad)
     for bad in (float("inf"), [1.0, float("inf")]):
         with pytest.raises(ValueError, match="positive and finite, got inf"):
-            MaarConfig(2, 3, bad)
+            _construct(cls, 2, 3, bad)
 
 
 @pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
@@ -248,7 +254,7 @@ def test_forecaster_matches_dense_oracle_across_refreshes(n, d, a):
 
 def _run(model, trials, seed=28):
     rng = np.random.default_rng(seed)
-    n, d = model.cfg.n, model.cfg.d
+    n, d = model.n, model.d
     for _ in range(trials):
         x = rng.uniform(-1, 1, n)
         model.generalized(x)

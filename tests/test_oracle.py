@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from simplexcast.kaar import Kernel
-from simplexcast.oracle import (
+
+from oracle import (
     dense_kaar_r,
     dense_maar_r,
     log_gaussian_grid_integral,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from simplexcast.core import brier_loss
-from simplexcast.oracle import qp_projection
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import substitute_rows
+
+from oracle import qp_projection
 from test_substitution import _row_cases
 
 
