@@ -116,6 +116,8 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
 def kernel_expert_loss(expert: KernelExpert, data) -> float:
     """Cumulative Brier loss of a kernel comparator over its own stream."""
     signals, outcomes = stack_trials(data)
+    if signals.shape[0] == 0:
+        return 0.0
     return _comparator_loss(expert.kernel.gram(signals) @ expert.coeffs.T, outcomes)
 
 
@@ -163,6 +165,8 @@ def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
     check_ridge(a)
     signals, outcomes = stack_trials(data)
     m = outcomes.shape[1] - 1
+    if signals.shape[0] == 0:   # d is unknown (0) unless ``data`` is a Trials of width d
+        return KernelExpert(np.zeros((max(m, 0), 0)), kernel), 0.0, 0.0, 0.0
     if gram is None:
         gram = kernel.gram(signals)
     logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)

@@ -145,6 +145,13 @@ class ProbabilityVector:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "p", _frozen(arr))
 
+    @classmethod
+    def _trusted(cls, p) -> ProbabilityVector:
+        """The vector of ``p`` without __post_init__'s checks: only for a scan that has just made them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", _frozen(p))
+        return out
+
     @property
     def d(self) -> int:
         return self.p.size

@@ -42,10 +42,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import (InvariantViolation, ProbabilityVector, Trials, check_trials, check_vector, stack_trials,
-                   trial_name)
+from .core import (InvariantViolation, ProbabilityVector, Trials, check_classes, check_trials, check_vector,
+                   stack_trials, trial_name)
 from .maar import MaarForecaster
-from .substitution import solve_substitution, substitute_rows
+from .substitution import _forecast, substitute_rows
 
 if TYPE_CHECKING:
     from .kaar import Kernel
@@ -172,7 +172,7 @@ class SimpleBaseline:
     def __init__(self, d: int, window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError(f"baseline window must be at least 1, got {window}")
-        self.d = d
+        self.d = check_classes(d)
         self.window = window
         self.t = 0   # committed trials
         self._recent: deque[np.ndarray] = deque(maxlen=window)
@@ -183,7 +183,7 @@ class SimpleBaseline:
         return -2.0 * mean
 
     def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
+        return _forecast(self.generalized(x).tolist())
 
     def update(self, x, y) -> None:
         self._recent.append(check_vector(y, self.d, "outcome").copy())   # the caller may rewrite its array

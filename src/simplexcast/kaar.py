@@ -216,6 +216,9 @@ class KaarForecaster(Forecaster):
             r[:, :m] += ru[:, 1, :] - s_u[:, 1:] / m
         return r
 
+    def _first_row(self, trial) -> list:
+        return self._row(trial)[0].tolist()
+
     def _commit(self, trial, ya: np.ndarray) -> None:
         """Store the signal and write one row into every factor and G."""
         xa, w, pivots, wg, _ = trial

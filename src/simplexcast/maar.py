@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_classes, check_ridge,
                    check_trials, check_vector, trial_name)
-from .substitution import solve_substitution
+from .substitution import _forecast
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
 REFRESH_EVERY = 256
@@ -130,10 +130,11 @@ class Forecaster:
     validated signal x (x first), ``_row`` the generalized prediction from them, one row per
     ridge lane, and ``_commit`` commits them with the outcome y.  It also supplies
     ``_signal``, the check of one signal, ``_width``, the signal length a run checks, and
-    ``_lane(g)``, a forecaster of lane g's ridge holding copies of that lane's state.
-    ``update`` reuses the products of a ``generalized`` call on the same signal (compared
-    by value; the signal is copied), and ``run`` takes the same three steps on every row, so
-    the two paths agree bit for bit.
+    ``_lane(g)``, a forecaster of lane g's ridge holding copies of that lane's state; KAAR,
+    whose rows are numpy arrays, also overrides ``_first_row``, the row ``predict`` scans.
+    ``update`` reuses the products of a ``generalized`` or ``predict`` call on the same
+    signal (compared by value; the signal is copied), and ``run`` takes the same three
+    steps on every row, so the two paths agree bit for bit.
 
     ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
     ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
@@ -156,11 +157,18 @@ class Forecaster:
         return np.array(self._row(self._last)).reshape(self._lanes + (self.d,))
 
     def predict(self, x) -> ProbabilityVector:
-        return solve_substitution(self.generalized(x))
+        """The threshold substitution of ``generalized(x)``, bit for bit; it needs one ridge."""
+        if self._lanes:
+            raise ValueError("predict takes one ridge; with ridge lanes use generalized, or lane(g)")
+        self._last = self._trial(self._signal(x).copy())
+        return _forecast(self._first_row(self._last))
+
+    def _first_row(self, trial) -> list:
+        return self._row(trial)[0]
 
     def update(self, x, y) -> None:
-        """Commit the trial (x, y), reusing the products of a ``generalized`` call on the same
-        signal."""
+        """Commit the trial (x, y), reusing the products of a ``generalized`` or ``predict``
+        call on the same signal."""
         ya = check_vector(y, self.d, "outcome")
         last, self._last = self._last, None
         if last is None or not np.array_equal(x, last[0]):

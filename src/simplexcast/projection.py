@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ProbabilityVector, as_float_vector
-from .substitution import _substitute
+from .substitution import _forecast
 
 
 def project_to_simplex(v) -> ProbabilityVector:
@@ -28,4 +28,4 @@ def project_to_simplex(v) -> ProbabilityVector:
         gaps = arr - arr.max()
     # a gap below -2 projects to 0 and never enters the threshold, so clipping it changes
     # nothing but keeps -2 * gaps finite
-    return _substitute(-2.0 * np.maximum(gaps, -2.0))
+    return _forecast((-2.0 * np.maximum(gaps, -2.0)).tolist())

@@ -11,31 +11,22 @@ what lets the forecasters skip weight normalization when they assemble r.
 On r = -2g it is g's Euclidean projection onto the simplex (see ``projection``).
 
 Both scans first subtract the minimum of r (so it is 0), which keeps them exact
-at any magnitude of r.  ``substitute_rows`` runs the scan on every row of a (G, d)
-batch at once, for a whole online run; ``solve_substitution`` stays the per-call
-path.  Both raise InvariantViolation on a forecast off the simplex
-(ProbabilityVector's tolerances), which only a broken scan can produce.
+at any magnitude of r.  ``_forecast`` scans one row on Python floats for every
+per-call path (``predict``, ``solve_substitution``, ``project_to_simplex``);
+``substitute_rows`` scans every row of a (G, d) batch at once, for a whole online
+run, with the same arithmetic, so the two agree bit for bit.  Both raise
+InvariantViolation on a forecast whose sum is more than SUM_TOL from 1, which only a
+broken scan can produce.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .core import SUM_TOL, InvariantViolation, ProbabilityVector, as_float_vector, check_classes
-
-
-def _sorted_from_zero(arr: np.ndarray) -> tuple[float, list[float]]:
-    """min(r), and r sorted ascending less min(r), as Python floats.
-
-    Ties keep index order, which cannot change the result since equal breakpoints merge
-    into one segment.  Subtracting a constant rounds monotonically, so the sorted r less
-    its minimum is r less its minimum, sorted.
-    """
-    ordered = np.sort(arr, kind="stable").tolist()
-    low = ordered[0]
-    return low, [v - low for v in ordered]
 
 
 def _threshold(ordered: list[float]) -> float:
@@ -70,29 +61,35 @@ def _row_thresholds(ordered: np.ndarray) -> np.ndarray:
     return s[np.arange(len(ordered)), np.argmax(brackets, axis=1)]
 
 
-def _substitute(arr: np.ndarray) -> ProbabilityVector:
-    """gamma_i = (s - r_i)^+ / 2 for a finite r of any length d >= 1; callers check d."""
-    low, ordered = _sorted_from_zero(arr)
-    gamma = np.maximum(_threshold(ordered) - (arr - low), 0.0) / 2.0
-    try:
-        return ProbabilityVector(gamma)
-    except ValueError as exc:
-        raise InvariantViolation(f"substitution left the simplex: {exc}") from exc
+def _forecast(row: list) -> ProbabilityVector:
+    """gamma_i = (s - r_i)^+ / 2 for a list r of d >= 1 Python floats (callers check d); a
+    non-finite r raises InvariantViolation.  Ties sort in index order, which cannot change
+    the result since equal breakpoints merge into one segment.  Subtracting a constant
+    rounds monotonically, so the sorted r less its minimum is r less its minimum, sorted."""
+    if not all(map(math.isfinite, row)):
+        raise InvariantViolation(f"generalized prediction is not finite: {row!r}")
+    ordered = sorted(row)
+    low = ordered[0]
+    s = _threshold([v - low for v in ordered])
+    gamma = [max(s - (v - low), 0.0) / 2.0 for v in row]   # >= 0, or NaN, which fails the sum test
+    if not abs(sum(gamma) - 1.0) <= SUM_TOL:
+        raise InvariantViolation(f"substitution left the simplex: {gamma!r}")
+    return ProbabilityVector._trusted(gamma)
 
 
 def substitution_threshold(r) -> float:
     """The s solving sum_i (s - r_i)^+ = 2."""
     arr = as_float_vector(r, "generalized prediction")
     check_classes(arr.size)
-    low, ordered = _sorted_from_zero(arr)
-    return _threshold(ordered) + low
+    ordered = sorted(arr.tolist())
+    return _threshold([v - ordered[0] for v in ordered]) + ordered[0]
 
 
 def solve_substitution(r) -> ProbabilityVector:
     """Forecast gamma with gamma_i = (s - r_i)^+ / 2 at the solved threshold."""
     arr = as_float_vector(r, "generalized prediction")
     check_classes(arr.size)
-    return _substitute(arr)
+    return _forecast(arr.tolist())
 
 
 def substitute_rows(r) -> np.ndarray:
@@ -105,7 +102,7 @@ def substitute_rows(r) -> np.ndarray:
     if arr.ndim != 2 or not np.isfinite(arr).all():
         raise ValueError(f"generalized predictions must be a finite (G, d) array, got shape {arr.shape}")
     check_classes(arr.shape[1])
-    ordered = np.sort(arr, axis=1, kind="stable")   # as _sorted_from_zero, row by row
+    ordered = np.sort(arr, axis=1, kind="stable")   # as _forecast, row by row
     low = ordered[:, :1]
     gamma = np.maximum(_row_thresholds(ordered - low)[:, None] - (arr - low), 0.0) / 2.0
     # gamma >= 0 > NEG_TOL or NaN, and a NaN or infinite row fails the sum test

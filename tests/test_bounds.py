@@ -22,7 +22,7 @@ from simplexcast.bounds import (
     per_component_bound_rhs,
 )
 from simplexcast.cli import main
-from simplexcast.core import InvariantViolation
+from simplexcast.core import InvariantViolation, Trials
 from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
 from simplexcast.kaar import Kernel
 from simplexcast.maar import solve_structured
@@ -121,6 +121,18 @@ def test_kernel_expert_dot_matches_linear_objective():
     _, value = best_linear_expert(data, a)
     expert, loss_f, norms = best_kernel_expert(data, Kernel("dot"), a)
     assert loss_f + a * norms == pytest.approx(value, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["dot", "rbf"])
+def test_kernel_comparators_of_an_empty_stream_are_zero(kind):
+    kernel = Kernel(kind)
+    expert, loss_f, norms = best_kernel_expert([], kernel, 1.0)
+    assert expert.coeffs.shape == (0, 0) and expert.kernel == kernel and loss_f == 0.0 and norms == 0.0
+    assert kernel_expert_loss(expert, []) == 0.0
+    empty = Trials(np.empty((0, 2)), np.empty((0, 3)))   # a width-3 stream of no trials
+    expert, loss_f, norms = best_kernel_expert(empty, kernel, 1.0)
+    assert expert.coeffs.shape == (2, 0) and loss_f == 0.0 and norms == 0.0
+    assert kernel_expert_loss(expert, empty) == 0.0
 
 
 def test_kernel_expert_huge_ridge_collapses_to_uniform():

@@ -33,7 +33,7 @@ from simplexcast.harness import (
 from simplexcast.kaar import Kernel
 from simplexcast.caar import CaarForecaster
 from simplexcast.maar import REFRESH_EVERY, MaarForecaster
-from simplexcast.substitution import substitute_rows
+from simplexcast.substitution import solve_substitution, substitute_rows
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,33 @@ def test_replay_forecasts_equal_predict_bit_for_bit(name):
         model.update(x, y)
     np.testing.assert_array_equal(forecasts, np.array(announced))
     np.testing.assert_array_equal(losses, ((np.array(announced) - [y for _, y in data]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(_replay_models()))
+def test_predict_equals_the_substitution_of_generalized_bit_for_bit(name):
+    model = _replay_models()[name]()
+    for x, y in random_stream(3, 3, REFRESH_EVERY + 10, seed=31):
+        gamma = model.predict(x)
+        np.testing.assert_array_equal(gamma.p, solve_substitution(model.generalized(x)).p)
+        assert gamma.p.dtype == np.float64 and not gamma.p.flags.writeable
+        model.update(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(_replay_models()))
+def test_predict_of_a_broken_row_or_scan_is_invariant_violation(name, monkeypatch):
+    model = _replay_models()[name]()
+    x = np.array([0.3, -0.2, 0.9])
+    monkeypatch.setattr(substitution, "_threshold", lambda ordered: 1.0)
+    with pytest.raises(InvariantViolation, match="left the simplex"):
+        model.predict(x)
+    monkeypatch.undo()
+    nan_row = [0.0, float("nan"), 0.0]
+    if name == "simple":
+        monkeypatch.setattr(SimpleBaseline, "generalized", lambda self, x: np.array(nan_row))
+    else:
+        monkeypatch.setattr(type(model), "_first_row", lambda self, trial: list(nan_row))
+    with pytest.raises(InvariantViolation, match="not finite"):
+        model.predict(x)
 
 
 def _run_models():

@@ -286,8 +286,11 @@ def test_every_lane_equals_its_single_ridge_forecaster_bit_for_bit(kernel, d):
     np.testing.assert_array_equal(np.array(rows), run)
     for g, a in enumerate(grid):
         np.testing.assert_array_equal(run[:, g], KaarForecaster(d, kernel, a).run(xs, ys))
-    with pytest.raises(ValueError):
-        lanes.predict(xs[0])   # a forecast needs one ridge
+    lanes.generalized(xs[0])
+    last = lanes._last
+    with pytest.raises(ValueError, match=r"^predict takes one ridge; .*generalized.*lane\(g\)"):
+        lanes.predict(xs[1])
+    assert lanes._last is last   # raised before the trial ran
 
 
 def test_a_ridge_sequence_is_validated_as_maar_validates_it():

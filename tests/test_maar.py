@@ -64,8 +64,11 @@ def test_lane_rows_have_the_ridge_shape_and_match_single_ridges(cls):
             single.update(x, y)
         lanes.update(x, y)
     assert cls(n, d, [1.0]).generalized(np.ones(n)).shape == (1, d)
-    with pytest.raises(ValueError):
-        lanes.predict(np.ones(n))   # predict takes one ridge
+    lanes.generalized(np.ones(n))
+    last = lanes._last
+    with pytest.raises(ValueError, match=r"^predict takes one ridge; .*generalized.*lane\(g\)"):
+        lanes.predict(np.zeros(n))
+    assert lanes._last is last   # raised before the trial ran
 
 
 def test_first_trial_zero_signal_is_uniform():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcast import substitution
 from simplexcast.core import InvariantViolation, brier_loss, vertex_to_probability
@@ -182,3 +186,35 @@ def test_the_scan_is_shift_invariant_at_any_magnitude():
         np.testing.assert_array_equal(substitute_rows(rows), np.full((3, 3), 1 / 3))
     np.testing.assert_array_equal(solve_substitution([1e17, 1e17 + 64.0, 3e17]).p, [1.0, 0.0, 0.0])
     assert substitution_threshold([5e15] * 3) == 5e15 + 2 / 3   # the true s, rounded
+
+
+@st.composite
+def _scan_rows(draw):
+    """A row of d = 2..12 finite floats at a magnitude 10^e, e in -300..300: random, with a
+    tie, all equal, or one-hot."""
+    d = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    base = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["random", "tie", "equal", "one-hot"]))
+    if kind == "tie":
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        base[j] = base[i]
+    elif kind == "equal":
+        base = [base[0]] * d
+    elif kind == "one-hot":
+        base = [0.0] * d
+        base[draw(st.integers(0, d - 1))] = 1.0
+    return [v * scale for v in base]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_rows())
+def test_the_row_scan_equals_the_batch_scan_bit_for_bit(row):
+    np.testing.assert_array_equal(substitution._forecast(row).p, substitute_rows([row])[0])
+
+
+@pytest.mark.parametrize("bad", [[0.0, math.nan, 1.0], [math.inf, 0.0], [0.0, -math.inf, 0.0]])
+def test_a_non_finite_row_is_invariant_violation_not_value_error(bad):
+    with pytest.raises(InvariantViolation, match="not finite") as info:
+        substitution._forecast(bad)
+    assert not isinstance(info.value, ValueError)
