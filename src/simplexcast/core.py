@@ -128,11 +128,33 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class _Vector:
+    """What the vector types share through their read-only array ``_values``: length d, array
+    view, and equality on np.array_equal with a hash to match (0.0 == -0.0 hash alike)."""
+
+    @property
+    def d(self) -> int:
+        return self._values.size
+
+    def __len__(self) -> int:
+        return self._values.size
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._values, dtype=dtype)
+
+    def __eq__(self, other):
+        return np.array_equal(self._values, other._values) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._values.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class ProbabilityVector(_Vector):
     """A point of the d-simplex: componentwise nonnegative, summing to one."""
 
     p: np.ndarray
+    _values = property(lambda self: self.p)
 
     def __post_init__(self):
         arr = as_float_vector(self.p, "probability vector")
@@ -152,22 +174,13 @@ class ProbabilityVector:
         object.__setattr__(out, "p", _frozen(p))
         return out
 
-    @property
-    def d(self) -> int:
-        return self.p.size
 
-    def __len__(self) -> int:
-        return self.p.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.p, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class PredictionVector:
+@dataclass(frozen=True, eq=False)
+class PredictionVector(_Vector):
     """A point of the sum-to-one hyperplane; components may be negative."""
 
     g: np.ndarray
+    _values = property(lambda self: self.g)
 
     def __post_init__(self):
         arr = as_float_vector(self.g, "prediction vector")
@@ -175,16 +188,6 @@ class PredictionVector:
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"prediction components sum to {total!r}, not 1")
         object.__setattr__(self, "g", _frozen(arr))
-
-    @property
-    def d(self) -> int:
-        return self.g.size
-
-    def __len__(self) -> int:
-        return self.g.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.g, dtype=dtype)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ reserves exactly the rows its trials need.
 The protocol is ``maar.Forecaster``'s, shared with CAAR and MAAR; a trial's three
 steps here are ``_trial`` (the kernel row, and the border row and pivot of every
 factor), ``_row`` (r from them) and ``_commit`` (one new row in every factor and G).
+numpy does only the t-sized work (the kernel row and its check, the borders s c,
+one ``dtpsv`` per factor, and w'w and w'G, each read out by one ``tolist``); the
+d-sized rest of each factor (pivots and their check, u[T], R u[:t], s(u), r, rho
+and G's new row) runs on Python floats, cheaper than numpy's per-call overhead.
 
 Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
 and one G = L^{-1} R' per ridge and system, while the stored signals, the
@@ -75,6 +79,7 @@ from .maar import Forecaster
 _KINDS = ("dot", "rbf", "poly")
 _SYSTEMS = ("aI+dK", "aI+K")
 _FIRST_CAPACITY = 16
+_TILE_BYTES = 1 << 18   # the differences of one rbf Gram tile
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,17 @@ class Kernel:
         return float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
 
     def gram(self, signals: np.ndarray) -> np.ndarray:
-        """Gram matrix over the rows of ``signals``."""
+        """Gram matrix over the rows of ``signals``; rbf's equals ``_row``'s bit for bit."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
         if self.kind != "rbf":
             return self._of(x @ x.T)
-        return np.array([self._row(x, row) for row in x])   # one row at a time: no T x T x n temporary
+        out, side = np.empty((len(x), len(x))), max(1, math.isqrt(_TILE_BYTES // 8 // max(x.shape[1], 1)))
+        for i in range(0, len(x), side):   # the lower triangle in tiles, mirrored: exactly symmetric
+            for j in range(0, i + 1, side):
+                diff = x[i:i + side, None] - x[None, j:j + side]
+                out[i:i + side, j:j + side] = tile = self._of(np.einsum("ijk,ijk->ij", diff, diff))
+                out[j:j + side, i:i + side] = tile.T
+        return out
 
     def _row(self, stored: np.ndarray, x: np.ndarray) -> np.ndarray:
         """K(s, x) for every row s of ``stored``."""
@@ -133,8 +144,9 @@ class Kernel:
         if self.kind == "dot":
             return v
         if self.kind == "poly":
-            return (v + self.offset) ** self.degree
-        return np.exp(-v / (2.0 * self.sigma**2))
+            with np.errstate(over="ignore"):   # an overflow gives inf, which the callers check
+                return (v + self.offset) ** self.degree
+        return np.exp(v / (-2.0 * self.sigma**2))
 
 
 def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -158,13 +170,13 @@ class KaarForecaster(Forecaster):
     def __init__(self, d: int, kernel: Kernel, a=1.0):
         super().__init__(d, a)
         self.kernel = kernel
-        ridges = np.asarray(self.a, dtype=float)
         self._systems = _SYSTEMS[:1 if d == 2 else 2]
-        self._scales = np.tile([d, 1.0][:len(self._systems)], ridges.size)   # s of each factor
-        self._ridges = np.repeat(ridges.ravel(), len(self._systems))          # a of each factor
+        self._ridges = np.repeat(self.a, len(self._systems)).tolist()                  # a of each factor
+        self._scales = [float(d), 1.0][:len(self._systems)] * len(np.ravel(self.a))   # s of each factor
+        self._column = np.array(self._scales)[:, None]
         self._x = np.empty((0, 0))                       # signals; the first update sets the width
-        self._packed = np.empty((self._scales.size, 0))  # factor rows, row j at j(j+1)/2
-        self._g = np.empty((self._scales.size, 0, d - 1))
+        self._packed = np.empty((len(self._scales), 0))  # factor rows, row j at j(j+1)/2
+        self._g = np.empty((len(self._scales), 0, d - 1))
 
     def _signal(self, x) -> np.ndarray:
         xa = as_float_vector(x, "signal")
@@ -182,42 +194,39 @@ class KaarForecaster(Forecaster):
         return self.kernel._row(stored, xa), self.kernel._at(xa)
 
     def _trial(self, xa: np.ndarray):
-        """Border rows w and pivots rho^2 of every factor (per lane and system) for signal
-        ``xa``, w'G and u[T] of each system's solve."""
+        """Border rows w of every factor (per lane and system) for signal ``xa``, and as Python
+        floats the pivots rho^2, the rows w'G and u[T] of each system's solve."""
         t = self.t
         row, kxx = self._extended_gram(xa)
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
             raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
-        w = self._scales[:, None] * row
+        w = self._column * row
         for packed, border in zip(self._packed, w) if t else ():
-            dtpsv(t, packed, border, trans=1, overwrite_x=1)   # border = L^{-1} s c, in place
-        ww = np.einsum("st,st->s", w, w)
-        pivots = self._ridges + self._scales * kxx - ww
-        for i, pivot in enumerate(pivots.tolist()):
+            dtpsv(t, packed, border, 1, 0, 0, 1, 0, 1)   # border = L^{-1} s c in place; trans=1 by position
+        ww = np.einsum("st,st->s", w, w).tolist()
+        pivots = [a + s * kxx - v for a, s, v in zip(self._ridges, self._scales, ww)]
+        for i, pivot in enumerate(pivots):
             if not 0.0 < pivot < math.inf:
                 g, j = divmod(i, len(self._systems))
                 raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(g))}: "
                                          f"{self._systems[j]} has pivot {pivot!r}, not positive definite")
-        u_last = (kxx - ww / self._scales) / pivots
-        return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0], u_last
+        u_last = [(kxx - v / s) / p for s, v, p in zip(self._scales, ww, pivots)]
+        return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0].tolist(), u_last
 
-    def _row(self, trial) -> np.ndarray:
-        """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, one row
-        per lane."""
+    def _row(self, trial) -> list:
+        """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, per lane."""
         *_, wg, u_last = trial
         m = self.d - 1
-        ru = (1.0 / self._scales - u_last)[:, None] * wg       # R u[:t], one row per factor
-        s_u = ru.sum(axis=1) + (m - 1) * u_last
-        size = len(self._systems)
-        ru, s_u = ru.reshape(-1, size, m), s_u.reshape(-1, size)   # per lane, per system
-        r = np.zeros((len(s_u), m + 1))
-        r[:, :m] = (1.0 + 1.0 / m) * s_u[:, :1]
-        if m > 1:
-            r[:, :m] += ru[:, 1, :] - s_u[:, 1:] / m
-        return r
-
-    def _first_row(self, trial) -> list:
-        return self._row(trial)[0].tolist()
+        rows, factors = [], zip(self._scales, u_last, wg)
+        for s, u, row in factors:   # per lane: aI+dK, then aI+K when m > 1
+            ru = [(1.0 / s - u) * v for v in row]               # R u[:t]
+            head = (1.0 + 1.0 / m) * (sum(ru) + (m - 1) * u)    # (1 + 1/m) s(p), for every class
+            if m > 1:
+                s, u, row = next(factors)
+                ru = [(1.0 / s - u) * v for v in row]
+                tail = (sum(ru) + (m - 1) * u) / m
+            rows.append([head + (v - tail) for v in ru] + [0.0] if m > 1 else [head, 0.0])
+        return rows
 
     def _commit(self, trial, ya: np.ndarray) -> None:
         """Store the signal and write one row into every factor and G."""
@@ -226,11 +235,12 @@ class KaarForecaster(Forecaster):
         if t == self._x.shape[0]:
             self._grow(xa.size, max(2 * t, _FIRST_CAPACITY))
         self._x[t] = xa
-        rho = np.sqrt(pivots)
         start = t * (t + 1) // 2
         self._packed[:, start:start + t] = w
-        self._packed[:, start + t] = rho
-        self._g[:, t] = (-2.0 * (ya[:-1] - ya[-1]) - wg) / rho[:, None]
+        self._packed[:, start + t] = rho = list(map(math.sqrt, pivots))
+        *head, last = ya.tolist()   # G's new row (R_T' - w'G) / rho, built one class at a time
+        self._g[:, t].T[:] = [[(y - v) / r for v, r in zip(col, rho)]
+                              for y, col in zip([-2.0 * (v - last) for v in head], zip(*wg))]
         self.t = t + 1
 
     def _reserve(self, xs) -> None:

@@ -89,3 +89,24 @@ def test_prediction_vector_allows_negatives_on_hyperplane():
     assert g.d == 2
     with pytest.raises(ValueError):
         PredictionVector([0.3, 0.3])
+
+
+def test_probability_vectors_compare_and_hash_by_value():
+    p = ProbabilityVector([0.5, 0.5])
+    assert p == ProbabilityVector([0.5, 0.5]) and hash(p) == hash(ProbabilityVector(np.array([0.5, 0.5])))
+    assert p != ProbabilityVector([0.25, 0.75]) and p != ProbabilityVector([0.5, 0.5, 0.0])
+    assert ProbabilityVector([1.0, 0.0]) == ProbabilityVector([1.0, -0.0])
+    assert hash(ProbabilityVector([1.0, 0.0])) == hash(ProbabilityVector([1.0, -0.0]))
+    # another type never equals, even with the same entries
+    assert p != PredictionVector([0.5, 0.5]) and p != [0.5, 0.5]
+    assert len({p, ProbabilityVector([0.5, 0.5]), ProbabilityVector([0.25, 0.75])}) == 2
+
+
+def test_prediction_vectors_compare_and_hash_by_value():
+    g = PredictionVector([1.4, -0.4])
+    assert g == PredictionVector([1.4, -0.4]) and hash(g) == hash(PredictionVector(np.array([1.4, -0.4])))
+    assert g != PredictionVector([-0.4, 1.4]) and g != PredictionVector([1.4, -0.4, 0.0])
+    assert PredictionVector([1.0, 0.0]) == PredictionVector([1.0, -0.0])
+    assert hash(PredictionVector([1.0, 0.0])) == hash(PredictionVector([1.0, -0.0]))
+    assert g != ProbabilityVector([0.5, 0.5]) and g != [1.4, -0.4]
+    assert {g: 1}[PredictionVector([1.4, -0.4])] == 1

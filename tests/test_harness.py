@@ -185,7 +185,7 @@ def test_predict_of_a_broken_row_or_scan_is_invariant_violation(name, monkeypatc
     if name == "simple":
         monkeypatch.setattr(SimpleBaseline, "generalized", lambda self, x: np.array(nan_row))
     else:
-        monkeypatch.setattr(type(model), "_first_row", lambda self, trial: list(nan_row))
+        monkeypatch.setattr(type(model), "_row", lambda self, trial: [list(nan_row)])
     with pytest.raises(InvariantViolation, match="not finite"):
         model.predict(x)
 

@@ -1,7 +1,14 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexcast.core import DimensionMismatch, InvariantViolation
+from simplexcast import kaar
+from simplexcast.core import DimensionMismatch, InvariantViolation, trial_name
 from simplexcast.harness import DEFAULT_RIDGE_GRID, random_stream, run_online
 from simplexcast.kaar import KaarForecaster, Kernel
 from simplexcast.maar import MaarForecaster
@@ -46,6 +53,22 @@ def test_kernel_symmetry_and_gram_psd():
         for _ in range(10):
             x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             assert kernel(x, y) == pytest.approx(kernel(y, x))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_the_tiled_rbf_gram_equals_the_row_by_row_gram_bit_for_bit(n):
+    # T around one tile side (as gram sizes its tiles) and at the bound check's 390
+    side = max(1, math.isqrt(kaar._TILE_BYTES // 8 // n))
+    rng = np.random.default_rng(n)
+    for t_len in (0, 1, side - 1, side, side + 1, 390):
+        for scale in (1e-3, 1.0, 1e3):
+            kernel = Kernel("rbf", sigma=scale * rng.uniform(0.5, 2.0))
+            xs = scale * rng.uniform(-1, 1, (t_len, n))
+            gram = kernel.gram(xs)
+            assert gram.shape == (t_len, t_len)
+            np.testing.assert_array_equal(gram, np.array([kernel._row(xs, x) for x in xs]).reshape(t_len, t_len))
+            np.testing.assert_array_equal(gram, gram.T)
+            np.testing.assert_array_equal(np.diagonal(gram), 1.0)
 
 
 @pytest.mark.parametrize("norm", [1e2, 1e4, 1e6])
@@ -226,11 +249,13 @@ def test_predict_leaves_factors_and_t_unchanged():
 
 def test_kernel_overflow_raises_invariant_violation():
     model = KaarForecaster(3, Kernel("poly", degree=3), 1.0)
-    with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
-        model.predict([1e110, 1e110])
-    model.update([1.0, 0.0], [1.0, 0.0, 0.0])
-    with pytest.raises(InvariantViolation, match="trial 2: kernel row is not finite"):
-        model.update([1e110, 1e110], [1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the typed error alone: no numpy overflow warning first
+        with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
+            model.predict([1e110, 1e110])
+        model.update([1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(InvariantViolation, match="trial 2: kernel row is not finite"):
+            model.update([1e110, 1e110], [1.0, 0.0, 0.0])
     assert model.t == 1
 
 
@@ -336,3 +361,56 @@ def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"^trial 11 at ridge 1\.0: aI\+dK has pivot -"):
         run_online(data[10:], model)
     assert model.t == 10
+
+
+@st.composite
+def _kaar_cases(draw):
+    """d = 2..6 classes (m = 1 and m > 1), a kernel, one ridge or three lanes, and 17..40
+    trials, past the 16 -> 32 doubling of update's buffers."""
+    d = draw(st.integers(2, 6))
+    kernel = draw(st.sampled_from([Kernel("dot"), Kernel("rbf", sigma=0.8), Kernel("poly", degree=3)]))
+    ridges = [10.0 ** e for e in draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3))]
+    a = ridges if draw(st.booleans()) else ridges[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_len, n = draw(st.integers(17, 40)), draw(st.integers(1, 4))
+    return d, kernel, a, rng.uniform(-1, 1, (t_len, n)), np.eye(d)[rng.integers(d, size=t_len)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kaar_cases(), st.data())
+def test_the_float_trial_step_keeps_run_loop_and_lanes_bit_identical(case, data):
+    d, kernel, a, xs, ys = case
+    run = KaarForecaster(d, kernel, a).run(xs, ys)
+    loop = KaarForecaster(d, kernel, a)
+    rows = []
+    for x, y in zip(xs, ys):
+        rows.append(loop.generalized(x))
+        if np.ndim(a) == 0:
+            np.testing.assert_array_equal(loop.predict(x).p, solve_substitution(rows[-1]).p)
+        loop.update(x, y)
+    np.testing.assert_array_equal(np.array(rows), run)
+    lanes = [(None, a, run)] if np.ndim(a) == 0 else list(zip(a, a, np.moveaxis(run, 1, 0)))
+    for _, ridge, lane_run in lanes:
+        np.testing.assert_array_equal(lane_run, KaarForecaster(d, kernel, ridge).run(xs, ys))
+        if kernel.kind == "dot":
+            history = list(zip(xs, ys))
+            for t in range(0, len(xs), 5):
+                np.testing.assert_allclose(lane_run[t], dense_kaar_r(history[:t], xs[t], kernel, d, ridge), atol=1e-9)
+
+    # a pivot that is not positive fails in the first factor, named with its system and ridge,
+    # the pivot printed as a plain float
+    systems = 1 if d == 2 else 2
+    t, x = loop.t, xs[0]
+    loop._extended_gram = lambda xa: (np.zeros(t), -1e9)
+    pivot = lanes[0][1] + d * -1e9 - 0.0
+    with pytest.raises(InvariantViolation, match="^" + re.escape(
+            f"{trial_name(t + 1, lanes[0][0])}: aI+dK has pivot {pivot!r}, not positive definite") + "$"):
+        loop.generalized(x)
+    del loop._extended_gram
+    k = data.draw(st.integers(0, systems * len(lanes) - 1))
+    loop._packed[k, 0] = np.nan
+    g, j = divmod(k, systems)
+    with pytest.raises(InvariantViolation, match="^" + re.escape(
+            f"{trial_name(t + 1, lanes[g][0])}: {kaar._SYSTEMS[j]} has pivot nan, not positive definite") + "$"):
+        loop.generalized(x)
+    assert loop.t == t
