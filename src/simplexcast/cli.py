@@ -12,11 +12,7 @@ violation (for example a negative bound slack).
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -55,18 +51,10 @@ def _series_from(input_path, synth, length, seed):
 def _parse_ridge(spec: str):
     if spec == "grid":
         return harness.DEFAULT_RIDGE_GRID
-    if "," in spec:
-        try:
-            return tuple(float(v) for v in spec.split(","))
-        except ValueError:
-            raise harness.InputError(f"bad ridge grid {spec!r}") from None
     try:
-        value = float(spec)
+        return tuple(float(v) for v in spec.split(",")) if "," in spec else float(spec)
     except ValueError:
         raise harness.InputError(f"ridge must be a number, a comma list, or 'grid', got {spec!r}") from None
-    if not 0.0 < value < math.inf:
-        raise harness.InputError(f"ridge must be positive and finite, got {value!r}")
-    return value
 
 
 def _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
@@ -200,19 +188,10 @@ def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
                     rows.append((idx, origin, tag, report.bound, report.algorithm_loss,
                                  report.expert_loss, report.bound_value, report.slack))
                     worst = min(worst, report.slack)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "bound_reports.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stream", "origin", "algorithm", "bound",
-                             "algorithm_loss", "expert_loss", "bound_value", "slack"])
-            for row in rows:
-                writer.writerow(row)
-        (out / "bound_log.json").write_text(json.dumps({
-            "streams": streams, "adversarial": adversarial, "max_steps": max_steps,
-            "ridge": ridge, "seed": seed, "worst_slack": worst, "checks": len(rows),
-        }, indent=2, sort_keys=True) + "\n")
+        path = harness.write_outputs(out_dir, "bound_reports.csv", [
+            "stream", "origin", "algorithm", "bound", "algorithm_loss", "expert_loss", "bound_value", "slack"],
+            rows, "bound_log.json", {"streams": streams, "adversarial": adversarial, "max_steps": max_steps,
+                                     "ridge": ridge, "seed": seed, "worst_slack": worst, "checks": len(rows)})
         click.echo(f"{len(rows)} checks, worst slack {worst:.3e}, report in {path}")
         if worst < -1e-6:
             raise InvariantViolation(f"negative bound slack {worst!r}")
@@ -226,19 +205,12 @@ def label(input_path, synth, length, seed, window, epsilon, out_dir):
     def work():
         series = _series_from(input_path, synth, length, seed)
         stream = harness.prepare_stream(series, window, epsilon)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "labeled_stream.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(stream.n)] + ["label"])
-            for x, y in stream.pairs():
-                writer.writerow([repr(v) for v in x] + [int(np.argmax(y)) + 1])
-        (out / "label_log.json").write_text(json.dumps({
-            "window": stream.window, "epsilon": stream.epsilon,
-            "normalization": {"mean": stream.mean, "scale": stream.scale},
-            "length": len(stream), "seed": seed, "synth": synth, "input": input_path,
-        }, indent=2, sort_keys=True) + "\n")
+        path = harness.write_outputs(
+            out_dir, "labeled_stream.csv", [f"x{i + 1}" for i in range(stream.n)] + ["label"],
+            ([repr(v) for v in x] + [int(np.argmax(y)) + 1] for x, y in stream.pairs()),
+            "label_log.json", {"window": stream.window, "epsilon": stream.epsilon,
+                               "normalization": {"mean": stream.mean, "scale": stream.scale},
+                               "length": len(stream), "seed": seed, "synth": synth, "input": input_path})
         click.echo(f"{len(stream)} labeled steps written to {path}")
     _guard(work)
 

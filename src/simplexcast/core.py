@@ -106,17 +106,24 @@ def check_trials(signals, outcomes, n: int | None, d: int, first: int = 1) -> Tr
                             f"got {len(signals)} signals and {len(outcomes)} outcomes")
 
 
-def stack_trials(data) -> Trials:
-    """``data`` as validated Trials: a Trials passes through, and the widths of a
-    LabeledStream (anything with ``signals`` and ``labels`` arrays) or of a sequence of
-    (signal, outcome) pairs are those of its first trial."""
+def _columns(data) -> tuple:
+    """The signals and outcomes of a stream, unchecked: a Trials as it is, the arrays of a
+    LabeledStream (anything with ``signals`` and ``labels``), or the columns of a sequence
+    of (signal, outcome) pairs."""
     if isinstance(data, Trials):
         return data
     if hasattr(data, "labels"):
-        signals, outcomes = data.signals, data.labels
-    else:
-        pairs = list(data)
-        signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
+        return data.signals, data.labels
+    pairs = list(data)
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def stack_trials(data) -> Trials:
+    """``data`` as validated Trials: a Trials passes through, and the widths of any other
+    stream ``_columns`` reads are those of its first trial."""
+    if isinstance(data, Trials):
+        return data
+    signals, outcomes = _columns(data)
     if not len(outcomes):
         return Trials(np.empty((0, 0)), np.empty((0, 0)))
     return check_trials(signals, outcomes, np.size(signals[0]), np.size(outcomes[0]))

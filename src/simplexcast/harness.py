@@ -19,7 +19,7 @@ one ``substitute_rows`` call after the run, which checks them all; they equal wh
 ``predict`` would have announced, bit for bit.  A failure is named by the model's own
 trial count, so a run that carries on a model names its trials as one run from the start
 would.  Ridge selection runs every kind as one forecaster with a ridge lane per grid value:
-CAAR and MAAR keep one inverse per lane (see ``maar.RankOneCore``), KAAR one Cholesky
+CAAR and MAAR keep one inverse per lane and system (see ``maar.RankOneCore``), KAAR one Cholesky
 factor per lane and system beside the shared signals and kernel rows (see
 ``kaar.KaarForecaster``).  ``verify_run`` and ``run_benchmark`` hand the arrays they hold
 to the guarantees of ``bounds`` too.
@@ -34,7 +34,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import (InvariantViolation, ProbabilityVector, Trials, check_classes, check_trials, check_vector,
+from .core import (InvariantViolation, ProbabilityVector, _columns, check_classes, check_trials, check_vector,
                    stack_trials, trial_name)
 from .maar import MaarForecaster
 from .substitution import _forecast, substitute_rows
@@ -138,29 +138,18 @@ def label_stream(series, window: int = DEFAULT_WINDOW, epsilon: float = 0.0,
         raise InputError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if epsilon == 0.0:
         warnings.warn("epsilon = 0 degenerates the tube class to exact ties", stacklevel=2)
-    count = arr.size - window
-    signals = np.empty((count, window))
-    labels = np.zeros((count, 3))
-    for row, t in enumerate(range(window, arr.size)):
-        signals[row] = arr[t - window:t]
-        delta = arr[t] - arr[t - 1]
-        if delta > epsilon:
-            labels[row, UP] = 1.0
-        elif delta < -epsilon:
-            labels[row, DOWN] = 1.0
-        else:
-            labels[row, TUBE] = 1.0
+    signals = np.lib.stride_tricks.sliding_window_view(arr, window)[:-1].copy()
+    delta = np.diff(arr)[window - 1:]   # the step after each signal
+    labels = np.zeros((len(delta), 3))
+    labels[np.arange(len(delta)), np.where(delta > epsilon, UP, np.where(delta < -epsilon, DOWN, TUBE))] = 1.0
     return LabeledStream(signals, labels, window, float(epsilon), mean, scale)
 
 
 def split_train_test(stream: LabeledStream) -> tuple[LabeledStream, LabeledStream]:
     """First third for ridge selection, last two thirds for metrics."""
     cut = stream.split_index
-    head = LabeledStream(stream.signals[:cut], stream.labels[:cut],
-                         stream.window, stream.epsilon, stream.mean, stream.scale)
-    tail = LabeledStream(stream.signals[cut:], stream.labels[cut:],
-                         stream.window, stream.epsilon, stream.mean, stream.scale)
-    return head, tail
+    return (replace(stream, signals=stream.signals[:cut], labels=stream.labels[:cut]),
+            replace(stream, signals=stream.signals[cut:], labels=stream.labels[cut:]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +229,7 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     ridge.  Trials are counted as the model counts them, so the first row of the stream is
     trial t + 1 of a model that has committed t.
     """
-    if isinstance(stream, LabeledStream):
-        signals, outcomes = stream.signals, stream.labels
-    elif isinstance(stream, Trials):
-        signals, outcomes = stream
-    else:
-        pairs = list(stream)
-        signals, outcomes = [x for x, _ in pairs], [y for _, y in pairs]
+    signals, outcomes = _columns(stream)
     first = model.t + 1
     r = model.run(signals, outcomes)
     lanes = r.shape[1:-1]
@@ -305,18 +288,20 @@ def grid_search_ridge(train: LabeledStream, kind: str, grid,
     ``record``, when given, receives the sorted grid (``ridges``), the train MSE of
     each value (``train_mse``) and ``seconds``.
     """
-    return _lane_run(train, kind, _grid_values(grid, train), kernel, record=record)[0]
+    values = _ridge_values(grid)
+    if len(train) == 0:
+        raise InputError("stream too short for ridge selection")
+    return _lane_run(train, kind, values, kernel, record=record)[0]
 
 
-def _grid_values(grid, train: LabeledStream) -> list[float]:
-    """The ridge grid, sorted, once it and the train segment it is scored on are checked."""
-    values = sorted(float(g) for g in grid)
+def _ridge_values(spec) -> list[float]:
+    """The values of a ridge spec, one ridge or a grid, sorted, once there is at least one
+    and each is positive and finite."""
+    values = sorted(float(v) for v in np.ravel(spec))
     if not values:
         raise InputError("ridge grid is empty")
     if not all(0.0 < v < math.inf for v in values):
-        raise InputError(f"ridge grid values must be positive and finite, got {values!r}")
-    if len(train) == 0:
-        raise InputError("stream too short for ridge selection")
+        raise InputError(f"ridge values must be positive and finite, got {values!r}")
     return values
 
 
@@ -422,24 +407,28 @@ class ExperimentReport:
     bound_slack: float | None = None
 
 
-def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path]:
-    """Write the machine-readable CSV, a readable table, and the run log."""
+def write_outputs(out_dir, name: str, header, rows, log_name: str, log: dict | None) -> Path:
+    """Write ``rows`` under ``header`` as the CSV file ``name`` in ``out_dir``, made if missing,
+    and ``log``, unless None, as indented JSON with sorted keys in ``log_name`` beside it.
+    Returns the CSV's path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "report.csv"
-    with csv_path.open("w", newline="") as fh:
+    with (out / name).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for rep in reports:
-            writer.writerow([
-                rep.algorithm,
-                repr(rep.mse),
-                repr(rep.amse),
-                repr(rep.time_seconds),
-                "" if rep.ridge is None else repr(rep.ridge),
-                "" if rep.bound_slack is None else repr(rep.bound_slack),
-            ])
-    txt_path = out / "report.txt"
+        writer.writerow(header)
+        writer.writerows(rows)
+    if log is not None:
+        (out / log_name).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
+    return out / name
+
+
+def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path]:
+    """Write the machine-readable CSV, a readable table, and the run log."""
+    csv_path = write_outputs(out_dir, "report.csv", REPORT_COLUMNS, [
+        [rep.algorithm, repr(rep.mse), repr(rep.amse), repr(rep.time_seconds),
+         "" if rep.ridge is None else repr(rep.ridge), "" if rep.bound_slack is None else repr(rep.bound_slack)]
+        for rep in reports], "run_log.json", run_log)
+    txt_path = csv_path.with_name("report.txt")
     with txt_path.open("w") as fh:
         header = f"{'algorithm':<10} {'MSE':>12} {'AMSE':>12} {'time (s)':>10} {'ridge':>10} {'slack':>12}"
         fh.write(header + "\n")
@@ -451,9 +440,7 @@ def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path
                      f"{rep.time_seconds:>10.3f} {ridge:>10} {slack:>12}\n")
     paths = {"csv": csv_path, "table": txt_path}
     if run_log is not None:
-        log_path = out / "run_log.json"
-        log_path.write_text(json.dumps(run_log, indent=2, sort_keys=True) + "\n")
-        paths["log"] = log_path
+        paths["log"] = csv_path.with_name("run_log.json")
     return paths
 
 
@@ -484,7 +471,8 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
                   kernel: Kernel | None = None) -> tuple[list[ExperimentReport], dict]:
     """The full protocol: ridge selection on the train third, metrics on the rest.
 
-    ``ridge_spec`` is a fixed positive float or a grid (sequence of floats).  Each
+    ``ridge_spec`` is a fixed positive float or a grid (sequence of floats), each of whose
+    values is checked before the first algorithm runs, the baseline's too.  Each
     algorithm runs once over the stream: the train third with a ridge lane per grid value
     (one lane for a fixed ridge, none for the baseline), then only the selected lane, split
     off by ``lane``, goes on over the rest, where the metrics are taken.  A lane equals the
@@ -497,19 +485,18 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     cut = stream.split_index
     if len(test) == 0:
         raise InputError("stream too short to leave a test segment")
+    values, grid = _ridge_values(ridge_spec), np.ndim(ridge_spec) > 0
+    if grid and len(train) == 0 and set(algos) - {"simple"}:
+        raise InputError("stream too short for ridge selection")
     reports = []
     chosen: dict[str, float | None] = {}
     grids: dict[str, dict] = {}
     for kind in algos:
         started = time.perf_counter()
-        if kind == "simple":
-            values = [None]
-        elif np.ndim(ridge_spec) == 0:
-            values = [float(ridge_spec)]
-        else:
+        if grid and kind != "simple":
             grids[kind] = {}
-            values = _grid_values(ridge_spec, train)
-        ridge, model, head = _lane_run(train, kind, values, kernel, stream.window, grids.get(kind))
+        ridge, model, head = _lane_run(train, kind, [None] if kind == "simple" else values, kernel,
+                                       stream.window, grids.get(kind))
         tail, _ = run_online(test, model)
         elapsed = time.perf_counter() - started
         chosen[kind] = ridge

@@ -106,11 +106,15 @@ class Kernel:
         if self.kind == "poly" and not 0.0 <= self.offset < math.inf:
             raise ValueError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
+    # An inner product of signals past about 1e154, or an rbf difference past 1e308, overflows
+    # to inf, an rbf entry of 0: a right value, or one KAAR and the bounds reject by type.
+    @np.errstate(over="ignore")
     def __call__(self, x, y) -> float:
         """K(x, y) for two finite signals of one length, by the formula of ``gram``."""
         xa = as_float_vector(x, "signal")
         return float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
 
+    @np.errstate(over="ignore")
     def gram(self, signals: np.ndarray) -> np.ndarray:
         """Gram matrix over the rows of ``signals``; rbf's equals ``_row``'s bit for bit."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
@@ -144,8 +148,7 @@ class Kernel:
         if self.kind == "dot":
             return v
         if self.kind == "poly":
-            with np.errstate(over="ignore"):   # an overflow gives inf, which the callers check
-                return (v + self.offset) ** self.degree
+            return (v + self.offset) ** self.degree
         return np.exp(v / (-2.0 * self.sigma**2))
 
 
@@ -162,17 +165,13 @@ class KaarForecaster(Forecaster):
     """Sequential predict/update form of the kernelized forecaster.
 
     Holds the t stored signals and, per system aI + sK (s = d, then s = 1 when
-    d > 2), the packed factor rows and G = L^{-1} R'.  With ridge lanes the factor of
-    lane g and system j is row g S + j of ``_packed`` and ``_g`` (S systems), so that
-    every step treats one row per factor as it does without lanes.
+    d > 2), the packed factor rows and G = L^{-1} R'.  Factor k = g S + j, of lane g and
+    system j (see ``Forecaster``), is row k of ``_packed`` and ``_g``.
     """
 
     def __init__(self, d: int, kernel: Kernel, a=1.0):
-        super().__init__(d, a)
+        super().__init__(d, a, (d, 1.0)[:1 if d == 2 else 2])
         self.kernel = kernel
-        self._systems = _SYSTEMS[:1 if d == 2 else 2]
-        self._ridges = np.repeat(self.a, len(self._systems)).tolist()                  # a of each factor
-        self._scales = [float(d), 1.0][:len(self._systems)] * len(np.ravel(self.a))   # s of each factor
         self._column = np.array(self._scales)[:, None]
         self._x = np.empty((0, 0))                       # signals; the first update sets the width
         self._packed = np.empty((len(self._scales), 0))  # factor rows, row j at j(j+1)/2
@@ -188,6 +187,7 @@ class KaarForecaster(Forecaster):
         """The stored signals' length, or the first signal's; None when there are neither."""
         return self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None
 
+    @np.errstate(over="ignore")   # an overflow gives inf, which ``_trial`` checks
     def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, float]:
         """Kernel row of ``xa`` against the stored signals, and K(xa, xa)."""
         stored = self._x[:self.t] if self.t else np.empty((0, xa.size))
@@ -205,11 +205,10 @@ class KaarForecaster(Forecaster):
             dtpsv(t, packed, border, 1, 0, 0, 1, 0, 1)   # border = L^{-1} s c in place; trans=1 by position
         ww = np.einsum("st,st->s", w, w).tolist()
         pivots = [a + s * kxx - v for a, s, v in zip(self._ridges, self._scales, ww)]
-        for i, pivot in enumerate(pivots):
+        for k, pivot in enumerate(pivots):
             if not 0.0 < pivot < math.inf:
-                g, j = divmod(i, len(self._systems))
-                raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(g))}: "
-                                         f"{self._systems[j]} has pivot {pivot!r}, not positive definite")
+                raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(k))}: "
+                                         f"{_SYSTEMS[k % self._size]} has pivot {pivot!r}, not positive definite")
         u_last = [(kxx - v / s) / p for s, v, p in zip(self._scales, ww, pivots)]
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0].tolist(), u_last
 
@@ -250,7 +249,7 @@ class KaarForecaster(Forecaster):
 
     def _lane(self, g: int) -> KaarForecaster:
         twin = KaarForecaster(self.d, self.kernel, self.a[g])
-        rows = slice(g * len(self._systems), (g + 1) * len(self._systems))
+        rows = self._factors(g)
         twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
         return twin
 

@@ -138,18 +138,29 @@ class Forecaster:
 
     ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
     ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
+    Every forecaster keeps one factor (an inverse, or a Cholesky factor) per lane g and
+    scale s_j of its systems aI + s_j C, j < S, ``scales`` giving s_0 ... s_{S-1}: factor
+    k = g S + j, whose ridge and scale are ``_ridges[k]`` and ``_scales[k]``.  So every step
+    treats one factor as it treats any other, and one lane takes the arithmetic of one ridge.
     """
 
-    def __init__(self, d: int, a):
+    def __init__(self, d: int, a, scales):
         self.d = check_classes(d)
         self.a = ridge_lanes(a)
         self.t = 0
         self._lanes = np.shape(self.a)
+        self._size = len(scales)   # S
+        self._ridges = [r for r in np.ravel(self.a).tolist() for _ in scales]   # a of each factor
+        self._scales = [float(s) for s in scales] * len(np.ravel(self.a))       # s of each factor
         self._last = None   # _trial of the last prediction
 
-    def _lane_ridge(self, g: int) -> float | None:
-        """The ridge that names lane g in an error; None for a forecaster of one ridge."""
-        return self.a[g] if self._lanes else None
+    def _lane_ridge(self, k: int) -> float | None:
+        """The ridge that names factor k's lane in an error; None for a forecaster of one ridge."""
+        return self._ridges[k] if self._lanes else None
+
+    def _factors(self, g: int) -> slice:
+        """Lane g's factors, k = g S ... g S + S - 1."""
+        return slice(g * self._size, (g + 1) * self._size)
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r, of shape np.shape(a) + (d,)."""
@@ -205,28 +216,23 @@ class Forecaster:
 class RankOneCore(Forecaster):
     """State shared by the linear forecasters: C = sum x_t x_t' and the inverses of aI + sC.
 
-    There is one inverse per ridge lane and scale s, kept by Sherman-Morrison steps; a
-    Cholesky rebuild checks them every REFRESH_EVERY trials.  C only feeds that rebuild,
-    so it is kept as its value at the last rebuild plus the signals since.  ``_stats``
-    holds the subclass's statistics (MAAR's h, CAAR's E) as rows, then a slot for the
-    current signal; the subclass gives ``_row`` and the ``_coefficients`` of an outcome.
+    There is one inverse per factor, that is per ridge lane and scale s (see ``Forecaster``),
+    kept by Sherman-Morrison steps; a Cholesky rebuild checks them every REFRESH_EVERY
+    trials.  C only feeds that rebuild, so it is kept as its value at the last rebuild plus
+    the signals since.  ``_stats`` holds the subclass's statistics (MAAR's h, CAAR's E) as
+    rows, then a slot for the current signal; the subclass gives ``_row`` and the
+    ``_coefficients`` of an outcome.
 
-    ``_inv`` has shape np.shape(a) + (S, n, n): the inverse of a_g I + sC for lane g and
-    scale s.  ``_flat`` views it as K = G S factors, lane by lane, and every step acts on
-    that stack the same way whatever G is, so one lane takes the same arithmetic as one ridge.
+    ``_inv`` is the (K, n, n) stack of the K = G S factors: row k = g S + j is the inverse of
+    a_g I + s_j C.  Every step acts on the whole stack the same way, whatever G is.
     """
 
     def __init__(self, n: int, d: int, a, scales, rows: int):
         if n < 1:
             raise ValueError(f"signal dimension must be >= 1, got {n}")
-        super().__init__(d, a)
+        super().__init__(d, a, scales)
         self.n = n
-        self._ridges = np.ravel(self.a).tolist()
-        self._scales = [float(s) for s in scales] * len(self._ridges)   # s of each factor
-        # (aI + sC)^{-1} per lane and scale s
-        self._inv = np.stack([np.eye(n) / a for a in self._ridges for _ in scales]).reshape(
-            self._lanes + (len(scales), n, n))
-        self._flat = self._inv.reshape(-1, n, n)
+        self._inv = np.stack([np.eye(n) / a for a in self._ridges])   # (aI + sC)^{-1} per factor
         self._stats = np.zeros((rows + 1, n))
         self._c = np.zeros((n, n))                    # C up to the last refresh
         self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
@@ -248,16 +254,14 @@ class RankOneCore(Forecaster):
         the inner products of u_k with every row of ``_stats`` (x last) and the
         Sherman-Morrison denominator 1 + s x'u_k, which is >= 1 unless the inverse is broken;
         the last two as Python floats, since numpy costs more per scalar."""
-        u = self._flat @ xa
+        u = self._inv @ xa
         self._stats[-1] = xa
         products = (u @ self._stats.T).tolist()
         den = [1.0 + s * row[-1] for s, row in zip(self._scales, products)]
         for k, v in enumerate(den):
             if not 1.0 - DRIFT_TOL <= v < math.inf:
-                size = self._inv.shape[-3]   # scales per lane
-                g = k // size
-                raise InvariantViolation(f"{trial_name(self.t + 1, self._lane_ridge(g))}: Sherman-Morrison "
-                                         f"denominator {den[g * size:(g + 1) * size]!r} is not >= 1")
+                raise InvariantViolation(f"{trial_name(self.t + 1, self._lane_ridge(k))}: Sherman-Morrison "
+                                         f"denominator {den[self._factors(k // self._size)]!r} is not >= 1")
         return xa, u, products, den
 
     def _commit(self, trial, ya: np.ndarray) -> None:
@@ -274,29 +278,25 @@ class RankOneCore(Forecaster):
         w = u * np.array([math.sqrt(s / v) for s, v in zip(self._scales, den)])[:, None]
         step = w[:, :, None] * w[:, None, :]
         if slot + 1 < REFRESH_EVERY:
-            self._flat -= step
+            self._inv -= step
         else:
             c = self._c + self._signals.T @ self._signals
-            self._inv = self._refreshed((self._flat - step).reshape(self._inv.shape), c, self.t + 1)
-            self._flat = self._inv.reshape(step.shape)
+            self._inv = self._refreshed(self._inv - step, c, self.t + 1)
             self._c = c
         self._stats[:-1] += np.array(self._coefficients(ya.tolist()))[:, None] * xa
         self.t += 1
 
     def _lane(self, g: int):
         twin = type(self)(self.n, self.d, self.a[g])
-        twin._inv = self._inv[g].copy()
-        twin._flat = twin._inv.reshape(twin._flat.shape)
+        twin._inv = self._inv[self._factors(g)].copy()
         twin._stats, twin._c, twin._signals = self._stats.copy(), self._c.copy(), self._signals.copy()
         return twin
 
     def _refreshed(self, inv: np.ndarray, c: np.ndarray, trial: int) -> np.ndarray:
-        """Cholesky rebuilds of every inverse in ``inv``, each checked against it; new arrays."""
-        size, eye = inv.shape[-3], np.eye(self.n)
-        fresh = [refresh_inverse(m, self._ridges[k // size] * eye + self._scales[k] * c, trial,
-                                 self._lane_ridge(k // size))
-                 for k, m in enumerate(inv.reshape(self._flat.shape))]
-        return np.stack(fresh).reshape(inv.shape)
+        """Cholesky rebuilds of every inverse in ``inv``, each checked against it; a new stack."""
+        eye = np.eye(self.n)
+        return np.stack([refresh_inverse(m, a * eye + s * c, trial, self._lane_ridge(k))
+                         for k, (m, a, s) in enumerate(zip(inv, self._ridges, self._scales))])
 
     def run_check(self) -> None:
         """Check every maintained inverse against a Cholesky rebuild, keeping them as they are."""

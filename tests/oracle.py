@@ -19,6 +19,25 @@ GRID_NODES = 2001          # per-axis node floor for the tensor quadrature
 GRID_STDS = 12.0           # half-width in marginal standard deviations
 
 
+def literal_label_stream(series, window: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signals and one-hot labels of ``harness.label_stream``, built one row at a time: the
+    ``window`` observations before step t, and up (0), down (1) or the tube (2) by the change
+    into step t, exact ties in the tube."""
+    arr = np.asarray(series, dtype=float)
+    signals = np.empty((arr.size - window, window))
+    labels = np.zeros((arr.size - window, 3))
+    for row, t in enumerate(range(window, arr.size)):
+        signals[row] = arr[t - window:t]
+        delta = arr[t] - arr[t - 1]
+        if delta > epsilon:
+            labels[row, 0] = 1.0
+        elif delta < -epsilon:
+            labels[row, 1] = 1.0
+        else:
+            labels[row, 2] = 1.0
+    return signals, labels
+
+
 # ---------------------------------------------------------------------------
 # Pointwise game evaluation (the "literal" route)
 

@@ -176,6 +176,15 @@ def test_an_infinite_ridge_is_input_error_naming_the_ridge(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_bad_grid_value_is_input_error_for_a_baseline_only_run(tmp_path):
+    for spec, shown in (("1,-1", "-1.0"), ("1,nan", "nan"), ("-1", "-1.0")):
+        result = CliRunner().invoke(main, ["bench", "--algos", "simple", "--ridge", spec, "--synth", "sine",
+                                           "--length", "120", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (spec, result.output)
+        assert "positive and finite" in result.output and shown in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_non_finite_epsilon_is_input_error(tmp_path):
     for eps in ("nan", "inf", "-0.5"):
         result = CliRunner().invoke(main, ["bench", "--synth", "sine", "--length", "120", "--epsilon", eps,

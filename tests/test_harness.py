@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcast import harness
 from simplexcast import substitution
@@ -34,6 +37,8 @@ from simplexcast.kaar import Kernel
 from simplexcast.caar import CaarForecaster
 from simplexcast.maar import REFRESH_EVERY, MaarForecaster
 from simplexcast.substitution import solve_substitution, substitute_rows
+
+from oracle import literal_label_stream
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +109,37 @@ def test_label_stream_zero_epsilon_warns():
         label_stream(np.arange(12.0), window=10, epsilon=0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(window=st.integers(1, 12), extra=st.integers(1, 40), on_grid=st.booleans(), data=st.data())
+def test_label_stream_equals_the_per_row_loop_bit_for_bit(window, extra, on_grid, data):
+    size = window + extra
+    if on_grid:   # multiples of 1/8: every step is exact, so steps of exactly +-epsilon occur
+        epsilon = data.draw(st.sampled_from([0.0, 0.125, 0.25, 1.0]))
+        series = 0.125 * np.array(data.draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size)))
+    else:
+        epsilon = data.draw(st.floats(0.0, 1.0))
+        series = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stream = label_stream(series, window, epsilon)
+    assert [str(w.message) for w in caught] == (
+        ["epsilon = 0 degenerates the tube class to exact ties"] if epsilon == 0.0 else [])
+    signals, labels = literal_label_stream(series, window, epsilon)
+    assert stream.signals.shape == signals.shape and stream.signals.tobytes() == signals.tobytes()
+    assert stream.labels.shape == labels.shape and stream.labels.tobytes() == labels.tobytes()
+    ties = np.abs(np.diff(series)[window - 1:]) == epsilon
+    assert (stream.labels[ties, 2] == 1.0).all()
+
+
 def test_split_train_test_boundaries():
     def stream_of(length):
-        return LabeledStream(np.zeros((length, 2)), np.tile([1.0, 0, 0], (length, 1)), 2, 0.1)
+        return LabeledStream(np.zeros((length, 2)), np.tile([1.0, 0, 0], (length, 1)), 2, 0.1, 0.25, 3.0)
 
     for length, expected in ((9, 3), (10, 3), (3, 1)):
         train, test = split_train_test(stream_of(length))
         assert len(train) == expected and len(test) == length - expected
+        for part in (train, test):
+            assert (part.window, part.epsilon, part.mean, part.scale) == (2, 0.1, 0.25, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +706,21 @@ def test_run_benchmark_logs_the_train_mse_of_every_grid_value():
     json.loads(json.dumps(log, allow_nan=False))
     _, fixed = run_benchmark(stream, ["caar"], 1.0)
     assert fixed["ridge_grid"] == {}
+
+
+def test_every_ridge_of_the_spec_is_checked_whatever_the_algorithms():
+    stream = prepare_stream(synth_series("sine", 120, 6), 10, "auto")
+    for algos in (["simple"], ["simple", "caar"]):
+        for spec in ((1.0, -1.0), (1.0, float("nan")), -1.0, ()):
+            with pytest.raises(InputError, match="positive and finite|empty"):
+                run_benchmark(stream, algos, spec)
+    # a grid needs a train third only when an algorithm scores it
+    short = label_stream(synth_series("sine", 12, 6), 10, 0.05)
+    assert short.split_index == 0
+    (report,), log = run_benchmark(short, ["simple"], DEFAULT_RIDGE_GRID)
+    assert report.algorithm == "simple" and log["ridge_grid"] == {}
+    with pytest.raises(InputError, match="too short for ridge selection"):
+        run_benchmark(short, ["simple", "caar"], DEFAULT_RIDGE_GRID)
 
 
 def test_run_benchmark_with_kernel_algo():

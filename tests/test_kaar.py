@@ -259,6 +259,23 @@ def test_kernel_overflow_raises_invariant_violation():
     assert model.t == 1
 
 
+def test_signals_that_overflow_the_kernel_give_its_value_or_invariant_violation_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy overflow warning on the way
+        # an rbf difference past the float range is an entry of 0, which is right
+        assert Kernel("rbf")([1e308], [-1e308]) == 0.0
+        np.testing.assert_array_equal(Kernel("rbf").gram([[1e308], [-1e308]]), np.eye(2))
+        model = KaarForecaster(3, Kernel("rbf"), 1.0)
+        model.update([1e308], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(model.predict([-1e308]).p, KaarForecaster(3, Kernel("rbf")).predict([0.0]).p)
+        # a dot or poly product past it is inf, which the kernel-row check and dpotrf reject
+        for kind in ("dot", "poly"):
+            gram = Kernel(kind).gram([[1e200], [1.0]])
+            assert gram[0, 0] == math.inf and math.isfinite(gram[1, 1])
+        with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
+            KaarForecaster(3, Kernel("dot")).predict([1e200])
+
+
 def test_non_positive_definite_pivot_raises_naming_the_trial():
     rng = np.random.default_rng(50)
     model = KaarForecaster(3, Kernel("rbf", sigma=0.7), 0.1)

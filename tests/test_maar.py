@@ -71,6 +71,31 @@ def test_lane_rows_have_the_ridge_shape_and_match_single_ridges(cls):
     assert lanes._last is last   # raised before the trial ran
 
 
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+def test_the_flat_factor_stack_splits_by_lane_and_names_the_ridge_of_each_factor(cls):
+    grid = tuple(10.0**k for k in range(-3, 4))
+    rng = np.random.default_rng(31)
+    n, d, split = 3, 4, REFRESH_EVERY + 10
+    xs, ys = rng.uniform(-1, 1, (split + 20, n)), np.eye(d)[rng.integers(d, size=split + 20)]
+    lanes = cls(n, d, grid)
+    lanes.run(xs[:split], ys[:split])
+    size = 2 if cls is MaarForecaster else 1   # systems aI + C and aI + dC, or aI + B alone
+    assert lanes._inv.shape == (len(grid) * size, n, n)
+    for g, a in enumerate(grid):
+        single, twin = cls(n, d, a), lanes.lane(g)
+        single.run(xs[:split], ys[:split])
+        for x in xs[split:]:
+            np.testing.assert_array_equal(twin.predict(x).p, single.predict(x).p)
+        np.testing.assert_array_equal(twin.run(xs[split:], ys[split:]), single.run(xs[split:], ys[split:]))
+    # factor k = g S + j belongs to lane g, and names its ridge when it breaks
+    for k in range(len(grid) * size):
+        lanes._inv[k] *= -1.0
+        with pytest.raises(InvariantViolation, match=rf"^trial {split + 1} at ridge {grid[k // size]!r}: "
+                                                     "Sherman-Morrison denominator"):
+            lanes.generalized(xs[split])
+        lanes._inv[k] *= -1.0
+
+
 def test_first_trial_zero_signal_is_uniform():
     for d in (2, 3, 5):
         out = MaarForecaster(3, d, 1.0).predict(np.zeros(3))
@@ -281,13 +306,13 @@ def test_corrupted_inverse_raises_naming_the_trial():
     # three ridge lanes, one of them corrupted: the error names the trial and its ridge
     model = MaarForecaster(3, 3, LANES)
     x = _run(model, REFRESH_EVERY - 1)
-    model._inv[1, 0] *= 1.01
+    model._inv[2] *= 1.01
     with pytest.raises(InvariantViolation, match=rf"trial {REFRESH_EVERY} at ridge 1\.0: inverse drift "):
         model.update(x, [1.0, 0.0, 0.0])
 
     model = MaarForecaster(3, 3, LANES)
     x = _run(model, 10)
-    model._inv[2, 1] *= -1.0
+    model._inv[5] *= -1.0
     with pytest.raises(InvariantViolation, match=r"trial 11 at ridge 10\.0: Sherman-Morrison denominator "):
         model.generalized(x)
 
@@ -308,11 +333,11 @@ def test_failed_refresh_leaves_state_unchanged(cls, stat, fault):
     # one ridge, then three ridge lanes with the middle one corrupted (or every lane, whose
     # first one fails)
     first = r" at ridge 1\.0" if fault == "drift" else r" at ridge 0\.1"
-    for ridge, lane, where in ((1.0, (), ""), (LANES, (1,), first)):
+    for ridge, lane, where in ((1.0, 0, ""), (LANES, 1, first)):
         model = cls(3, 3, ridge)
         x = _run(model, REFRESH_EVERY - 1)
         if fault == "drift":
-            model._inv[lane + (0,)] *= 1.01
+            model._inv[lane * model._size] *= 1.01
         else:
             model._c[:] = -1e3 * np.eye(3)
         model.generalized(x)
