@@ -9,7 +9,8 @@ Three forecasters with worst-case cumulative-loss guarantees against linear
 
 The harness module provides the time-series labeling protocol, metrics, and
 synthetic data, and ``verify_run``, which checks the guarantees of the bounds
-module on actual runs.
+module on actual runs.  ``__all__`` is the public surface; ``KaarForecaster`` and
+``Kernel`` load on first use.
 """
 
 from .bounds import (
@@ -21,19 +22,11 @@ from .bounds import (
     expert_loss,
 )
 from .caar import CaarForecaster
-from .core import (
-    DimensionMismatch,
-    InvariantViolation,
-    PredictionVector,
-    ProbabilityVector,
-    Vertex,
-    brier_loss,
-    vertex_to_probability,
-)
+from .core import DimensionMismatch, InvariantViolation, ProbabilityVector
 from .harness import verify_run
-from .maar import MaarForecaster, solve_structured
+from .maar import MaarForecaster
 from .projection import project_to_simplex
-from .substitution import solve_substitution, substitute_rows, substitution_threshold
+from .substitution import solve_substitution, substitute_rows
 
 __all__ = [
     "BoundReport",
@@ -45,19 +38,13 @@ __all__ = [
     "KernelExpert",
     "LinearExpert",
     "MaarForecaster",
-    "PredictionVector",
     "ProbabilityVector",
-    "Vertex",
     "best_kernel_expert",
     "best_linear_expert",
-    "brier_loss",
     "expert_loss",
     "project_to_simplex",
-    "solve_structured",
     "solve_substitution",
     "substitute_rows",
-    "substitution_threshold",
-    "vertex_to_probability",
     "verify_run",
 ]
 

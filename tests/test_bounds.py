@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from simplexcast import bounds
 from simplexcast.bounds import (
     BoundReport,
     KernelExpert,
@@ -13,21 +14,17 @@ from simplexcast.bounds import (
     bound_reports,
     componentwise_bound_rhs,
     expert_loss,
-    gram_logdet_regret,
-    horizon_tuned_bound_rhs,
     joint_bound_rhs,
     joint_split_bound_rhs,
     kernel_bound_rhs,
-    kernel_expert_loss,
-    per_component_bound_rhs,
+    solve_structured,
 )
 from simplexcast.cli import main
 from simplexcast.core import InvariantViolation, Trials
 from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
 from simplexcast.kaar import Kernel
-from simplexcast.maar import solve_structured
 
-from oracle import numeric_quadratic_min
+from oracle import horizon_tuned_bound_rhs, kernel_expert_loss, numeric_quadratic_min, per_component_bound_rhs
 
 
 def quadratic_fit(fn, dim):
@@ -165,6 +162,15 @@ def test_kernel_expert_matches_generic_minimizer():
     assert achieved == pytest.approx(best, abs=1e-5)
 
 
+def test_experts_compare_by_identity_and_hash():
+    # equality by value would compare arrays, whose truth value is ambiguous
+    pairs = ((LinearExpert(np.array([1.0, 2.0])), LinearExpert(np.array([1.0, 2.0]))),
+             (KernelExpert(np.ones((2, 3)), Kernel("dot")), KernelExpert(np.ones((2, 3)), Kernel("dot"))))
+    for expert, twin in pairs:
+        assert expert == expert and expert != twin
+        assert len({expert, twin, expert}) == 2 and {expert: 1}[expert] == 1
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 
@@ -211,7 +217,7 @@ def test_kernel_logdet_identity_and_bound_helper():
     kernel = Kernel("rbf", sigma=0.8)
     gram = kernel.gram(pts)
     a, d = 0.7, 4
-    fast = gram_logdet_regret(gram, a, d)
+    fast, _ = bounds._kernel_systems(gram, a, d, np.zeros((d - 1, 12)))
     m = d - 1
     big = np.eye(m * 12) + np.kron(np.eye(m) + np.ones((m, m)), gram) / a
     _, dense = np.linalg.slogdet(big)
@@ -244,8 +250,6 @@ def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation
     kernel = Kernel("rbf", sigma=0.8)
     bad = -kernel.gram(np.array([x for x, _ in data]))   # I + sK/a is indefinite for small a
     with pytest.raises(InvariantViolation, match=r"I \+ 3K/a is not positive definite \(ridge 0\.1\)"):
-        gram_logdet_regret(bad, 0.1, 3)
-    with pytest.raises(InvariantViolation, match="not positive definite"):
         best_kernel_expert(data, kernel, 0.1, gram=bad)
     # through the CLI: the forecaster runs on kernel rows, the guarantee on the Gram matrix
     monkeypatch.setattr(Kernel, "gram", lambda self, signals: -np.eye(len(signals)))
@@ -258,9 +262,8 @@ def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation
 @pytest.mark.filterwarnings("error")
 def test_an_infinite_or_non_positive_ridge_is_rejected_before_any_numpy_work():
     data = random_stream(2, 3, 20, seed=1)
-    gram = Kernel("dot").gram(np.array([x for x, _ in data]))
     calls = (lambda a: best_linear_expert(data, a), lambda a: best_kernel_expert(data, Kernel("dot"), a),
-             lambda a: gram_logdet_regret(gram, a, 3), lambda a: solve_structured(a, 3, np.eye(2), np.ones(4)))
+             lambda a: solve_structured(a, 3, np.eye(2), np.ones(4)))
     for call in calls:
         for bad in (math.inf, 0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
@@ -309,7 +312,7 @@ def test_per_component_bound_on_raw_forecasts():
         model = CaarForecaster(n, d, a)
         raw = []
         for x, y in data:
-            raw.append(model.predict_raw(x))
+            raw.append(-0.5 * model.generalized(x))
             model.update(x, y)
         raw = np.array(raw)
         signals = np.array([x for x, _ in data])

@@ -20,7 +20,7 @@ def test_two_classes_empty_history_is_half_half_for_any_signal():
     model = CaarForecaster(3, 2, 1.0)
     rng = np.random.default_rng(30)
     for _ in range(10):
-        out = model.predict_raw(rng.uniform(-2, 2, 3))
+        out = -0.5 * model.generalized(rng.uniform(-2, 2, 3))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-14)
 
 
@@ -31,7 +31,7 @@ def test_worked_three_class_instance():
     model = CaarForecaster(1, 3, 1.0)
     model.update([1.0], [1.0, 0.0, 0.0])
     np.testing.assert_allclose(model.e.ravel(), [2 / 3, -1 / 3, -1 / 3])
-    raw = model.predict_raw([1.0])
+    raw = -0.5 * model.generalized([1.0])
     np.testing.assert_allclose(raw, [11 / 18, 5 / 18, 5 / 18], atol=1e-12)
     assert raw.sum() == pytest.approx(7 / 6)
     np.testing.assert_allclose(model.predict([1.0]).p, [5 / 9, 2 / 9, 2 / 9], atol=1e-12)
@@ -50,7 +50,7 @@ def test_raw_sum_identity():
             y[rng.integers(d)] = 1.0
             model.update(rng.uniform(-1, 1, n), y)
         x = rng.uniform(-1, 1, n)
-        raw = model.predict_raw(x)
+        raw = -0.5 * model.generalized(x)
         quad = x @ np.linalg.solve(a * np.eye(n) + model.c + np.outer(x, x), x)
         assert raw.sum() == pytest.approx(1.0 + (d - 2) / 2.0 * quad, abs=1e-9)
 
@@ -76,7 +76,7 @@ def test_update_formulas_and_accumulator_balance():
 def test_dimension_mismatch():
     model = CaarForecaster(2, 3, 1.0)
     with pytest.raises(DimensionMismatch):
-        model.predict_raw([1.0])
+        model.generalized([1.0])
     with pytest.raises(DimensionMismatch):
         model.update([1.0, 0.0], [1.0, 0.0])
 
@@ -117,13 +117,13 @@ def test_corrupted_inverse_raises_naming_the_trial():
         model.update(rng.uniform(-1, 1, n), np.eye(d)[rng.integers(d)])
     model._inv[1] *= 1.01
     x = rng.uniform(-1, 1, n)
-    model.predict_raw(x)
+    model.generalized(x)
     with pytest.raises(InvariantViolation, match=rf"trial {REFRESH_EVERY} at ridge 1\.0: inverse drift "):
         model.update(x, np.eye(d)[0])
     model._inv[1] *= -1.0
     with pytest.raises(InvariantViolation,
                        match=rf"trial {REFRESH_EVERY} at ridge 1\.0: Sherman-Morrison denominator "):
-        model.predict_raw(x)
+        model.generalized(x)
 
 
 def test_matches_scalar_quadrature_per_component():
@@ -141,7 +141,7 @@ def test_matches_scalar_quadrature_per_component():
             history.append((x, y))
             model.update(x, y)
         x_t = rng.uniform(-1, 1, n)
-        raw = model.predict_raw(x_t)
+        raw = -0.5 * model.generalized(x_t)
         for i in range(d):
             quad = quadrature_component_forecast(history, x_t, i, d=d, a=a)
             assert raw[i] == pytest.approx(quad, abs=1e-5)
@@ -166,9 +166,9 @@ def test_forecast_is_the_projection_of_the_raw_forecast_bit_for_bit():
     for _ in range(REFRESH_EVERY + 20):
         x = rng.uniform(-1, 1, n)
         y = np.eye(d)[rng.integers(d)]
-        np.testing.assert_array_equal(single.predict(x).p, project_to_simplex(single.predict_raw(x)).p)
+        np.testing.assert_array_equal(single.predict(x).p, project_to_simplex(-0.5 * single.generalized(x)).p)
         rows = substitute_rows(lanes.generalized(x))
-        for row, raw in zip(rows, lanes.predict_raw(x)):
+        for row, raw in zip(rows, -0.5 * lanes.generalized(x)):
             np.testing.assert_array_equal(row, project_to_simplex(raw).p)
         single.update(x, y)
         lanes.update(x, y)

@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 import simplexcast
 from simplexcast.cli import main
-from simplexcast.harness import parse_report
+
+from oracle import parse_report
 
 
 def run_cli(*args):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from simplexcast import harness
 from simplexcast import substitution
 from simplexcast.bounds import bound_reports
-from simplexcast.core import DimensionMismatch, InvariantViolation, brier_loss
+from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.harness import (
     DEFAULT_RIDGE_GRID,
     ExperimentReport,
@@ -17,14 +17,12 @@ from simplexcast.harness import (
     LabeledStream,
     SimpleBaseline,
     emit_report,
-    grid_search_ridge,
     label_stream,
     load_series,
     make_forecaster,
     median_epsilon,
     mse_amse,
     normalize_series,
-    parse_report,
     prepare_stream,
     random_stream,
     run_benchmark,
@@ -38,7 +36,7 @@ from simplexcast.caar import CaarForecaster
 from simplexcast.maar import REFRESH_EVERY, MaarForecaster
 from simplexcast.substitution import solve_substitution, substitute_rows
 
-from oracle import literal_label_stream
+from oracle import brier_loss, literal_label_stream, parse_report
 
 
 # ---------------------------------------------------------------------------
@@ -375,36 +373,46 @@ def test_simple_baseline_functional_form():
 # ---------------------------------------------------------------------------
 # ridge search
 
+def _selected(stream, kind, grid, kernel=None):
+    """The ridge ``run_benchmark`` selects for ``kind`` on the train third, and its grid record."""
+    _, log = run_benchmark(stream, [kind], grid, kernel)
+    return log["ridge"][kind], log["ridge_grid"][kind]
+
+
 def test_grid_search_single_element():
     stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
-    assert grid_search_ridge(stream, "caar", [0.7]) == 0.7
+    assert _selected(stream, "caar", [0.7])[0] == 0.7
 
 
 def test_grid_search_deterministic_and_positive():
     stream = label_stream(synth_series("ar1", 120, 3), window=10, epsilon=0.05)
-    first = grid_search_ridge(stream, "maar", harness.DEFAULT_RIDGE_GRID)
-    second = grid_search_ridge(stream, "maar", harness.DEFAULT_RIDGE_GRID)
-    assert first == second and first > 0
+    first, record = _selected(stream, "maar", harness.DEFAULT_RIDGE_GRID)
+    second, again = _selected(stream, "maar", harness.DEFAULT_RIDGE_GRID)
+    assert first == second and first > 0 and record["train_mse"] == again["train_mse"]
 
 
 def test_grid_search_zero_signals_ties_to_smallest():
     stream = LabeledStream(np.zeros((12, 2)), np.tile([1.0, 0.0, 0.0], (12, 1)), 2, 0.1)
-    assert grid_search_ridge(stream, "caar", [10.0, 0.1, 1.0]) == 0.1
+    ridge, record = _selected(stream, "caar", [10.0, 0.1, 1.0])
+    assert ridge == 0.1 and record["ridges"] == [0.1, 1.0, 10.0] and len(set(record["train_mse"])) == 1
 
 
 def test_grid_search_of_the_ridgeless_baseline_scores_every_value_alike():
+    # the baseline has no ridge: every grid, or a fixed ridge, gives it the same report and no grid record
     stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
-    record = {}
-    assert grid_search_ridge(stream, "simple", [10.0, 0.1, 1.0], record=record) == 0.1
-    assert len(set(record["train_mse"])) == 1 and len(record["train_mse"]) == 3
+    runs = [run_benchmark(stream, ["simple"], spec) for spec in ([10.0, 0.1, 1.0], [0.5], 2.0)]
+    (first,), _ = runs[0]
+    for (rep,), log in runs:
+        assert (rep.mse, rep.amse, rep.ridge, rep.bound_slack) == (first.mse, first.amse, None, None)
+        assert log["ridge"] == {"simple": None} and log["ridge_grid"] == {}
 
 
 def test_grid_search_rejects_bad_grid():
     stream = label_stream(synth_series("sine", 40, 2), window=10, epsilon=0.05)
     with pytest.raises(InputError):
-        grid_search_ridge(stream, "caar", [])
+        run_benchmark(stream, ["caar"], [])
     with pytest.raises(InputError):
-        grid_search_ridge(stream, "caar", [0.0, 1.0])
+        run_benchmark(stream, ["caar"], [0.0, 1.0])
 
 
 _LANE_KINDS = {"caar": ("caar", None), "maar": ("maar", None),
@@ -449,8 +457,7 @@ def test_grid_search_picks_the_ridge_of_the_per_ridge_loop(name):
     for synth, seed in (("ar1", 7), ("ar1", 11), ("sine", 3), ("walk", 5)):
         stream = prepare_stream(synth_series(synth, 900, seed), 10, "auto")
         train, _ = split_train_test(stream)
-        record = {}
-        chosen = grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, kernel, record=record)
+        chosen, record = _selected(stream, kind, DEFAULT_RIDGE_GRID, kernel)
         oracle = _per_ridge_mse(train, kind, sorted(DEFAULT_RIDGE_GRID), kernel)
         assert chosen == sorted(DEFAULT_RIDGE_GRID)[int(np.argmin(oracle))]
         np.testing.assert_allclose(record["train_mse"], oracle, rtol=0, atol=1e-12)
@@ -471,7 +478,7 @@ def test_lane_pass_rejects_a_row_off_the_simplex_naming_trial_and_ridge(monkeypa
     for kind, row, where in (("maar", 2, r"trial 1 at ridge 0\.1"), ("caar", 9, r"trial 3 at ridge 0\.01")):
         monkeypatch.setattr(substitution, "_row_thresholds", bad_threshold_at(row))
         with pytest.raises(InvariantViolation, match=rf"^{where}: substitution left the simplex at row {row}"):
-            grid_search_ridge(stream, kind, [0.001, 0.01, 0.1, 1.0])
+            run_benchmark(stream, [kind], [0.001, 0.01, 0.1, 1.0])
 
 
 def _trials(n, d, t_len, seed):
@@ -533,7 +540,8 @@ def test_run_benchmark_equals_a_fresh_run_at_the_chosen_ridge(name):
         stream = prepare_stream(synth_series(synth, length, seed), 10, "auto")
         (report,), log = run_benchmark(stream, [kind], DEFAULT_RIDGE_GRID, kernel)
         train, _ = split_train_test(stream)
-        assert report.ridge == grid_search_ridge(train, kind, DEFAULT_RIDGE_GRID, kernel) == log["ridge"][kind]
+        oracle = _per_ridge_mse(train, kind, sorted(DEFAULT_RIDGE_GRID), kernel)
+        assert report.ridge == sorted(DEFAULT_RIDGE_GRID)[int(np.argmin(oracle))] == log["ridge"][kind]
         want = _fresh_protocol(stream, kind, report.ridge, kernel)
         got = (report.mse, report.amse, report.bound_slack)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

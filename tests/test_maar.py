@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from simplexcast.bounds import solve_structured
 from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.kaar import KaarForecaster, Kernel
-from simplexcast.maar import REFRESH_EVERY, MaarForecaster, refresh_inverse, solve_structured
+from simplexcast.maar import REFRESH_EVERY, MaarForecaster, refresh_inverse
 from simplexcast.substitution import solve_substitution
 
 from oracle import dense_maar_r, quadrature_r
@@ -181,7 +182,7 @@ def test_permutation_equivariance_over_leading_classes():
 
 
 # ---------------------------------------------------------------------------
-# structured solve
+# structured solve: the linear comparator's, in bounds, on the eigen-split MAAR uses
 
 def test_structured_solve_two_classes_reduces_to_single_block():
     rng = np.random.default_rng(21)
@@ -350,9 +351,13 @@ def test_failed_refresh_leaves_state_unchanged(cls, stat, fault):
 
 
 def test_forecaster_run_check_passes():
+    # the Cholesky rebuild that checks every maintained inverse, run off the refresh schedule
     rng = np.random.default_rng(26)
     model = MaarForecaster(2, 3, 1.0)
     for _ in range(10):
         x = rng.uniform(-1, 1, 2)
         model.update(x, np.eye(3)[rng.integers(3)])
-    model.run_check()
+    kept = model._inv.copy()
+    fresh = model._refreshed(model._inv, model.c, model.t)
+    np.testing.assert_allclose(fresh, kept, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(model._inv, kept)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import brier_loss
 from simplexcast.projection import project_to_simplex
 from simplexcast.substitution import substitute_rows
 
-from oracle import qp_projection
+from oracle import brier_loss, qp_projection
 from test_substitution import _row_cases
 
 

@@ -1,0 +1,44 @@
+"""The package's public surface: ``simplexcast.__all__`` is pinned, and every public top-level
+def or class of the package is either in it or used by the package itself, so that what only
+tests call lives in the tests."""
+
+import ast
+from pathlib import Path
+
+import simplexcast
+
+PUBLIC = (
+    "BoundReport", "CaarForecaster", "DimensionMismatch", "InvariantViolation", "KaarForecaster",
+    "Kernel", "KernelExpert", "LinearExpert", "MaarForecaster", "ProbabilityVector",
+    "best_kernel_expert", "best_linear_expert", "expert_loss", "project_to_simplex",
+    "solve_substitution", "substitute_rows", "verify_run",
+)
+
+
+def test_the_public_names_are_pinned_and_each_resolves():
+    assert sorted(simplexcast.__all__) == sorted(PUBLIC) and len(PUBLIC) == 17
+    for name in PUBLIC:   # KaarForecaster and Kernel load on first use
+        assert getattr(simplexcast, name).__name__ == name
+
+
+def _registered(node) -> bool:
+    """A def under a ``@group.command(...)`` decorator, which registers it (the CLI's verbs)."""
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute) and dec.func.attr == "command"
+               for dec in node.decorator_list)
+
+
+def test_every_public_definition_is_exported_or_used_by_the_package():
+    trees = [ast.parse(path.read_text(), path.name) for path in sorted(Path(simplexcast.__file__).parent.glob("*.py"))]
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_")
+                    or node.name in PUBLIC or _registered(node)):
+                continue
+            own = {id(n) for n in ast.walk(node)}   # a use inside its own definition does not count
+            used = any(id(n) not in own and (isinstance(n, ast.Name) and n.id == node.name
+                                             or isinstance(n, ast.Attribute) and n.attr == node.name)
+                       for other in trees for n in ast.walk(other))
+            if not used:
+                unused.append(node.name)
+    assert unused == []

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcast import substitution
-from simplexcast.core import InvariantViolation, brier_loss, vertex_to_probability
-from simplexcast.substitution import (
-    solve_substitution,
-    substitute_rows,
-    substitution_threshold,
-)
+from simplexcast.core import InvariantViolation
+from simplexcast.substitution import solve_substitution, substitute_rows
+
+from oracle import brier_loss, substitution_threshold
 
 
 def bisect_threshold(r, lo=-1e6, hi=1e6, iters=200):
@@ -116,7 +114,7 @@ def test_superprediction_property_on_oracle_generalized_predictions():
         x_t = rng.uniform(-1, 1, n)
         r = quadrature_r(history, x_t, d=d, a=1.0)
         gamma = solve_substitution(r)
-        loss = np.array([brier_loss(vertex_to_probability(i + 1, d), gamma.p) for i in range(d)])
+        loss = np.array([brier_loss(np.eye(d)[i], gamma.p) for i in range(d)])
         gaps = loss - loss[-1]
         assert np.all(gaps <= r + 1e-6)
 
