@@ -24,6 +24,9 @@ from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_
 if TYPE_CHECKING:
     from .kaar import Kernel
 
+# A slack below this fails a run: only rounding may eat into a worst-case guarantee.
+SLACK_GATE = -1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class LinearExpert:
@@ -75,35 +78,25 @@ def _comparator_loss(values: np.ndarray, outcomes: np.ndarray) -> float:
 # Eigen-split solves of aI + (I+J) kron C
 
 def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
-    """Apply (aI + (I+J) kron C)^{-1} to rhs using the eigen-split of I+J.
+    """Apply (aI + (I+J) kron C)^{-1} to the vector rhs, of length (d-1)*n, using the
+    eigen-split of I+J.
 
-    ``c`` is the n x n (or T x T, in the kernel case) block; ``rhs`` is a
-    vector of length (d-1)*n or a matrix of such columns.  Block means travel
-    through (aI + dC)^{-1} and deviations through (aI + C)^{-1}.
+    ``c`` is the n x n block.  Block means travel through (aI + dC)^{-1}, as one (n, 1)
+    column, and deviations through (aI + C)^{-1}, as the (n, d-1) columns of the blocks.
     """
     check_ridge(a)
     m = d - 1
     n = c.shape[0]
     arr = np.asarray(rhs, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
-    if arr.shape[0] != m * n:
-        raise DimensionMismatch(f"rhs has {arr.shape[0]} rows, expected {m * n}")
-    k = arr.shape[1]
-    blocks = arr.reshape(m, n, k)
+    if arr.shape != (m * n,):
+        raise DimensionMismatch(f"rhs has shape {arr.shape}, expected ({m * n},)")
+    blocks = arr.reshape(m, n)
     mean = blocks.mean(axis=0)
     eye = np.eye(n)
-    out = np.empty_like(blocks)
-    big = np.linalg.solve(a * eye + d * c, mean)
-    if m == 1:
-        out[0] = big
-    else:
-        dev = blocks - mean
-        small = np.linalg.solve(a * eye + c, dev.transpose(1, 0, 2).reshape(n, m * k))
-        out[:] = big + small.reshape(n, m, k).transpose(1, 0, 2)
-    flat = out.reshape(m * n, k)
-    return flat[:, 0] if single else flat
+    out = np.linalg.solve(a * eye + d * c, mean[:, None]).T   # the block mean's share, the same for every block
+    if m > 1:
+        out = out + np.linalg.solve(a * eye + c, (blocks - mean).T).T   # each block's deviation from it
+    return out.reshape(m * n)
 
 
 def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -177,31 +170,27 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
 # ---------------------------------------------------------------------------
 # Kernel comparators
 
-def _kernel_comparator(data, kernel: Kernel, a: float, gram: np.ndarray | None):
+def _kernel_comparator(data, kernel: Kernel, a: float):
     """``best_kernel_expert``'s three values and the determinant term, from one factor per system."""
     check_ridge(a)
     signals, outcomes = stack_trials(data)
     m = outcomes.shape[1] - 1
     if signals.shape[0] == 0:   # d is unknown (0) unless ``data`` is a Trials of width d
         return KernelExpert(np.zeros((max(m, 0), 0)), kernel), 0.0, 0.0, 0.0
-    if gram is None:
-        gram = kernel.gram(signals)
+    gram = kernel.gram(signals)
     logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
     norms = float(np.sum(coeffs * (coeffs @ gram)))   # sum_i |f_i|^2 = sum_i c_i' K c_i
     return KernelExpert(coeffs, kernel), _comparator_loss(gram @ coeffs.T, outcomes), norms, logdet
 
 
-def best_kernel_expert(data, kernel: Kernel, a: float,
-                       gram: np.ndarray | None = None) -> tuple[KernelExpert, float, float]:
+def best_kernel_expert(data, kernel: Kernel, a: float) -> tuple[KernelExpert, float, float]:
     """Minimizer of loss + a sum |f_i|^2 over representer coefficients.
 
     Returns (expert, its cumulative loss, sum of squared norms).  Solving
     (aI + (I+J) kron K) c = v with v_i = y^i - y^d makes the full gradient
     vanish, so the solution is a global minimizer even when K is singular.
-    ``gram`` is the kernel's Gram matrix over the stream's signals, for a
-    caller that already has it.
     """
-    return _kernel_comparator(data, kernel, a, gram)[:3]
+    return _kernel_comparator(data, kernel, a)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +231,7 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
     ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``) and ``loss``
     is the run's cumulative loss over ``data``, a LabeledStream, Trials or sequence of
     (signal, outcome) pairs, validated once.  Returns one report per guarantee;
-    slack below -1e-6 indicates a broken implementation.
+    slack below SLACK_GATE indicates a broken implementation.
     """
     stream = stack_trials(data)
     signals, outcomes = stream
@@ -269,7 +258,7 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
     if kind == "kaar":
         if kernel is None:
             raise ValueError("kernel required for kind='kaar'")
-        _, loss_f, norms, logdet = _kernel_comparator(stream, kernel, ridge, None)
+        _, loss_f, norms, logdet = _kernel_comparator(stream, kernel, ridge)
         rhs = kernel_bound_rhs(loss_f, norms, ridge, logdet)
         return [BoundReport("kernel", kind, loss, loss_f, rhs)]
     raise ValueError(f"unknown algorithm kind {kind!r}")

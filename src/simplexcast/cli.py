@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import harness
+from .bounds import SLACK_GATE
 from .core import InvariantViolation, stack_trials
 
 _EXIT_INPUT = 2
@@ -193,7 +194,7 @@ def verify_bounds(streams, adversarial, max_steps, ridge, seed, out_dir):
             rows, "bound_log.json", {"streams": streams, "adversarial": adversarial, "max_steps": max_steps,
                                      "ridge": ridge, "seed": seed, "worst_slack": worst, "checks": len(rows)})
         click.echo(f"{len(rows)} checks, worst slack {worst:.3e}, report in {path}")
-        if worst < -1e-6:
+        if worst < SLACK_GATE:
             raise InvariantViolation(f"negative bound slack {worst!r}")
     _guard(work)
 

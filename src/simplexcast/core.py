@@ -65,6 +65,16 @@ def check_vector(x, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def check_outcome(y, d: int) -> np.ndarray:
+    """check_vector, for an outcome on the simplex: entries >= NEG_TOL and a sum within
+    SUM_TOL of 1, checked on Python floats."""
+    arr = check_vector(y, d, "outcome")
+    values = arr.tolist()
+    if not (abs(sum(values) - 1.0) <= SUM_TOL and min(values) >= NEG_TOL):   # an empty sum fails first
+        raise ValueError(f"outcome {values!r} is not on the simplex")
+    return arr
+
+
 class Trials(NamedTuple):
     """A run's signals and outcomes as (T, n) and (T, d) float arrays, validated by check_trials."""
 
@@ -86,20 +96,22 @@ def _stacked(rows, size: int):
 def check_trials(signals, outcomes, n: int | None, d: int, first: int = 1) -> Trials:
     """The signals and outcomes of a run, validated as whole (T, n) and (T, d) arrays.
 
-    ``n`` None leaves the signals unchecked, as given.  Only when a whole-array check
-    fails are the trials checked one at a time, signal before outcome, so that the error
-    keeps the type check_vector gives it and names the first bad trial, counted from
-    ``first``.
+    ``n`` None leaves the signals unchecked, as given.  Each outcome must lie on the
+    simplex, as check_outcome has it; the whole-array test sums each row left to right,
+    as check_outcome does.  Only when a whole-array check fails are the trials checked
+    one at a time, signal before outcome, so that the error keeps the type check_vector
+    or check_outcome gives it and names the first bad trial, counted from ``first``.
     """
     xs = signals if n is None else _stacked(signals, n)
     ys = _stacked(outcomes, d)
-    if xs is not None and ys is not None and len(xs) == len(ys):
+    if (xs is not None and ys is not None and len(xs) == len(ys)
+            and (ys >= NEG_TOL).all() and (abs(sum(ys.T, np.zeros(len(ys))) - 1.0) <= SUM_TOL).all()):
         return Trials(xs, ys)
     for t, (x, y) in enumerate(zip(signals, outcomes), start=first):
         try:
             if n is not None:
                 check_vector(x, n, "signal")
-            check_vector(y, d, "outcome")
+            check_outcome(y, d)
         except ValueError as exc:
             raise type(exc)(f"trial {t}: {exc}") from exc
     raise DimensionMismatch(f"need one outcome of length {d} per signal of length {n}, "

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .caar import CaarForecaster
-from .core import (InvariantViolation, ProbabilityVector, _columns, check_classes, check_trials, check_vector,
+from .core import (InvariantViolation, ProbabilityVector, _columns, check_classes, check_outcome, check_trials,
                    stack_trials, trial_name)
 from .maar import MaarForecaster
 from .substitution import _forecast, substitute_rows
@@ -175,7 +175,7 @@ class SimpleBaseline:
         return _forecast(self.generalized(x).tolist())
 
     def update(self, x, y) -> None:
-        self._recent.append(check_vector(y, self.d, "outcome").copy())   # the caller may rewrite its array
+        self._recent.append(check_outcome(y, self.d).copy())   # the caller may rewrite its array
         self.t += 1
 
     def run(self, signals, outcomes) -> np.ndarray:
@@ -209,8 +209,10 @@ def make_forecaster(kind: str, n: int, d: int, ridge: float | list[float],
     if kind == "maar":
         return MaarForecaster(n, d, ridge)
     if kind == "kaar":
-        from .kaar import KaarForecaster, Kernel  # scipy loads only when a kernel run needs it
-        return KaarForecaster(d, kernel or Kernel("dot"), ridge)
+        if kernel is None:
+            raise ValueError("kernel required for kind='kaar'")
+        from .kaar import KaarForecaster  # scipy loads only when a kernel run needs it
+        return KaarForecaster(d, kernel, ridge)
     if kind == "simple":
         return SimpleBaseline(d, window)
     raise InputError(f"unknown algorithm {kind!r}")
@@ -224,10 +226,10 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     One ``substitute_rows`` call then maps the whole (T,) + lanes + (d,) stack to forecasts
     and checks them.  Returns the per-step losses, of shape (T,) + lanes, and the
     forecasts, of shape (T,) + lanes + (d,); lanes is () unless the model runs ridge lanes.
-    A forecast off the simplex raises InvariantViolation and a non-finite loss (an outcome
-    too large to square) ValueError, each naming the first bad trial and, with lanes, its
-    ridge.  Trials are counted as the model counts them, so the first row of the stream is
-    trial t + 1 of a model that has committed t.
+    A forecast off the simplex raises InvariantViolation naming the first bad trial and,
+    with lanes, its ridge; ``model.run`` has checked that every outcome lies on the simplex,
+    so every loss is finite.  Trials are counted as the model counts them, so the first row
+    of the stream is trial t + 1 of a model that has committed t.
     """
     signals, outcomes = _columns(stream)
     first = model.t + 1
@@ -244,12 +246,7 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
         raise InvariantViolation(f"{trial(exc.row)}: {exc}") from exc
     ys = np.asarray(outcomes, dtype=float)   # validated by model.run
     ys = ys.reshape((len(r),) + (1,) * len(lanes) + r.shape[-1:])   # one outcome for every lane
-    with np.errstate(over="ignore"):
-        losses = np.square(gamma - ys).sum(axis=-1)
-    if not np.isfinite(losses).all():
-        row = int(np.argmin(np.isfinite(losses).ravel()))
-        raise ValueError(f"{trial(row)}: loss must be finite and nonnegative, got {float(losses.flat[row])!r}")
-    return losses, gamma
+    return np.square(gamma - ys).sum(axis=-1), gamma
 
 
 def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[bounds_mod.BoundReport]:
@@ -257,10 +254,9 @@ def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> l
 
     ``kind`` is one of "caar", "maar", "kaar" (which needs ``kernel``).  ``data`` is
     stacked and validated once, and the run and the guarantees share those arrays.
-    Returns one report per guarantee; slack below -1e-6 indicates a broken implementation.
+    Returns one report per guarantee; slack below ``bounds.SLACK_GATE`` indicates a broken
+    implementation.
     """
-    if kind == "kaar" and kernel is None:
-        raise ValueError("kernel required for kind='kaar'")
     stream = stack_trials(data)
     if not len(stream.signals):
         raise InputError("cannot verify an empty stream")
@@ -289,42 +285,15 @@ def _ridge_values(spec) -> list[float]:
     return values
 
 
-def _lane_run(train: LabeledStream, kind: str, values: list, kernel: Kernel | None = None,
-              window: int = DEFAULT_WINDOW, record: dict | None = None):
-    """One run of ``kind`` over ``train`` with a ridge lane per value of ``values``.
-
-    Returns the smallest value with the least train MSE, its lane as a forecaster of that
-    one ridge in the state the run left (see ``lane``), and the lane's (T,) train losses.
-    The baseline has no ridge: it runs without lanes, goes on as it is and gives None.
-    ``record``, when given, receives the sorted grid (``ridges``), the train
-    MSE of each value (``train_mse``) and ``seconds``.
-    """
-    started = time.perf_counter()
-    model = make_forecaster(kind, train.n, train.d, values, kernel, window)
-    losses, _ = run_online(train, model)   # (T, lanes), or the baseline's (T,)
-    if kind == "simple":
-        return None, model, losses
-    best = 0
-    if len(train):   # a fixed ridge may have no train trials
-        mses = losses.mean(axis=0)
-        best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
-        if record is not None:
-            record.update(ridges=values, train_mse=[float(v) for v in mses],
-                          seconds=time.perf_counter() - started)
-    return values[best], model.lane(best), losses[:, best]
-
-
 # ---------------------------------------------------------------------------
 # Synthetic series and bound-test streams
 
-def synth_series(kind: str, length: int, seed: int, *, phi: float = 0.8,
-                 noise: float = 0.1, amplitude: float = 1.0, period: float = 60.0,
-                 step: float = 0.1) -> np.ndarray:
+def synth_series(kind: str, length: int, seed: int) -> np.ndarray:
     """Deterministic synthetic series.
 
-    ar1:  y_t = phi y_{t-1} + noise e_t,          y_0 = 0, e ~ N(0, 1)
-    sine: y_t = amplitude sin(2 pi t / period) + noise e_t
-    walk: y_t = y_{t-1} + step e_t
+    ar1:  y_t = 0.8 y_{t-1} + 0.1 e_t,          y_0 = 0, e ~ N(0, 1)
+    sine: y_t = sin(2 pi t / 60) + 0.1 e_t
+    walk: y_t = y_{t-1} + 0.1 e_t
     """
     if length < 1:
         raise InputError("length must be positive")
@@ -334,25 +303,24 @@ def synth_series(kind: str, length: int, seed: int, *, phi: float = 0.8,
         out = np.empty(length)
         prev = 0.0
         for t in range(length):
-            prev = phi * prev + noise * eps[t]
+            prev = 0.8 * prev + 0.1 * eps[t]
             out[t] = prev
         return out
     if kind == "sine":
         t = np.arange(length)
-        return amplitude * np.sin(2.0 * np.pi * t / period) + noise * eps
+        return np.sin(2.0 * np.pi * t / 60) + 0.1 * eps
     if kind == "walk":
-        return np.cumsum(step * eps)
+        return np.cumsum(0.1 * eps)
     raise InputError(f"unknown synthetic kind {kind!r}")
 
 
-def random_stream(n: int, d: int, t_len: int, seed: int,
-                  dirichlet_share: float = 0.25) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random bounded signals with mostly one-hot, sometimes diffuse outcomes."""
+def random_stream(n: int, d: int, t_len: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Random bounded signals with one-hot outcomes, and a Dirichlet outcome a quarter of the time."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(t_len):
         x = rng.uniform(-1.0, 1.0, size=n)
-        if rng.random() < dirichlet_share:
+        if rng.random() < 0.25:
             y = rng.dirichlet(np.ones(d))
         else:
             y = np.zeros(d)
@@ -392,22 +360,21 @@ class ExperimentReport:
     bound_slack: float | None = None
 
 
-def write_outputs(out_dir, name: str, header, rows, log_name: str, log: dict | None) -> Path:
+def write_outputs(out_dir, name: str, header, rows, log_name: str, log: dict) -> Path:
     """Write ``rows`` under ``header`` as the CSV file ``name`` in ``out_dir``, made if missing,
-    and ``log``, unless None, as indented JSON with sorted keys in ``log_name`` beside it.
-    Returns the CSV's path."""
+    and ``log`` as indented JSON with sorted keys in ``log_name`` beside it.  Returns the
+    CSV's path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / name).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    if log is not None:
-        (out / log_name).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
+    (out / log_name).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
     return out / name
 
 
-def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path]:
+def emit_report(reports, out_dir, run_log: dict) -> dict[str, Path]:
     """Write the machine-readable CSV, a readable table, and the run log."""
     csv_path = write_outputs(out_dir, "report.csv", REPORT_COLUMNS, [
         [rep.algorithm, repr(rep.mse), repr(rep.amse), repr(rep.time_seconds),
@@ -423,10 +390,7 @@ def emit_report(reports, out_dir, run_log: dict | None = None) -> dict[str, Path
             slack = "-" if rep.bound_slack is None else f"{rep.bound_slack:.4g}"
             fh.write(f"{rep.algorithm:<10} {rep.mse:>12.6f} {rep.amse:>12.6f} "
                      f"{rep.time_seconds:>10.3f} {ridge:>10} {slack:>12}\n")
-    paths = {"csv": csv_path, "table": txt_path}
-    if run_log is not None:
-        paths["log"] = csv_path.with_name("run_log.json")
-    return paths
+    return {"csv": csv_path, "table": txt_path, "log": csv_path.with_name("run_log.json")}
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +401,16 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     """The full protocol: ridge selection on the train third, metrics on the rest.
 
     ``ridge_spec`` is a fixed positive float or a grid (sequence of floats), each of whose
-    values is checked before the first algorithm runs, the baseline's too.  Each
+    values is checked before the first algorithm runs, the baseline's too; KAAR needs
+    ``kernel``.  Each
     algorithm runs once over the stream: the train third with a ridge lane per grid value
     (one lane for a fixed ridge, none for the baseline), then only the selected lane, split
     off by ``lane``, goes on over the rest, where the metrics are taken.  A lane equals the
     forecaster of its one ridge (to rounding for CAAR and MAAR, bit for bit for KAAR), so
     this is the fresh run at the chosen ridge without replaying the train third.
-    ``time_seconds`` covers that whole run, lanes and selection included; the run log's
-    grid ``seconds`` the lane pass over the train third and the selection alone.
+    ``time_seconds`` covers that whole run, lanes and selection included.  For a grid, the
+    run log's ``ridge_grid`` keeps each algorithm's sorted ``ridges``, the ``train_mse`` of
+    each and ``seconds``, the lane pass over the train third and the selection alone.
     """
     train, test = split_train_test(stream)
     cut = stream.split_index
@@ -454,25 +420,28 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     if grid and len(train) == 0 and set(algos) - {"simple"}:
         raise InputError("stream too short for ridge selection")
     reports = []
-    chosen: dict[str, float | None] = {}
     grids: dict[str, dict] = {}
     for kind in algos:
         started = time.perf_counter()
-        if grid and kind != "simple":
-            grids[kind] = {}
-        ridge, model, head = _lane_run(train, kind, values, kernel, stream.window, grids.get(kind))
+        model = make_forecaster(kind, train.n, train.d, values, kernel, stream.window)
+        head, _ = run_online(train, model)   # (T, lanes), or the baseline's (T,)
+        ridge = slack = None
+        if kind != "simple":   # the baseline has no ridge: it goes on as it is
+            best = 0
+            if len(train):   # a fixed ridge may have no train trials
+                mses = head.mean(axis=0)
+                best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
+                if grid:
+                    grids[kind] = {"ridges": values, "train_mse": [float(v) for v in mses],
+                                   "seconds": time.perf_counter() - started}
+            ridge, model, head = values[best], model.lane(best), head[:, best]
         tail, _ = run_online(test, model)
         elapsed = time.perf_counter() - started
-        chosen[kind] = ridge
         mse, amse = mse_amse(tail)
-        slack = None
-        if kind != "simple":
-            # the run's loss over the whole stream, and the kernel make_forecaster resolved (a dot
-            # kernel when none was given)
+        if ridge is not None:   # the guarantees, against the run's loss over the whole stream
             loss = float(np.concatenate([head, tail]).sum())
-            checks = bounds_mod.bound_reports(stream, kind, ridge, loss, getattr(model, "kernel", None))
-            slack = min(check.slack for check in checks)
-            if slack < -1e-6:
+            slack = min(check.slack for check in bounds_mod.bound_reports(stream, kind, ridge, loss, kernel))
+            if slack < bounds_mod.SLACK_GATE:
                 raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")
         reports.append(ExperimentReport(kind, mse, amse, elapsed, ridge, slack))
     log = {
@@ -481,7 +450,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
         "normalization": {"mean": stream.mean, "scale": stream.scale},
         "split_index": cut,
         "length": len(stream),
-        "ridge": {k: v for k, v in chosen.items()},
+        "ridge": {rep.algorithm: rep.ridge for rep in reports},
         "ridge_grid": grids,
     }
     return reports, log

@@ -50,8 +50,8 @@ import math
 
 import numpy as np
 
-from .core import (InvariantViolation, ProbabilityVector, check_classes, check_ridge, check_trials, check_vector,
-                   trial_name)
+from .core import (InvariantViolation, ProbabilityVector, check_classes, check_outcome, check_ridge, check_trials,
+                   check_vector, trial_name)
 from .substitution import _forecast
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -145,7 +145,7 @@ class Forecaster:
     def update(self, x, y) -> None:
         """Commit the trial (x, y), reusing the products of a ``generalized`` or ``predict``
         call on the same signal."""
-        ya = check_vector(y, self.d, "outcome")
+        ya = check_outcome(y, self.d)
         last, self._last = self._last, None
         if last is None or not np.array_equal(x, last[0]):
             last = self._trial(self._signal(x))

@@ -248,9 +248,11 @@ def test_kernel_guarantee_matches_a_dense_block_oracle(d, a):
 def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation(monkeypatch, tmp_path):
     data = random_stream(2, 3, 12, seed=8)
     kernel = Kernel("rbf", sigma=0.8)
-    bad = -kernel.gram(np.array([x for x, _ in data]))   # I + sK/a is indefinite for small a
-    with pytest.raises(InvariantViolation, match=r"I \+ 3K/a is not positive definite \(ridge 0\.1\)"):
-        best_kernel_expert(data, kernel, 0.1, gram=bad)
+    gram = Kernel.gram
+    monkeypatch.setattr(Kernel, "gram", lambda self, signals: -gram(self, signals))   # I + sK/a is indefinite
+    with pytest.raises(InvariantViolation, match=r"^kernel guarantee: I \+ 3K/a is not positive definite "
+                                                 r"\(ridge 0\.1\)$"):
+        best_kernel_expert(data, kernel, 0.1)
     # through the CLI: the forecaster runs on kernel rows, the guarantee on the Gram matrix
     monkeypatch.setattr(Kernel, "gram", lambda self, signals: -np.eye(len(signals)))
     result = CliRunner().invoke(main, ["bench", "--algos", "kaar", "--synth", "sine", "--length", "60",
@@ -308,7 +310,7 @@ def test_per_component_bound_on_raw_forecasts():
     rng = np.random.default_rng(56)
     for seed in range(3):
         n, d, a = 3, 3, 1.0
-        data = [(x, y) for x, y in random_stream(n, d, 80, seed=seed, dirichlet_share=0.0)]
+        data = [(x, np.eye(d)[np.argmax(y)]) for x, y in random_stream(n, d, 80, seed=seed)]   # one-hot
         model = CaarForecaster(n, d, a)
         raw = []
         for x, y in data:

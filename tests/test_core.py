@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexcast.core import DimensionMismatch, ProbabilityVector
+from simplexcast.core import DimensionMismatch, ProbabilityVector, check_outcome, check_trials
 
 from oracle import brier_loss
 
@@ -72,3 +72,36 @@ def test_probability_vectors_compare_and_hash_by_value():
     assert len({p, ProbabilityVector([0.5, 0.5]), ProbabilityVector([0.25, 0.75])}) == 2
     assert {p: 1}[ProbabilityVector([0.5, 0.5])] == 1
     assert p.d == len(p) == 2 and np.array_equal(np.asarray(p), [0.5, 0.5])
+
+
+def test_check_outcome_takes_the_points_of_the_simplex_within_its_tolerances():
+    for y in ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [1.0 - 1e-13, -1e-13, 2e-13], [0.5, 0.5 + 0.9e-9]):
+        np.testing.assert_array_equal(check_outcome(y, len(y)), y)
+        np.testing.assert_array_equal(check_trials(np.zeros((1, 1)), [y], 1, len(y)).outcomes, [y])
+    for y in ([3.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.5, -0.5], [1.0 + 1e-11, -1e-11], [0.5, 0.5 + 1.1e-9], []):
+        with pytest.raises(ValueError, match=r"^outcome \[.*\] is not on the simplex$"):
+            check_outcome(y, len(y))
+        with pytest.raises(ValueError, match=r"^trial 4: outcome \[.*\] is not on the simplex$"):
+            check_trials(np.zeros((1, 1)), [y], 1, len(y), first=4)
+    with pytest.raises(DimensionMismatch, match="^outcome has length 1, expected 2"):
+        check_outcome([1.0], 2)
+
+
+def test_the_whole_array_outcome_check_agrees_with_the_per_trial_one_at_the_tolerance():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5, 9):
+        rows = rng.dirichlet(np.ones(d), size=400)
+        rows[:, 0] += np.linspace(-2e-9, 2e-9, 400)   # sums on both sides of SUM_TOL
+        for row in rows:
+            try:
+                check_outcome(row, d)
+                ok = True
+            except ValueError:
+                ok = False
+            try:
+                check_trials(np.zeros((1, 1)), row[None], 1, d)
+                whole = True
+            except ValueError as exc:
+                assert "not on the simplex" in str(exc)
+                whole = False
+            assert ok == whole

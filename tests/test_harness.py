@@ -274,11 +274,12 @@ _FAULTS = {
     "nan signal": ("signal", np.array([0.1, np.nan, 0.2]), ValueError),
     "wide signal": ("signal", np.ones(4), DimensionMismatch),
     "short outcome": ("outcome", np.array([1.0, 0.0]), DimensionMismatch),
+    "outcome off the simplex": ("outcome", np.array([0.5, 0.5, 0.5]), ValueError),
 }
 
 
 @pytest.mark.parametrize("name, fault", [(name, fault) for name in sorted(_run_models()) for fault in _FAULTS
-                                         if name != "simple" or fault == "short outcome"])
+                                         if name != "simple" or _FAULTS[fault][0] == "outcome"])
 def test_run_rejects_a_bad_trial_by_number_before_any_state_changes(name, fault):
     data = random_stream(3, 3, 30, seed=23)
     xs, ys = [x for x, _ in data], [y for _, y in data]
@@ -294,12 +295,27 @@ def test_run_rejects_a_bad_trial_by_number_before_any_state_changes(name, fault)
 
 
 def test_run_online_rejects_an_outcome_too_large_to_square_naming_the_trial():
+    # such an outcome is off the simplex, which every run checks before its first trial
     data = random_stream(2, 3, 4, seed=5)
     data[2] = (data[2][0], np.array([1e200, 0.0, 0.0]))
-    with pytest.raises(ValueError, match=r"^trial 3: loss must be finite"):
-        run_online(data, MaarForecaster(2, 3, 1.0))
-    with pytest.raises(ValueError, match=r"^trial 3 at ridge 0\.1: loss must be finite"):
-        run_online(data, CaarForecaster(2, 3, [0.1, 1.0]))
+    for model in (MaarForecaster(2, 3, 1.0), CaarForecaster(2, 3, [0.1, 1.0])):
+        with pytest.raises(ValueError, match=r"^trial 3: outcome \[1e\+200, 0\.0, 0\.0\] is not on the simplex"):
+            run_online(data, model)
+        assert model.t == 0
+
+
+def test_update_and_verify_run_reject_an_outcome_off_the_simplex():
+    for y in ([3.0, 0.0, 0.0], [1.5, -0.5, 0.0], [0.0, 1.0 + 2e-9, 0.0]):
+        for name, make in sorted(_run_models().items()):
+            model = make()
+            with pytest.raises(ValueError, match=r"^outcome .* is not on the simplex"):
+                model.update(np.zeros(3), y)
+            assert model.t == 0, name
+    # 3 times the one-hot outcomes once gave verify_run a slack of -19.3, an internal fault
+    data = [(x, 3.0 * y) for x, y in random_stream(2, 3, 60, seed=6)]
+    for kind, kernel in (("caar", None), ("maar", None), ("kaar", Kernel("dot"))):
+        with pytest.raises(ValueError, match=r"^trial \d+: outcome .* is not on the simplex"):
+            verify_run(data, kind, 1.0, kernel)
 
 
 def test_mse_amse_worked_example():
@@ -572,8 +588,8 @@ def test_run_online_names_a_failure_by_the_model_s_own_trial_count(name, monkeyp
         run_online(data[10:], model)
     monkeypatch.undo()
     bad = data[10:]
-    bad[0] = (bad[0][0], np.array([1e200, 0.0, 0.0]))
-    with pytest.raises(ValueError, match=r"^trial 11: loss must be finite"):
+    bad[0] = (bad[0][0], 3.0 * np.eye(3)[0])
+    with pytest.raises(ValueError, match=r"^trial 11: outcome \[3\.0, 0\.0, 0\.0\] is not on the simplex"):
         run_online(bad, _holding_ten(name, data))
 
 
@@ -604,14 +620,18 @@ def test_synth_deterministic():
         np.testing.assert_array_equal(synth_series(kind, 50, 9), synth_series(kind, 50, 9))
 
 
-def test_synth_ar1_zero_coefficient_is_noise():
-    out = synth_series("ar1", 5000, 10, phi=0.0, noise=0.5)
-    assert abs(out.std() - 0.5) < 0.02
+def test_synth_ar1_has_its_stationary_std():
+    # y_t = 0.8 y_{t-1} + 0.1 e_t has std 0.1 / sqrt(1 - 0.8^2) = 0.1667
+    for seed in (10, 11, 12):
+        assert abs(synth_series("ar1", 5000, seed).std() - 0.1 / np.sqrt(0.36)) < 0.01
 
 
 def test_synth_sine_amplitude_bounds():
-    out = synth_series("sine", 200, 11, amplitude=1.0, noise=0.0)
-    assert out.min() >= -1.0 and out.max() <= 1.0
+    # less its noise, redrawn from the same seed, the series is the unit sine of period 60
+    t = np.arange(200)
+    signal = synth_series("sine", 200, 11) - 0.1 * np.random.default_rng(11).standard_normal(200)
+    np.testing.assert_allclose(signal, np.sin(2.0 * np.pi * t / 60), rtol=0, atol=1e-12)
+    assert signal.min() >= -1.0 and signal.max() <= 1.0
 
 
 def test_synth_unknown_kind():
@@ -637,8 +657,9 @@ def test_emit_and_parse_round_trip(tmp_path):
 
 
 def test_emit_empty_reports(tmp_path):
-    paths = emit_report([], tmp_path)
+    paths = emit_report([], tmp_path, {})
     assert parse_report(paths["csv"]) == []
+    assert json.loads(paths["log"].read_text()) == {}
 
 
 def test_parse_rejects_wrong_columns(tmp_path):
@@ -738,8 +759,9 @@ def test_run_benchmark_with_kernel_algo():
     assert reports[0].bound_slack >= -1e-6
 
 
-def test_run_benchmark_kernel_algo_defaults_to_the_dot_kernel():
+def test_run_benchmark_kernel_algo_requires_a_kernel():
     stream = prepare_stream(synth_series("sine", 90, 8), 10, "auto")
-    default, _ = run_benchmark(stream, ["kaar"], 1.0)
-    dot, _ = run_benchmark(stream, ["kaar"], 1.0, Kernel("dot"))
-    assert (default[0].mse, default[0].bound_slack) == (dot[0].mse, dot[0].bound_slack)
+    with pytest.raises(ValueError, match=r"^kernel required for kind='kaar'"):
+        run_benchmark(stream, ["kaar"], 1.0)
+    with pytest.raises(ValueError, match=r"^kernel required for kind='kaar'"):
+        make_forecaster("kaar", 3, 3, 1.0, None)

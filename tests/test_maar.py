@@ -214,15 +214,11 @@ def test_structured_solve_matches_dense():
         assert np.linalg.norm(fast - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
 
 
-def test_structured_solve_batched_columns():
-    rng = np.random.default_rng(23)
-    n, d = 3, 4
-    x = rng.normal(size=(6, n))
-    c = x.T @ x
-    rhs = rng.normal(size=(n * (d - 1), 5))
-    fast = solve_structured(1.5, d, c, rhs)
-    dense = np.linalg.solve(dense_system(1.5, d, c), rhs)
-    np.testing.assert_allclose(fast, dense, atol=1e-10)
+def test_structured_solve_takes_one_rhs_vector_of_its_length():
+    c = np.eye(3)
+    for rhs in (np.ones((6, 1)), np.ones((6, 2)), np.ones(5)):
+        with pytest.raises(DimensionMismatch, match=r"^rhs has shape"):
+            solve_structured(1.5, 3, c, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The package's public surface: ``simplexcast.__all__`` is pinned, and every public top-level
+"""The package's public surface: ``simplexcast.__all__`` is pinned, every public top-level
 def or class of the package is either in it or used by the package itself, so that what only
-tests call lives in the tests."""
+tests call lives in the tests, and every defaulted parameter of a top-level function is set
+by some call in the package, so that a setting only tests change is a constant."""
 
 import ast
 from pathlib import Path
@@ -27,8 +28,12 @@ def _registered(node) -> bool:
                for dec in node.decorator_list)
 
 
+def _trees():
+    return [ast.parse(path.read_text(), path.name) for path in sorted(Path(simplexcast.__file__).parent.glob("*.py"))]
+
+
 def test_every_public_definition_is_exported_or_used_by_the_package():
-    trees = [ast.parse(path.read_text(), path.name) for path in sorted(Path(simplexcast.__file__).parent.glob("*.py"))]
+    trees = _trees()
     unused = []
     for tree in trees:
         for node in tree.body:
@@ -42,3 +47,34 @@ def test_every_public_definition_is_exported_or_used_by_the_package():
             if not used:
                 unused.append(node.name)
     assert unused == []
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at positional ``index`` (None when it is
+    keyword-only): by keyword, by position, or through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_of_a_top_level_function_is_passed_by_the_package():
+    trees = _trees()
+    calls = {}   # name called (a bare name or an attribute's) -> its calls
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(n.func.id if isinstance(n.func, ast.Name) else n.func.attr, []).append(n)
+    unset = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            first = len(positional) - len(spec.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                          if default is not None]
+            unset += [f"{node.name}({name})" for index, name in defaulted
+                      if not any(_passes(call, index, name) for call in calls.get(node.name, ()))]
+    assert unset == []
