@@ -109,7 +109,8 @@ def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[
     its diagonal gives the log-determinant and the same factor solves c's share.  A
     system that is not positive definite raises InvariantViolation.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs   # scipy loads only for kernel guarantees
+    from .kaar import _fortran   # LAPACK loads only for kernel guarantees
+    lapack = _fortran("_flapack")
     t_len = gram.shape[0]
     mean = v.mean(axis=0)
     c = np.empty_like(v)
@@ -117,14 +118,14 @@ def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[
     for s, weight in ((d, 1), (1, d - 2))[:1 if d == 2 else 2]:
         system = np.multiply(gram, s / a)
         system.flat[::t_len + 1] += 1.0
-        factor, info = dpotrf(system.T, lower=1, clean=0, overwrite_a=1)   # system is symmetric
+        factor, info = lapack.dpotrf(system.T, lower=1, clean=0, overwrite_a=1)   # system is symmetric
         logdet_s = math.nan if info else 2.0 * float(np.log(np.diagonal(factor)).sum())
         if not math.isfinite(logdet_s):
             raise InvariantViolation(f"kernel guarantee: I + {s:g}K/a is not positive definite (ridge {a!r})")
         logdet += weight * logdet_s
         if t_len:
             rhs = mean[:, None] if s == d else (v - mean).T
-            solved, _ = dpotrs(factor, rhs / a, lower=1)
+            solved, _ = lapack.dpotrs(factor, rhs / a, lower=1)
             if s == d:
                 c[:] = solved[:, 0]   # the block mean's share, the same for every class
             else:
@@ -256,8 +257,6 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
         return [BoundReport("joint", kind, loss, base, rhs_joint),
                 BoundReport("joint_split", kind, loss, base, rhs_split)]
     if kind == "kaar":
-        if kernel is None:
-            raise ValueError("kernel required for kind='kaar'")
         _, loss_f, norms, logdet = _kernel_comparator(stream, kernel, ridge)
         rhs = kernel_bound_rhs(loss_f, norms, ridge, logdet)
         return [BoundReport("kernel", kind, loss, loss_f, rhs)]

@@ -132,13 +132,16 @@ def _columns(data) -> tuple:
 
 def stack_trials(data) -> Trials:
     """``data`` as validated Trials: a Trials passes through, and the widths of any other
-    stream ``_columns`` reads are those of its first trial."""
-    if isinstance(data, Trials):
-        return data
-    signals, outcomes = _columns(data)
-    if not len(outcomes):
-        return Trials(np.empty((0, 0)), np.empty((0, 0)))
-    return check_trials(signals, outcomes, np.size(signals[0]), np.size(outcomes[0]))
+    stream ``_columns`` reads are those of its first trial.  A stream with trials needs
+    at least 2 classes (check_classes)."""
+    if not isinstance(data, Trials):
+        signals, outcomes = _columns(data)
+        if not len(outcomes):
+            return Trials(np.empty((0, 0)), np.empty((0, 0)))
+        data = check_trials(signals, outcomes, np.size(signals[0]), np.size(outcomes[0]))
+    if len(data.outcomes):
+        check_classes(data.outcomes.shape[1])
+    return data
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -60,21 +60,59 @@ MAAR's Sherman-Morrison inverses.  What is checked is definiteness: a kernel
 row that is not finite, or a pivot rho^2 that is not positive and finite,
 raises InvariantViolation naming the trial, the system and the pivot, and
 with ridge lanes the ridge of the first lane that fails.
+
+Of scipy, KAAR loads the top-level package and its compiled module
+``scipy.linalg._fblas``, for ``dtpsv``; the kernel guarantee adds ``_flapack``, for
+``dpotrf`` and ``dpotrs``.  The ``scipy.linalg`` package never loads (``_fortran``).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-# The factor is solved with BLAS directly, so these three are not called here; they stay
-# bound because perfbench/tracer.py wraps them in this module to count factorizations.
-from scipy.linalg import cho_solve, cholesky, solve_triangular  # noqa: F401
-from scipy.linalg.blas import dtpsv
+import scipy
 
 from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_vector, trial_name
 from .maar import Forecaster
+
+
+# Importing scipy.linalg clones numpy's namespace (scipy._lib.array_api_compat.numpy), which
+# loads numpy.f2py, numpy.testing and about 300 more modules: about 23 MB and 0.2 s.  KAAR needs
+# one BLAS routine and the kernel guarantee two LAPACK ones, so they come from scipy.linalg's
+# compiled Fortran modules, loaded from their files; scipy.linalg.blas and scipy.linalg.lapack
+# export these very function objects.  Top-level scipy is imported first, because its init
+# tells those modules where scipy's bundled OpenBLAS is (Windows wheels need that).
+@functools.cache
+def _fortran(name: str):
+    """scipy.linalg's compiled module ``name`` ("_fblas" or "_flapack"), without running
+    scipy/linalg/__init__.py."""
+    folder = Path(scipy.__file__).parent / "linalg"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for path in (folder / (name + suffix) for suffix in suffixes):
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled module {folder / name} not found with any suffix of {suffixes}")
+
+
+dtpsv = _fortran("_fblas").dtpsv
+
+
+def __getattr__(name):   # perfbench/tracer.py wraps these three here, read from the module's dict
+    if name in ("cholesky", "cho_solve", "solve_triangular"):
+        import scipy.linalg   # nothing here calls them, so only a traced run pays for this import
+        globals()[name] = getattr(scipy.linalg, name)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _KINDS = ("dot", "rbf", "poly")
 _SYSTEMS = ("aI+dK", "aI+K")

@@ -272,6 +272,16 @@ def test_an_infinite_or_non_positive_ridge_is_rejected_before_any_numpy_work():
                 call(bad)
 
 
+def test_a_stream_of_one_class_is_rejected_by_every_comparator_as_the_forecasters_reject_it():
+    pairs = [(np.ones(2), [1.0])] * 3
+    for data in (pairs, Trials(np.ones((3, 2)), np.ones((3, 1)))):
+        calls = (lambda: best_linear_expert(data, 1.0), lambda: best_kernel_expert(data, Kernel("dot"), 1.0),
+                 lambda: expert_loss(np.zeros(0), data), lambda: bound_reports(data, "maar", 1.0, 0.0))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^need at least 2 classes, got 1$"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # verify_run
 

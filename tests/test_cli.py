@@ -76,6 +76,34 @@ def test_bench_without_kaar_does_not_load_scipy(tmp_path):
     assert (tmp_path / "out" / "report.csv").exists()
 
 
+def test_kaar_and_the_kernel_guarantee_do_not_load_scipy_linalg(tmp_path):
+    # KAAR takes its BLAS and LAPACK routines from scipy's compiled modules, loaded from their
+    # files; importing scipy.linalg itself costs about 23 MB and a quarter of a second
+    script = (
+        "import sys\n"
+        "from simplexcast.cli import main\n"
+        "def check(after):\n"
+        "    assert 'scipy.linalg' not in sys.modules, after\n"
+        "def run(*args):\n"
+        "    try:\n"
+        "        main(list(args))\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
+        "import simplexcast.kaar\n"
+        "check('import simplexcast.kaar')\n"
+        f"run('bench', '--algos', 'kaar,simple', '--kernel', 'rbf', '--synth', 'sine', '--length', '120',"
+        f" '--ridge', '1.0', '--out', {str(tmp_path / 'bench')!r})\n"
+        "check('bench')\n"
+        f"run('verify-bounds', '--streams', '2', '--adversarial', '1', '--max-steps', '20',"
+        f" '--out', {str(tmp_path / 'vb')!r})\n"
+        "check('verify-bounds')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simplexcast.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "bench" / "report.csv").exists() and (tmp_path / "vb" / "bound_reports.csv").exists()
+
+
 def test_verify_bounds_small_run(tmp_path):
     out = tmp_path / "out"
     result = run_cli("verify-bounds", "--streams", "2", "--adversarial", "1",

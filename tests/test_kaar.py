@@ -55,6 +55,45 @@ def test_kernel_symmetry_and_gram_psd():
             assert kernel(x, y) == pytest.approx(kernel(y, x))
 
 
+def test_the_loaded_fortran_routines_equal_scipy_linalg_s_bit_for_bit():
+    # the routines KAAR and the kernel guarantee call, with their flags, on random inputs: a
+    # scipy release that moves or changes these compiled modules fails the tests
+    from scipy.linalg import blas, lapack
+    rng = np.random.default_rng(5)
+    for t in (1, 2, 7, 40):
+        spd = rng.standard_normal((t, t))
+        spd = spd @ spd.T + t * np.eye(t)
+        lower = np.linalg.cholesky(spd)
+        packed = np.concatenate([lower[j, :j + 1] for j in range(t)])   # L' in packed storage
+        border = rng.standard_normal(t)
+        ours, theirs = border.copy(), border.copy()
+        kaar.dtpsv(t, packed, ours, 1, 0, 0, 1, 0, 1)
+        blas.dtpsv(t, packed, theirs, 1, 0, 0, 1, 0, 1)
+        assert ours.tobytes() == theirs.tobytes()
+        flapack = kaar._fortran("_flapack")
+        factor, info = flapack.dpotrf(spd.T.copy(), lower=1, clean=0, overwrite_a=1)
+        expected, expected_info = lapack.dpotrf(spd.T.copy(), lower=1, clean=0, overwrite_a=1)
+        assert info == expected_info == 0 and factor.tobytes() == expected.tobytes()
+        rhs = rng.standard_normal((t, 3))
+        assert flapack.dpotrs(factor, rhs, lower=1)[0].tobytes() == lapack.dpotrs(factor, rhs, lower=1)[0].tobytes()
+
+
+def test_the_loader_caches_each_module_and_names_a_missing_one():
+    assert kaar._fortran("_fblas") is kaar._fortran("_fblas")
+    assert kaar._fortran("_fblas").dtpsv is kaar.dtpsv
+    with pytest.raises(ImportError, match=r"linalg.*_no_such_module"):
+        kaar._fortran("_no_such_module")
+
+
+def test_the_tracer_s_scipy_linalg_names_resolve_on_demand():
+    import scipy.linalg
+    for name in ("cholesky", "cho_solve", "solve_triangular"):
+        assert getattr(kaar, name) is getattr(scipy.linalg, name)
+        assert vars(kaar)[name] is getattr(scipy.linalg, name)   # stored, for the tracer to patch
+    with pytest.raises(AttributeError, match="no attribute 'cholesky_banded'"):
+        kaar.cholesky_banded
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_the_tiled_rbf_gram_equals_the_row_by_row_gram_bit_for_bit(n):
     # T around one tile side (as gram sizes its tiles) and at the bound check's 390
