@@ -83,6 +83,8 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
 
     ``c`` is the n x n block.  Block means travel through (aI + dC)^{-1}, as one (n, 1)
     column, and deviations through (aI + C)^{-1}, as the (n, d-1) columns of the blocks.
+    A ``c`` or rhs that is not finite raises ValueError; a system numpy cannot solve, or
+    whose solution is not finite, raises InvariantViolation naming the ridge and the system.
     """
     check_ridge(a)
     m = d - 1
@@ -90,13 +92,26 @@ def solve_structured(a: float, d: int, c: np.ndarray, rhs) -> np.ndarray:
     arr = np.asarray(rhs, dtype=float)
     if arr.shape != (m * n,):
         raise DimensionMismatch(f"rhs has shape {arr.shape}, expected ({m * n},)")
+    if not (np.isfinite(c).all() and np.isfinite(arr).all()):
+        raise ValueError("the structured solve needs a finite C and right-hand side")
     blocks = arr.reshape(m, n)
     mean = blocks.mean(axis=0)
-    eye = np.eye(n)
-    out = np.linalg.solve(a * eye + d * c, mean[:, None]).T   # the block mean's share, the same for every block
+    out = _solved(a, "aI + dC", d, c, mean[:, None]).T   # the block mean's share, the same for every block
     if m > 1:
-        out = out + np.linalg.solve(a * eye + c, (blocks - mean).T).T   # each block's deviation from it
+        out = out + _solved(a, "aI + C", 1, c, (blocks - mean).T).T   # each block's deviation from it
     return out.reshape(m * n)
+
+
+@np.errstate(over="ignore")   # an overflow gives inf, which the solve or the check below rejects
+def _solved(a: float, system: str, s: float, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(aI + sC)^{-1} rhs, where ``system`` names aI + sC in an InvariantViolation."""
+    try:
+        out = np.linalg.solve(a * np.eye(len(c)) + s * c, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolation(f"at ridge {a!r}, {system} cannot be solved: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise InvariantViolation(f"at ridge {a!r}, {system} has a solution that is not finite")
+    return out
 
 
 def _kernel_systems(gram: np.ndarray, a: float, d: int, v: np.ndarray) -> tuple[float, np.ndarray]:

@@ -72,6 +72,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,18 +88,25 @@ from .maar import Forecaster
 # one BLAS routine and the kernel guarantee two LAPACK ones, so they come from scipy.linalg's
 # compiled Fortran modules, loaded from their files; scipy.linalg.blas and scipy.linalg.lapack
 # export these very function objects.  Top-level scipy is imported first, because its init
-# tells those modules where scipy's bundled OpenBLAS is (Windows wheels need that).
+# tells those modules where scipy's bundled OpenBLAS is (Windows wheels need that).  CPython
+# records a single-phase extension module in sys.modules under its name; left there, a later
+# import of scipy.linalg would find it and never set the package's attribute, so the entry is
+# dropped, and that import builds its module from CPython's cache of this one's functions.
 @functools.cache
 def _fortran(name: str):
     """scipy.linalg's compiled module ``name`` ("_fblas" or "_flapack"), without running
     scipy/linalg/__init__.py."""
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:   # scipy.linalg has loaded it
+        return sys.modules[qualified]
     folder = Path(scipy.__file__).parent / "linalg"
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     for path in (folder / (name + suffix) for suffix in suffixes):
         if path.is_file():
-            spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+            spec = importlib.util.spec_from_file_location(qualified, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            sys.modules.pop(qualified, None)
             return module
     raise ImportError(f"scipy's compiled module {folder / name} not found with any suffix of {suffixes}")
 
@@ -145,12 +153,17 @@ class Kernel:
             raise ValueError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     # An inner product of signals past about 1e154, or an rbf difference past 1e308, overflows
-    # to inf, an rbf entry of 0: a right value, or one KAAR and the bounds reject by type.
+    # to inf, an rbf entry of 0: a right value, or one that KAAR, the bounds and __call__ reject
+    # by type.
     @np.errstate(over="ignore")
     def __call__(self, x, y) -> float:
-        """K(x, y) for two finite signals of one length, by the formula of ``gram``."""
+        """K(x, y) for two finite signals of one length, by the formula of ``gram``; a dot or
+        poly value that overflows raises InvariantViolation."""
         xa = as_float_vector(x, "signal")
-        return float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
+        value = float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
+        if not math.isfinite(value):
+            raise InvariantViolation(f"{self.kind} kernel value overflows to {value!r}")
+        return value
 
     @np.errstate(over="ignore")
     def gram(self, signals: np.ndarray) -> np.ndarray:

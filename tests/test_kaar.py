@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,34 @@ def test_the_loader_caches_each_module_and_names_a_missing_one():
     assert kaar._fortran("_fblas").dtpsv is kaar.dtpsv
     with pytest.raises(ImportError, match=r"linalg.*_no_such_module"):
         kaar._fortran("_no_such_module")
+
+
+@pytest.mark.parametrize("first", ["simplexcast", "scipy.linalg"])
+def test_scipy_linalg_has_its_compiled_modules_as_attributes_whichever_loads_them_first(first):
+    # the loader leaves no entry in sys.modules under scipy's names, so a later import of
+    # scipy.linalg sets both attributes; after that import, the loader takes scipy.linalg's own
+    # modules.  Either way the routines are the very objects KAAR and the kernel guarantee call.
+    kernel_guarantee = (
+        "import numpy as np\n"
+        "from simplexcast import kaar\n"
+        "from simplexcast.bounds import best_kernel_expert\n"
+        "rng = np.random.default_rng(3)\n"
+        "data = [(rng.uniform(-1, 1, 2), np.eye(3)[rng.integers(3)]) for _ in range(8)]\n"
+        "best_kernel_expert(data, kaar.Kernel('rbf'), 1.0)\n"
+    )
+    linalg = "import scipy.linalg\nfrom scipy.linalg import blas, lapack\n"
+    script = "import sys\n" + (
+        kernel_guarantee + "assert 'scipy.linalg' not in sys.modules\n" + linalg if first == "simplexcast"
+        else linalg + kernel_guarantee) + (
+        "assert scipy.linalg._fblas.dtpsv is blas.dtpsv is kaar.dtpsv\n"
+        "assert scipy.linalg._flapack.dpotrf is lapack.dpotrf is kaar._fortran('_flapack').dpotrf\n"
+        "assert scipy.linalg._flapack.dpotrs is lapack.dpotrs is kaar._fortran('_flapack').dpotrs\n"
+        "for name in ('_fblas', '_flapack'):\n"
+        "    assert sys.modules['scipy.linalg.' + name] is getattr(scipy.linalg, name)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kaar.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_the_tracer_s_scipy_linalg_names_resolve_on_demand():
@@ -313,6 +345,19 @@ def test_signals_that_overflow_the_kernel_give_its_value_or_invariant_violation_
             assert gram[0, 0] == math.inf and math.isfinite(gram[1, 1])
         with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
             KaarForecaster(3, Kernel("dot")).predict([1e200])
+
+
+def test_a_dot_or_poly_kernel_value_that_overflows_raises_where_rbf_s_is_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the typed error alone: no numpy overflow warning first
+        # x.y = 0 here, but its products overflow: inf was returned, a silently wrong value
+        for kernel in (Kernel("dot"), Kernel("poly", degree=3)):
+            with pytest.raises(InvariantViolation, match=f"^{kernel.kind} kernel value overflows"):
+                kernel([1e200, 1e200], [1e200, -1e200])
+        with pytest.raises(InvariantViolation, match="^poly kernel value overflows to inf"):
+            Kernel("poly", degree=3)([1e110], [1e110])   # the product is finite, its power is not
+        assert Kernel("rbf")([1e200, 1e200], [1e200, -1e200]) == 0.0
+        assert Kernel("poly", degree=3)([1e50], [1e50]) == pytest.approx(1e300, rel=1e-14)   # large, finite: kept
 
 
 def test_non_positive_definite_pivot_raises_naming_the_trial():

@@ -5,7 +5,8 @@ from simplexcast.bounds import solve_structured
 from simplexcast.caar import CaarForecaster
 from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.kaar import KaarForecaster, Kernel
-from simplexcast.maar import REFRESH_EVERY, MaarForecaster, refresh_inverse
+from simplexcast import maar
+from simplexcast.maar import EINSUM_FROM, REFRESH_EVERY, MaarForecaster, refresh_inverse
 from simplexcast.substitution import solve_substitution
 
 from oracle import dense_maar_r, quadrature_r
@@ -221,6 +222,19 @@ def test_structured_solve_takes_one_rhs_vector_of_its_length():
             solve_structured(1.5, 3, c, rhs)
 
 
+def test_structured_solve_rejects_input_that_is_not_finite_and_names_a_system_it_cannot_solve():
+    for c, rhs in ((np.full((2, 2), np.nan), np.ones(4)), (np.eye(2), [1.0, np.inf, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="finite C and right-hand side"):
+            solve_structured(1.5, 3, c, rhs)
+    with pytest.raises(InvariantViolation, match=r"^at ridge 1e-300, aI \+ dC cannot be solved"):
+        solve_structured(1e-300, 3, 1e300 * np.ones((2, 2)), np.ones(4))
+    # the deviations' system alone is singular: C = -aI
+    with pytest.raises(InvariantViolation, match=r"^at ridge 1.0, aI \+ C cannot be solved"):
+        solve_structured(1.0, 3, -np.eye(2), np.arange(4.0))
+    with pytest.raises(InvariantViolation, match=r"^at ridge 1e-300, aI \+ dC has a solution that is not finite"):
+        solve_structured(1e-300, 2, np.array([[1e-300]]), np.array([1e300]))
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement and the forecaster wrapper
 
@@ -357,3 +371,69 @@ def test_forecaster_run_check_passes():
     fresh = model._refreshed(model._inv, model.c, model.t)
     np.testing.assert_allclose(fresh, kept, rtol=1e-9, atol=1e-12)
     np.testing.assert_array_equal(model._inv, kept)
+
+
+# the rank-one step: w w' by one of two product kernels, chosen once per forecaster by size
+
+@pytest.mark.parametrize("n", [1, 10, 33, 200])
+@pytest.mark.parametrize("k", [1, 2, 14])
+def test_both_product_kernels_give_the_broadcasting_step_and_an_exactly_symmetric_stack(n, k):
+    rng = np.random.default_rng(n * k)
+    w = rng.standard_normal((k, n))
+    w[:, ::3] = 0.0   # zero entries, whose products with negatives are -0.0 by broadcasting
+    sym = rng.standard_normal((k, n, n))
+    sym = sym + sym.transpose(0, 2, 1)
+    expected = w[:, :, None] * w[:, None, :]
+    for outer in (maar._broadcast_outer, maar._einsum_outer):
+        step = outer(w)
+        np.testing.assert_array_equal(step, expected)   # equal values; only a zero's sign may differ
+        np.testing.assert_array_equal(step, step.transpose(0, 2, 1))
+        stepped = sym - step
+        assert stepped.tobytes() == (sym - expected).tobytes()
+        assert stepped.tobytes() == stepped.transpose(0, 2, 1).copy().tobytes()
+
+
+@pytest.mark.parametrize("cls, n, lanes, outer", [
+    (CaarForecaster, 10, 1, "broadcast"), (MaarForecaster, 10, 1, "broadcast"),   # K n^2 = 100, 200
+    (MaarForecaster, 10, 7, "broadcast"), (MaarForecaster, 33, 1, "broadcast"),   # 1400, 2178
+    (CaarForecaster, 50, 1, "einsum"), (MaarForecaster, 33, 7, "einsum"),         # 2500, 15246
+    (CaarForecaster, 200, 1, "einsum"), (MaarForecaster, 200, 1, "einsum"),       # 40000, 80000
+])
+def test_each_forecaster_picks_its_product_kernel_once_from_the_size_of_its_stack(cls, n, lanes, outer):
+    model = cls(n, 3, 1.0 if lanes == 1 else np.geomspace(0.1, 10.0, lanes))
+    assert model._outer is getattr(maar, f"_{outer}_outer")
+    assert (model._inv.size >= EINSUM_FROM) == (outer == "einsum")
+    if lanes > 1:   # a lane split off picks by its own size
+        assert model.lane(0)._outer is (maar._einsum_outer if model.lane(0)._inv.size >= EINSUM_FROM
+                                        else maar._broadcast_outer)
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+@pytest.mark.parametrize("ridge", [1.0, LANES])
+def test_a_refresh_rebuilds_the_stack_in_place_with_the_values_of_a_stacked_rebuild(cls, ridge):
+    model = cls(4, 3, ridge)
+    x = _run(model, REFRESH_EVERY - 1)
+    y = np.array([0.0, 1.0, 0.0])
+    inv, before, trial = model._inv, model._inv.copy(), model._trial(x.copy())
+    _, u, _, den = trial
+    w = u * np.sqrt(np.array(model._scales) / np.array(den))[:, None]
+    model._commit(trial, y)
+    c, eye = model._c, np.eye(model.n)   # C as the refresh summed it
+    expected = np.stack([refresh_inverse(m, a * eye + s * c, REFRESH_EVERY)   # the rebuild as a new stack
+                         for m, a, s in zip(before - w[:, :, None] * w[:, None, :], model._ridges, model._scales)])
+    assert model.t == REFRESH_EVERY and model._inv is inv
+    assert model._inv.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+def test_wide_forecasts_over_two_refreshes_equal_those_of_the_broadcasting_step(cls):
+    rng = np.random.default_rng(31)
+    n, d, t_len = 200, 3, 600
+    signals = rng.uniform(-1, 1, (t_len, n))
+    outcomes = np.eye(d)[rng.integers(d, size=t_len)]
+    model, reference = cls(n, d, 1.0), cls(n, d, 1.0)
+    assert model._outer is maar._einsum_outer
+    reference._outer = maar._broadcast_outer
+    assert model.run(signals, outcomes).tobytes() == reference.run(signals, outcomes).tobytes()
+    assert model.t == t_len > 2 * REFRESH_EVERY
+    assert model._inv.tobytes() == reference._inv.tobytes()
