@@ -165,7 +165,8 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     """Minimizer of cumulative loss + a |alpha|^2 and its objective value.
 
     The objective is the quadratic alpha'(aI + (I+J) kron C)alpha + g'alpha
-    + const, so the normal equations go through ``solve_structured``.
+    + const, so the normal equations go through ``solve_structured``.  Signals so large
+    that C or g overflows raise ValueError naming their scale.
     """
     check_ridge(a)
     stream = stack_trials(data)
@@ -175,8 +176,12 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     t_len, n = signals.shape
     d = outcomes.shape[1]
     m = d - 1
-    c_mat = signals.T @ signals
-    g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
+    with np.errstate(over="ignore", invalid="ignore"):   # inf, or inf - inf, is rejected below
+        c_mat = signals.T @ signals
+        g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
+    if not (np.isfinite(c_mat).all() and np.isfinite(g).all()):
+        raise ValueError(f"signals of scale {float(np.max(np.abs(signals))):.3g} overflow the linear "
+                         "comparator's C = sum x x'")
     alpha = solve_structured(a, d, c_mat, -g.reshape(-1) / 2.0)
     expert = LinearExpert(alpha)
     value = expert_loss(expert, stream) + a * expert.norm_sq

@@ -282,6 +282,17 @@ def test_a_stream_of_one_class_is_rejected_by_every_comparator_as_the_forecaster
                 call()
 
 
+def test_signals_that_overflow_the_linear_comparator_raise_value_error_naming_their_scale():
+    # x x' overflows to inf; signs mixed within a trial also make inf - inf, a NaN, in C
+    for first in ([1e200, -1e200], [1e200, 1e200]):
+        data = [(np.array(first), [1.0, 0.0, 0.0]), (np.array([-1e200, 1e200]), [0.0, 1.0, 0.0])]
+        calls = (lambda: best_linear_expert(data, 1.0), lambda: bound_reports(data, "caar", 1.0, 0.0),
+                 lambda: bound_reports(data, "maar", 1.0, 0.0))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^signals of scale 1e\+200 overflow the linear comparator"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # verify_run
 

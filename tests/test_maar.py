@@ -437,3 +437,86 @@ def test_wide_forecasts_over_two_refreshes_equal_those_of_the_broadcasting_step(
     assert model.run(signals, outcomes).tobytes() == reference.run(signals, outcomes).tobytes()
     assert model.t == t_len > 2 * REFRESH_EVERY
     assert model._inv.tobytes() == reference._inv.tobytes()
+
+
+# ``run``: statistics per refresh window, rows after the loop, the same bits as the loop
+
+def _loop(model, xs, ys):
+    """The per-trial loop of ``run``: ``generalized`` then ``update`` on every trial."""
+    rows = []
+    for x, y in zip(xs, ys):
+        rows.append(model.generalized(x))
+        model.update(x, y)
+    return np.array(rows).reshape((len(xs),) + np.shape(model.a) + (model.d,))
+
+
+def _state(model):
+    """The bytes of what a trial changes: t, the inverses, C and the statistics (h or E)."""
+    stat = model.h if isinstance(model, MaarForecaster) else model.e
+    return model.t, model._inv.tobytes(), model.c.tobytes(), stat.tobytes()
+
+
+def _copy(model):
+    """A forecaster in the state ``model`` has reached; the two share no arrays."""
+    twin = type(model)(model.n, model.d, model.a)
+    twin.t = model.t
+    for name in ("_inv", "_stats", "_c", "_signals"):
+        setattr(twin, name, getattr(model, name).copy())
+    return twin
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+@pytest.mark.parametrize("n", [10, 200])
+@pytest.mark.parametrize("ridge", [1.0, LANES])
+def test_run_equals_the_loop_across_refresh_windows(cls, n, ridge):
+    # runs that start at a window's first trial, inside one and at its last, and that end
+    # before, at and after a refresh, or two refreshes on
+    rng = np.random.default_rng(n)
+    d, most = 3, 255 + 600
+    xs, ys = rng.uniform(-1, 1, (most, n)), np.eye(d)[rng.integers(d, size=most)]
+    ys[::4] = rng.dirichlet(np.ones(d), size=len(ys[::4]))   # outcomes inside the simplex too
+    for start in (0, 100, 255):
+        before = cls(n, d, ridge)
+        _loop(before, xs[:start], ys[:start])
+        for t_len in (0, 1, 255, 256, 257, 600):
+            fast, slow = _copy(before), _copy(before)
+            trials = slice(start, start + t_len)
+            got, want = fast.run(xs[trials], ys[trials]), _loop(slow, xs[trials], ys[trials])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (start, t_len)
+            assert _state(fast) == _state(slow), (start, t_len)
+            if ridge == LANES:   # a lane split off after the run is the one split off after the loop
+                for g in range(len(LANES)):
+                    twin, single = fast.lane(g), slow.lane(g)
+                    assert _state(twin) == _state(single)
+                    assert twin.run(xs[-3:], ys[-3:]).tobytes() == _loop(single, xs[-3:], ys[-3:]).tobytes()
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
+@pytest.mark.parametrize("ridge", [1.0, LANES])
+@pytest.mark.parametrize("fault", ["denominator", "drift", "not positive definite"])
+def test_a_run_that_fails_leaves_the_state_and_message_of_the_loop_stopped_there(cls, ridge, fault):
+    rng = np.random.default_rng(29)
+    n, d, start, t_len = 4, 3, 100, 300   # the run starts inside a refresh window, and spans its end
+    xs, ys = rng.uniform(-1, 1, (start + t_len, n)), np.eye(d)[rng.integers(d, size=start + t_len)]
+    model = cls(n, d, ridge)
+    model.run(xs[:start], ys[:start])
+    k = model._size if ridge == LANES else 0   # the first factor of the middle lane, or the only lane
+    if fault == "denominator":   # an inverse broken along e_0, which the signals reach at trial start + 41
+        xs[start:start + 40, 0], xs[start + 40, 0] = 0.0, 0.5
+        model._inv[k, 0, 0] -= 1e3
+        failing = start + 41
+    elif fault == "drift":       # passes every denominator check, fails the refresh
+        model._inv[k] *= 1.01
+        failing = REFRESH_EVERY
+    else:
+        model._c[:] = -1e3 * np.eye(n)
+        failing = REFRESH_EVERY
+    loop = _copy(model)
+    with pytest.raises(InvariantViolation, match=f"^trial {failing}") as ran:
+        model.run(xs[start:], ys[start:])
+    with pytest.raises(InvariantViolation) as looped:
+        _loop(loop, xs[start:], ys[start:])
+    assert str(ran.value) == str(looped.value)
+    assert fault in str(ran.value) or fault == "denominator" and "Sherman-Morrison denominator" in str(ran.value)
+    assert model.t == failing - 1
+    assert _state(model) == _state(loop)
