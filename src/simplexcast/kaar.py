@@ -41,6 +41,20 @@ one ``dtpsv`` per factor, and w'w and w'G, each read out by one ``tolist``); the
 d-sized rest of each factor (pivots and their check, u[T], R u[:t], s(u), r, rho
 and G's new row) runs on Python floats, cheaper than numpy's per-call overhead.
 
+``run`` keeps in its trial loop only what reads the factors.  Before the loop it
+validates the run once, reserves the buffers and copies the run's signals into place
+in one block; K(x, x), a + s K(x, x) per factor and the label row R_T' of every trial
+come as whole arrays.  The kernel rows come a block of trials at a time (as many as
+an rbf tile has rows), each block from one ``Kernel._rows`` call, with one finiteness
+mask, so that a row that is not finite still raises at its own trial.  Its tiles take
+``Kernel._pairs``, the formula that gives a single trial its row, so the rows agree
+bit for bit.  The loop keeps the borders s c, written straight into the factors' next
+packed rows, one ``dtpsv`` per factor, w'w and the checked pivots, rho, w'G and G's
+new row.  After the loop, u[T] and ``_row`` run once on whole
+columns of trials with the arithmetic they take per trial on Python floats (sums add
+left to right from 0.0), so ``run`` and the per-trial loop agree bit for bit.  A
+trial that fails leaves the state of the loop stopped there.
+
 Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
 and one G = L^{-1} R' per ridge and system, while the stored signals, the
 label rows and each trial's kernel row depend on no ridge and are computed once.
@@ -72,6 +86,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +94,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_vector, trial_name
+from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_trials, check_vector, trial_name
 from .maar import Forecaster
 
 
@@ -125,7 +140,14 @@ def __getattr__(name):   # perfbench/tracer.py wraps these three here, read from
 _KINDS = ("dot", "rbf", "poly")
 _SYSTEMS = ("aI+dK", "aI+K")
 _FIRST_CAPACITY = 16
-_TILE_BYTES = 1 << 18   # the differences of one rbf Gram tile
+_TILE_BYTES = 1 << 18   # the differences of one rbf tile
+
+
+@functools.cache
+def _tile_side(n: int) -> int:
+    """Rows of an rbf tile, and of a ``run`` block: side x side differences of n floats fill
+    about _TILE_BYTES."""
+    return max(1, math.isqrt(_TILE_BYTES // 8 // max(n, 1)))
 
 
 @dataclass(frozen=True)
@@ -153,38 +175,67 @@ class Kernel:
             raise ValueError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     # An inner product of signals past about 1e154, or an rbf difference past 1e308, overflows
-    # to inf, an rbf entry of 0: a right value, or one that KAAR, the bounds and __call__ reject
-    # by type.
+    # to inf, an rbf entry of 0: a right value, or one that KAAR, the bounds, ``gram`` and
+    # __call__ reject by type.  So the callers of ``_pairs``, ``_rows`` and ``_at`` ignore
+    # overflow.
     @np.errstate(over="ignore")
     def __call__(self, x, y) -> float:
-        """K(x, y) for two finite signals of one length, by the formula of ``gram``; a dot or
+        """K(x, y) for two finite signals of one length, by the formula of ``_pairs``; a dot or
         poly value that overflows raises InvariantViolation."""
         xa = as_float_vector(x, "signal")
-        value = float(self._row(xa[None], check_vector(y, xa.size, "signal"))[0])
+        value = float(self._pairs(check_vector(y, xa.size, "signal")[None], xa[None])[0, 0])
         if not math.isfinite(value):
             raise InvariantViolation(f"{self.kind} kernel value overflows to {value!r}")
         return value
 
     @np.errstate(over="ignore")
-    def gram(self, signals: np.ndarray) -> np.ndarray:
-        """Gram matrix over the rows of ``signals``; rbf's equals ``_row``'s bit for bit."""
+    def gram(self, signals) -> np.ndarray:
+        """Gram matrix over the rows of ``signals``; rbf's entries are ``_pairs``' bits, dot and
+        poly take one matrix product, and one of their values that overflows raises
+        InvariantViolation."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
-        if self.kind != "rbf":
-            return self._of(x @ x.T)
-        out, side = np.empty((len(x), len(x))), max(1, math.isqrt(_TILE_BYTES // 8 // max(x.shape[1], 1)))
-        for i in range(0, len(x), side):   # the lower triangle in tiles, mirrored: exactly symmetric
-            for j in range(0, i + 1, side):
-                diff = x[i:i + side, None] - x[None, j:j + side]
-                out[i:i + side, j:j + side] = tile = self._of(np.einsum("ijk,ijk->ij", diff, diff))
-                out[j:j + side, i:i + side] = tile.T
+        if self.kind == "rbf":
+            out = self._rows(x, x, 1)   # the lower triangle in tiles, mirrored: exactly symmetric
+            side = _tile_side(x.shape[1])
+            for i in range(side, len(x), side):
+                out[:i, i:i + side] = out[i:i + side, :i].T
+            return out
+        with np.errstate(invalid="ignore"):   # inf - inf
+            out = self._of(x @ x.T)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise InvariantViolation(f"{self.kind} kernel value overflows to {float(out[bad][0])!r}")
         return out
 
-    def _row(self, stored: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """K(s, x) for every row s of ``stored``."""
+    def _pairs(self, xs: np.ndarray, stored: np.ndarray) -> np.ndarray:
+        """K(stored[j], xs[i]) for every row i of ``xs`` and j of ``stored``: the one formula of a
+        kernel row.  rbf takes one einsum over the differences, each entry the one sum of
+        squares of its difference whatever the shapes; dot and poly take one matrix-vector
+        product per row of ``xs``, which a matrix product would round otherwise."""
         if self.kind != "rbf":
-            return self._of(stored @ x)
-        diff = stored - x
-        return self._of(np.einsum("ij,ij->i", diff, diff))
+            return self._of(np.array([stored @ x for x in xs]))
+        diff = xs[:, None] - stored[None]
+        return self._of(np.einsum("ijk,ijk->ij", diff, diff))
+
+    def _rows(self, stored: np.ndarray, xs: np.ndarray, lead: int) -> np.ndarray:
+        """Kernel rows of the m signals ``xs``, each against the stored signals before it: entry
+        (i, j) of the (m, lead + m - 1) result is K(stored[j], xs[i]) for j < lead + i, and the
+        entries past that are unspecified.  rbf comes in tiles of about _TILE_BYTES of
+        differences, dot and poly one row at a time."""
+        out = np.empty((len(xs), max(lead + len(xs) - 1, 0)))
+        if self.kind != "rbf":
+            for i in range(len(xs)):
+                out[i, :lead + i] = self._pairs(xs[i:i + 1], stored[:lead + i])
+            return out
+        side = _tile_side(xs.shape[1])
+        for i in range(0, len(xs), side):
+            tile = xs[i:i + side]
+            stop = lead + i + len(tile) - 1   # the columns the tile's last row needs
+            width = side * side // len(tile)
+            for j in range(0, stop, width):
+                end = min(j + width, stop)
+                out[i:i + side, j:end] = self._pairs(tile, stored[j:end])
+        return out
 
     def _at(self, x: np.ndarray) -> float:
         """K(x, x): 1 for rbf, where the distance is exactly 0."""
@@ -238,11 +289,12 @@ class KaarForecaster(Forecaster):
         """The stored signals' length, or the first signal's; None when there are neither."""
         return self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None
 
-    @np.errstate(over="ignore")   # an overflow gives inf, which ``_trial`` checks
+    @np.errstate(over="ignore")
     def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, float]:
-        """Kernel row of ``xa`` against the stored signals, and K(xa, xa)."""
+        """Kernel row of ``xa`` against the stored signals, and K(xa, xa); an overflow gives inf,
+        which ``_trial`` checks."""
         stored = self._x[:self.t] if self.t else np.empty((0, xa.size))
-        return self.kernel._row(stored, xa), self.kernel._at(xa)
+        return self.kernel._pairs(xa[None], stored)[0], self.kernel._at(xa)
 
     def _trial(self, xa: np.ndarray):
         """Border rows w of every factor (per lane and system) for signal ``xa``, and as Python
@@ -252,31 +304,91 @@ class KaarForecaster(Forecaster):
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
             raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
         w = self._column * row
-        for packed, border in zip(self._packed, w) if t else ():
-            dtpsv(t, packed, border, 1, 0, 0, 1, 0, 1)   # border = L^{-1} s c in place; trans=1 by position
+        self._solve_borders(w)
         ww = np.einsum("st,st->s", w, w).tolist()
-        pivots = [a + s * kxx - v for a, s, v in zip(self._ridges, self._scales, ww)]
-        for k, pivot in enumerate(pivots):
-            if not 0.0 < pivot < math.inf:
-                raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(k))}: "
-                                         f"{_SYSTEMS[k % self._size]} has pivot {pivot!r}, not positive definite")
+        pivots = self._checked([a + s * kxx - v for a, s, v in zip(self._ridges, self._scales, ww)])
         u_last = [(kxx - v / s) / p for s, v, p in zip(self._scales, ww, pivots)]
         return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0].tolist(), u_last
 
+    def _solve_borders(self, w: np.ndarray) -> None:
+        """w = L^{-1} s c in place, row k by factor k's packed rows."""
+        for packed, border in zip(self._packed, w) if self.t else ():
+            dtpsv(self.t, packed, border, 1, 0, 0, 1, 0, 1)   # trans=1 by position
+
+    def _checked(self, pivots: list) -> list:
+        """The pivots rho^2 of trial t + 1, each positive and finite, or InvariantViolation
+        naming the trial, the first failing factor's system and its lane's ridge."""
+        for k, pivot in enumerate(pivots):
+            if not 0.0 < pivot < math.inf:
+                raise InvariantViolation(f"{trial_name(self.t + 1, self._lane_ridge(k))}: "
+                                         f"{_SYSTEMS[k % self._size]} has pivot {pivot!r}, not positive definite")
+        return pivots
+
     def _row(self, trial) -> list:
-        """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, per lane."""
+        """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, per lane,
+        on Python floats or on whole columns of trials alike; sums add left to right from 0.0."""
         *_, wg, u_last = trial
         m = self.d - 1
         rows, factors = [], zip(self._scales, u_last, wg)
         for s, u, row in factors:   # per lane: aI+dK, then aI+K when m > 1
-            ru = [(1.0 / s - u) * v for v in row]               # R u[:t]
-            head = (1.0 + 1.0 / m) * (sum(ru) + (m - 1) * u)    # (1 + 1/m) s(p), for every class
+            ru = [(1.0 / s - u) * v for v in row]                              # R u[:t]
+            head = (1.0 + 1.0 / m) * (functools.reduce(operator.add, ru, 0.0) + (m - 1) * u)   # (1 + 1/m) s(p)
             if m > 1:
                 s, u, row = next(factors)
                 ru = [(1.0 / s - u) * v for v in row]
-                tail = (sum(ru) + (m - 1) * u) / m
+                tail = (functools.reduce(operator.add, ru, 0.0) + (m - 1) * u) / m
             rows.append([head + (v - tail) for v in ru] + [0.0] if m > 1 else [head, 0.0])
         return rows
+
+    def run(self, signals, outcomes) -> np.ndarray:
+        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
+        outcomes, validated once, as whole arrays, before anything changes.
+
+        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
+        for bit to those of the per-trial loop.  Only the steps that read the factors stay in
+        the trial loop (see the module docstring); a trial that fails leaves the state of the
+        loop stopped there.
+        """
+        xs, ys = check_trials(signals, outcomes, self._width(signals), self.d, self.t + 1)
+        self._last = None
+        t0, t_len = self.t, len(xs)
+        if not t_len:   # no signal length to reserve by, when nothing is stored either
+            return np.empty((0,) + self._lanes + (self.d,))
+        self._reserve(xs)
+        self._x[t0:t0 + t_len] = xs
+        with np.errstate(over="ignore"):   # an overflow gives inf, which the loop checks
+            kxx = np.array([self.kernel._at(x) for x in xs])
+        base = np.array(self._ridges) + np.array(self._scales) * kxx[:, None]   # a + s K(x, x)
+        labels = -2.0 * (ys[:, :-1] - ys[:, -1:])                                 # R_T' of each trial
+        ww, pivots = np.empty_like(base), np.empty_like(base)
+        wg = np.empty((t_len, len(self._scales), self.d - 1))
+        side = _tile_side(xs.shape[1])
+        for first in range(0, t_len, side):   # a block of kernel rows, then its trials
+            with np.errstate(over="ignore"):
+                block = self.kernel._rows(self._x, xs[first:first + side], t0 + first)
+            past = np.arange(block.shape[1]) >= t0 + first + np.arange(len(block))[:, None]
+            finite = (np.isfinite(block) | past).all(axis=1) & np.isfinite(kxx[first:first + side])
+            for i, row, ok in zip(range(first, t_len), block, finite):
+                t = self.t
+                if not ok:
+                    raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
+                start = t * (t + 1) // 2
+                w = self._packed[:, start:start + t]   # the borders go straight into their rows
+                np.multiply(self._column, row[:t], out=w)
+                self._solve_borders(w)
+                np.einsum("st,st->s", w, w, out=ww[i])
+                self._checked(np.subtract(base[i], ww[i], out=pivots[i]).tolist())
+                rho = np.sqrt(pivots[i], out=self._packed[:, start + t])
+                np.matmul(w[:, None, :], self._g[:, :t], out=wg[i, :, None])
+                np.divide(labels[i] - wg[i], rho[:, None], out=self._g[:, t])
+                self.t = t + 1
+        u_last = (kxx[:, None] - ww / self._scales) / pivots
+        rows = self._row((wg.transpose(1, 2, 0), u_last.T))   # columns over the trials
+        out = np.empty((t_len, len(rows), self.d))
+        for g, row in enumerate(rows):
+            for i, column in enumerate(row):
+                out[:, g, i] = column
+        return out.reshape((t_len,) + self._lanes + (self.d,))
 
     def _commit(self, trial, ya: np.ndarray) -> None:
         """Store the signal and write one row into every factor and G."""

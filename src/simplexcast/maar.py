@@ -38,10 +38,8 @@ its sum (CAAR's E) before every trial of the window; cumsum adds in trial
 order, so each trial sees the bits that ``update``'s += gives it.  The window's
 signals go into place in one block copy.  After the loop, the coefficients and
 ``_row`` run once on whole columns of trials, with the body that runs on Python
-floats in ``predict``, so ``run`` and the per-trial loop agree bit for bit.  At
-(n, d) = (10, 3) a ``run`` trial took about 13 us on one ridge and 20-28 us on
-7 ridge lanes, where the per-trial loop takes about 18-24 and 36-59 us (one
-core).
+floats in ``predict``, so ``run`` and the per-trial loop agree bit for bit.
+README's cost table gives the us per ``update`` and per ``run`` trial.
 
 The rank-one update writes w w' of every inverse into one (K, n, n) step by one
 of two product kernels, picked once per forecaster from the K n^2 entries of its
@@ -50,10 +48,8 @@ about 1 us more per call, and einsum's product loop from there up, which takes
 half the time at n = 200.  Each entry is the one product w_i w_j either way
 (einsum writes a product of -0.0 as +0.0, which changes a stepped entry only if
 that entry is -0.0, and then only the zero's sign), so forecasts do not depend on
-the choice.  An ``update`` took about 17 us at (n, d) = (10, 3), by broadcasting,
-and 120 us at (200, 3), by einsum, where broadcasting took about 170 us (one core).  A rebuild
-builds each system as sC plus a on its diagonal and, once every rebuilt inverse
-has passed its check, writes them into the stack in place.
+the choice.  A rebuild builds each system as sC plus a on its diagonal and, once
+every rebuilt inverse has passed its check, writes them into the stack in place.
 
 The core also runs ridge lanes: given a 1-D sequence of ridges instead of one,
 it keeps the inverses of a_g I + sC for every lane g, and ``generalized`` (MAAR's
@@ -154,7 +150,11 @@ class Forecaster:
     Every forecaster keeps one factor (an inverse, or a Cholesky factor) per lane g and
     scale s_j of its systems aI + s_j C, j < S, ``scales`` giving s_0 ... s_{S-1}: factor
     k = g S + j, whose ridge and scale are ``_ridges[k]`` and ``_scales[k]``.  So every step
-    treats one factor as it treats any other, and one lane takes the arithmetic of one ridge.
+    treats one factor as it treats any other.  A lane of MAAR or KAAR equals the forecaster
+    of its one ridge bit for bit.  A lane of CAAR does not: a single factor's (1, n) product
+    in ``_trial`` and ``run`` takes another BLAS kernel than a stack of K > 1 factors, and
+    over 400 ``run`` trials at d = 3 a lane came up to 8.9e-16 off its single ridge at n = 10,
+    and 1.5e-14 to 1.9e-14 at n = 200 (two streams).
     """
 
     def __init__(self, d: int, a, scales):

@@ -24,7 +24,12 @@ from simplexcast.core import DimensionMismatch, InvariantViolation, as_float_vec
 from simplexcast.harness import REPORT_COLUMNS, ExperimentReport, InputError
 from simplexcast.substitution import _threshold
 
-GRID_NODES = 2001          # per-axis node floor for the tensor quadrature
+# Per-axis node counts of the tensor quadrature, tried in turn until two successive grids
+# agree to CONVERGED (relative to max(1, |value|)).  Each grid holds every node of the one
+# before it.  The trapezoid rule on a Gaussian converges faster than any power of the step,
+# so on the acceptance instances 65 nodes are already within rounding of the closed form.
+GRID_LADDER = (17, 33, 65, 129, 257, 513, 1025, 2049)
+CONVERGED = 1e-13
 GRID_STDS = 12.0           # half-width in marginal standard deviations
 
 
@@ -174,8 +179,27 @@ def _trap_weights(nodes: int, step: float) -> np.ndarray:
     return w
 
 
-def log_gaussian_grid_integral(h_mat, l_vec, const, nodes: int = GRID_NODES) -> float:
+def log_gaussian_grid_integral(h_mat, l_vec, const, nodes: int | None = None) -> float:
     """log of the integral of exp(-(x'Hx + l'x + c)) over R^dim by quadrature.
+
+    With ``nodes`` None the grid is refined along GRID_LADDER until two successive
+    values agree to CONVERGED, and the finer one is returned; an integral that has
+    not converged at the last grid raises InvariantViolation.  A given ``nodes``
+    fixes the grid.
+    """
+    if nodes is not None:
+        return _grid_log_integral(h_mat, l_vec, const, nodes)
+    previous = None
+    for nodes in GRID_LADDER:
+        value = _grid_log_integral(h_mat, l_vec, const, nodes)
+        if previous is not None and abs(value - previous) <= CONVERGED * max(1.0, abs(value)):
+            return value
+        previous = value
+    raise InvariantViolation(f"quadrature did not converge: {previous!r} at {GRID_LADDER[-1]} nodes per axis")
+
+
+def _grid_log_integral(h_mat, l_vec, const, nodes: int) -> float:
+    """``log_gaussian_grid_integral`` on one grid of ``nodes`` per axis.
 
     The grid is centered at the quadratic's minimizer; in centered coordinates
     the exponent is q0 + delta'H delta + lr'delta with a tiny residual lr, so
@@ -279,7 +303,7 @@ def _log_grid_integral_3d(h_mat, lr, deltas, steps, nodes) -> float:
 # ---------------------------------------------------------------------------
 # Reference generalized predictions
 
-def quadrature_r(history, x_t, d: int, a: float, eta: float = 1.0, nodes: int = GRID_NODES) -> np.ndarray:
+def quadrature_r(history, x_t, d: int, a: float, eta: float = 1.0) -> np.ndarray:
     """The shifted generalized prediction r by direct integration.
 
     r_i is the log-ratio (base e^-eta) of the prior-weighted exponentiated
@@ -300,7 +324,7 @@ def quadrature_r(history, x_t, d: int, a: float, eta: float = 1.0, nodes: int = 
         outcome[cls] = 1.0
         fn = _literal_game_exponent(history, x_t, outcome, a, eta, d)
         h_mat, l_vec, c0 = _quadratic_from_evals(fn, dim)
-        logs[cls] = log_gaussian_grid_integral(h_mat, l_vec, c0, nodes)
+        logs[cls] = log_gaussian_grid_integral(h_mat, l_vec, c0)
     return (logs[-1] - logs) / eta
 
 
@@ -356,7 +380,7 @@ def dense_kaar_r(history, x_t, kernel, d: int, a: float) -> np.ndarray:
 
 
 def quadrature_component_forecast(
-    history, x_t, component: int, d: int, a: float, eta: float = 2.0, nodes: int = GRID_NODES
+    history, x_t, component: int, d: int, a: float, eta: float = 2.0
 ) -> float:
     """One raw component forecast by direct integration of the scalar game.
 
@@ -384,7 +408,7 @@ def quadrature_component_forecast(
     logs = []
     for outcome in (0.0, 1.0):
         h_mat, l_vec, c0 = _quadratic_from_evals(exponent_for(outcome), n)
-        logs.append(log_gaussian_grid_integral(h_mat, l_vec, c0, nodes))
+        logs.append(log_gaussian_grid_integral(h_mat, l_vec, c0))
     g0_minus_g1 = (logs[1] - logs[0]) / eta
     return 0.5 + g0_minus_g1 / 2.0
 

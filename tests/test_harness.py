@@ -460,11 +460,12 @@ def test_lane_losses_match_per_ridge_ledgers(name, n, d):
     stream = LabeledStream(np.array([x for x, _ in data]), np.array([y for _, y in data]), n, 0.0)
     lane_losses, lane_rows = run_online(stream, make_forecaster(kind, n, d, ridges, kernel))
     np.testing.assert_array_equal(lane_rows, np.array(rows))
-    lane_mse = lane_losses.mean(axis=0)
-    for g, a in enumerate(ridges):
-        single, _ = run_online(data, make_forecaster(kind, n, d, a, kernel))
-        np.testing.assert_allclose(losses[:, g], single, rtol=0, atol=1e-12)
-        assert lane_mse[g] == pytest.approx(single.sum() / single.size, rel=0, abs=1e-12)
+    # a lane of MAAR or KAAR takes the arithmetic of its one ridge; CAAR's single factor takes
+    # another BLAS kernel than its stack of lanes (measured here: 3.1e-13 per loss, 1.7e-15 in MSE)
+    loss_tol, mse_tol = (5e-13, 5e-15) if kind == "caar" else (0.0, 0.0)
+    singles = np.stack([run_online(data, make_forecaster(kind, n, d, a, kernel))[0] for a in ridges], axis=1)
+    np.testing.assert_allclose(losses, singles, rtol=0, atol=loss_tol)
+    np.testing.assert_allclose(lane_losses.mean(axis=0), singles.mean(axis=0), rtol=0, atol=mse_tol)
 
 
 @pytest.mark.parametrize("name", sorted(_LANE_KINDS))

@@ -137,7 +137,14 @@ def test_the_tiled_rbf_gram_equals_the_row_by_row_gram_bit_for_bit(n):
             xs = scale * rng.uniform(-1, 1, (t_len, n))
             gram = kernel.gram(xs)
             assert gram.shape == (t_len, t_len)
-            np.testing.assert_array_equal(gram, np.array([kernel._row(xs, x) for x in xs]).reshape(t_len, t_len))
+            rows = [kernel._pairs(x[None], xs)[0] for x in xs]   # one row, as a trial takes it
+            np.testing.assert_array_equal(gram, np.array(rows).reshape(t_len, t_len))
+            differences = [kernel._of(np.einsum("ij,ij->i", xs - x, xs - x)) for x in xs]
+            np.testing.assert_array_equal(gram, np.array(differences).reshape(t_len, t_len))
+            lead = t_len // 3   # a run's block: the trials after the first t_len // 3
+            block = kernel._rows(xs, xs[lead:], lead)
+            for i, row in enumerate(block):
+                np.testing.assert_array_equal(row[:lead + i], gram[lead + i, :lead + i])
             np.testing.assert_array_equal(gram, gram.T)
             np.testing.assert_array_equal(np.diagonal(gram), 1.0)
 
@@ -339,10 +346,10 @@ def test_signals_that_overflow_the_kernel_give_its_value_or_invariant_violation_
         model = KaarForecaster(3, Kernel("rbf"), 1.0)
         model.update([1e308], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(model.predict([-1e308]).p, KaarForecaster(3, Kernel("rbf")).predict([0.0]).p)
-        # a dot or poly product past it is inf, which the kernel-row check and dpotrf reject
+        # a dot or poly product past it is inf, which gram and the kernel-row check reject
         for kind in ("dot", "poly"):
-            gram = Kernel(kind).gram([[1e200], [1.0]])
-            assert gram[0, 0] == math.inf and math.isfinite(gram[1, 1])
+            with pytest.raises(InvariantViolation, match=f"^{kind} kernel value overflows to inf$"):
+                Kernel(kind).gram([[1e200], [1.0]])
         with pytest.raises(InvariantViolation, match="trial 1: kernel row is not finite"):
             KaarForecaster(3, Kernel("dot")).predict([1e200])
 
@@ -439,14 +446,14 @@ def test_run_reserves_exactly_the_rows_it_needs():
 def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):
     grid = list(DEFAULT_RIDGE_GRID)
     data = random_stream(2, 3, 30, seed=51)
-    # K(x, x) = -1 at trial 17 leaves aI+dK without a positive pivot in the smallest-ridge lane first
-    extended = KaarForecaster._extended_gram
+    # K(x, x) = -1 at trial 17 leaves aI+dK without a positive pivot in the smallest-ridge lane
+    # first; run and the per-trial steps both take K(x, x) from Kernel._at
+    at = Kernel._at
 
     def bad_diagonal_at_17(self, xa):
-        row, kxx = extended(self, xa)
-        return row, -1.0 if self.t == 16 else kxx
+        return -1.0 if np.array_equal(xa, data[16][0]) else at(self, xa)
 
-    monkeypatch.setattr(KaarForecaster, "_extended_gram", bad_diagonal_at_17)
+    monkeypatch.setattr(Kernel, "_at", bad_diagonal_at_17)
     model = KaarForecaster(3, Kernel("rbf", sigma=0.8), grid)
     with pytest.raises(InvariantViolation, match=r"^trial 17 at ridge 0\.001: aI\+dK has pivot -"):
         run_online(data, model)
@@ -462,6 +469,67 @@ def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"^trial 11 at ridge 1\.0: aI\+dK has pivot -"):
         run_online(data[10:], model)
     assert model.t == 10
+
+
+def _loop(model, xs, ys):
+    """generalized then update on every trial, as ``run`` is specified."""
+    rows = []
+    for x, y in zip(xs, ys):
+        rows.append(model.generalized(x))
+        model.update(x, y)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kernel", [Kernel("dot"), Kernel("rbf", sigma=2.0), Kernel("poly", degree=3)],
+                         ids=["dot", "rbf", "poly"])
+@pytest.mark.parametrize("d,a", [(2, 0.5), (4, [0.01, 1.0, 100.0])])
+def test_run_equals_the_loop_across_kernel_blocks_bit_for_bit(kernel, d, a):
+    # n = 20: a block, and an rbf tile, holds 40 trials and 40 columns; the runs start at
+    # t = 0 and t = 45 and span several blocks, each with several column tiles
+    rng = np.random.default_rng(d)
+    xs, ys = rng.uniform(-1, 1, (175, 20)), np.eye(d)[rng.integers(d, size=175)]
+    assert kaar._tile_side(20) == 40
+    loop, model = KaarForecaster(d, kernel, a), KaarForecaster(d, kernel, a)
+    expected = _loop(loop, xs, ys)
+    np.testing.assert_array_equal(model.run(xs[:45], ys[:45]), expected[:45])
+    np.testing.assert_array_equal(model.run(xs[45:], ys[45:]), expected[45:])
+    _assert_same_state(_state(model), _state(loop))
+    np.testing.assert_array_equal(model.generalized(xs[0]), loop.generalized(xs[0]))
+
+
+@pytest.mark.parametrize("fault", ["kernel value", "kernel row", "pivot"])
+@pytest.mark.parametrize("a", [0.5, [0.01, 1.0, 100.0]], ids=["one ridge", "lanes"])
+def test_a_run_that_fails_leaves_the_state_and_message_of_the_loop_stopped_there(fault, a, monkeypatch):
+    # trial 71 fails: in the second block of a run that starts at t = 25 (n = 20, blocks of 40)
+    rng = np.random.default_rng(52)
+    xs, ys = rng.uniform(-1, 1, (100, 20)), np.eye(3)[rng.integers(3, size=100)]
+    kernel = Kernel("poly", degree=3)
+    if fault == "kernel value":
+        xs[70] = 1e110   # (x.x + 1)^3 and every row entry overflow
+    elif fault == "kernel row":
+        # 2 sigma^2 underflows to 0, so a repeated signal's distance 0 gives 0/0 in its row,
+        # while K(x, x) stays 1
+        kernel = Kernel("rbf", sigma=1e-170)
+        xs[70] = xs[10]
+    else:
+        at = Kernel._at
+        monkeypatch.setattr(Kernel, "_at", lambda self, x: -1e9 if np.array_equal(x, xs[70]) else at(self, x))
+    loop, model = KaarForecaster(3, kernel, a), KaarForecaster(3, kernel, a)
+    with np.errstate(divide="ignore", invalid="ignore"):   # d^2 / 0 and 0 / 0 of the rbf case
+        _loop(loop, xs[:25], ys[:25])
+        model.run(xs[:25], ys[:25])
+        with pytest.raises(InvariantViolation) as stopped:
+            _loop(loop, xs[25:], ys[25:])
+        with pytest.raises(InvariantViolation) as failed:
+            model.run(xs[25:], ys[25:])
+    assert str(failed.value) == str(stopped.value)
+    named = "trial 71 at ridge 0.01: aI+dK" if fault == "pivot" and np.ndim(a) else "trial 71: "
+    assert str(failed.value).startswith(named)
+    assert model.t == 70
+    _assert_same_state(_state(model), _state(loop))
+    monkeypatch.undo()   # the trials after the faulty one go on as the loop does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(model.run(xs[71:], ys[71:]), _loop(loop, xs[71:], ys[71:]))
 
 
 @st.composite

@@ -77,6 +77,25 @@ def test_multivariate_gaussian_integral_identity():
         assert got == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_converged_quadrature_reproduces_the_closed_form_gaussian_log_integral(dim):
+    # the node count comes from the convergence check, and the value is within 1e-12 of
+    # log(pi^{k/2} / sqrt(det H)) - (c - l'H^{-1}l/4); the last instance couples two axes by 0.9
+    rng = np.random.default_rng(70 + dim)
+    cases = []
+    for _ in range(12):
+        root = rng.normal(size=(dim, dim))
+        cases.append((root @ root.T + 0.5 * np.eye(dim), rng.normal(size=dim), float(rng.uniform(-2, 2))))
+    coupled = 4.0 * np.eye(dim)
+    coupled[0, 1:2] = coupled[1:2, 0] = 3.6
+    cases.append((coupled, rng.normal(size=dim), 0.3))
+    for h_mat, l_vec, c in cases:
+        got = log_gaussian_grid_integral(h_mat, l_vec, c)
+        q0 = c - l_vec @ np.linalg.solve(h_mat, l_vec) / 4.0
+        expected = -q0 + dim / 2.0 * math.log(math.pi) - 0.5 * np.linalg.slogdet(h_mat)[1]
+        assert abs(got - expected) <= 1e-12
+
+
 @pytest.mark.parametrize("h_mat,nodes", [
     # one dominant cross term, default node count
     (np.array([
