@@ -406,7 +406,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     algorithm runs once over the stream: the train third with a ridge lane per grid value
     (one lane for a fixed ridge, none for the baseline), then only the selected lane, split
     off by ``lane``, goes on over the rest, where the metrics are taken.  A lane equals the
-    forecaster of its one ridge (to rounding for CAAR and MAAR, bit for bit for KAAR), so
+    forecaster of its one ridge (bit for bit for MAAR and KAAR, to rounding for CAAR), so
     this is the fresh run at the chosen ridge without replaying the train third.
     ``time_seconds`` covers that whole run, lanes and selection included.  For a grid, the
     run log's ``ridge_grid`` keeps each algorithm's sorted ``ridges``, the ``train_mse`` of

@@ -33,27 +33,27 @@ j(j+1)/2), which is LAPACK's packed storage of L', so BLAS solves with the
 factor in place.  ``update`` doubles every buffer when it is full; ``run``
 reserves exactly the rows its trials need.
 
-The protocol is ``maar.Forecaster``'s, shared with CAAR and MAAR; a trial's three
-steps here are ``_trial`` (the kernel row, and the border row and pivot of every
-factor), ``_row`` (r from them) and ``_commit`` (one new row in every factor and G).
-numpy does only the t-sized work (the kernel row and its check, the borders s c,
-one ``dtpsv`` per factor, and w'w and w'G, each read out by one ``tolist``); the
-d-sized rest of each factor (pivots and their check, u[T], R u[:t], s(u), r, rho
-and G's new row) runs on Python floats, cheaper than numpy's per-call overhead.
+The protocol, ``run`` included, is ``maar.Forecaster``'s, shared with CAAR and MAAR;
+a trial's three steps here are ``_trial`` (the kernel row, and the border row and
+pivot of every factor), ``_row`` (r from them) and ``_commit`` (one new row in every
+factor and G), and ``_steps`` is the trial loop of ``run``.  numpy does only the
+t-sized work (the kernel row and its check, the borders s c, one ``dtpsv`` per
+factor, and w'w and w'G, each read out by one ``tolist``); the d-sized rest of each
+factor (pivots and their check, u[T], R u[:t], s(u), r, rho and G's new row) runs on
+Python floats, cheaper than numpy's per-call overhead.
 
-``run`` keeps in its trial loop only what reads the factors.  Before the loop it
-validates the run once, reserves the buffers and copies the run's signals into place
-in one block; K(x, x), a + s K(x, x) per factor and the label row R_T' of every trial
-come as whole arrays.  The kernel rows come a block of trials at a time (as many as
-an rbf tile has rows), each block from one ``Kernel._rows`` call, with one finiteness
-mask, so that a row that is not finite still raises at its own trial.  Its tiles take
+``_steps`` keeps in its trial loop only what reads the factors.  Before the loop it
+reserves the buffers and copies the run's signals into place in one block; K(x, x),
+a + s K(x, x) per factor and the label row R_T' of every trial come as whole
+arrays.  The kernel rows come a block of trials at a time (as many as an rbf tile
+has rows), each block from one ``Kernel._rows`` call, with one finiteness mask, so
+that a row that is not finite still raises at its own trial.  Its tiles take
 ``Kernel._pairs``, the formula that gives a single trial its row, so the rows agree
-bit for bit.  The loop keeps the borders s c, written straight into the factors' next
-packed rows, one ``dtpsv`` per factor, w'w and the checked pivots, rho, w'G and G's
-new row.  After the loop, u[T] and ``_row`` run once on whole
-columns of trials with the arithmetic they take per trial on Python floats (sums add
-left to right from 0.0), so ``run`` and the per-trial loop agree bit for bit.  A
-trial that fails leaves the state of the loop stopped there.
+bit for bit.  The loop keeps the borders s c, written straight into the factors'
+next packed rows, one ``dtpsv`` per factor, w'w and the checked pivots, rho, w'G and
+G's new row.  After the loop, u[T] and ``_row`` run once on whole columns of trials
+with the arithmetic they take per trial on Python floats (sums add left to right
+from 0.0), so ``run`` and the per-trial loop agree bit for bit.
 
 Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
 and one G = L^{-1} R' per ridge and system, while the stored signals, the
@@ -94,7 +94,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_trials, check_vector, trial_name
+from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_vector, trial_name
 from .maar import Forecaster
 
 
@@ -164,11 +164,13 @@ class Kernel:
     degree: int = 2
     offset: float = 1.0
 
+    @np.errstate(over="ignore")   # a numpy sigma's 2 sigma^2 that overflows is inf, as a float's is
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {_KINDS}")
-        if self.kind == "rbf" and not (self.sigma > 0):
-            raise ValueError(f"rbf width must be positive, got {self.sigma}")
+        if self.kind == "rbf" and not (self.sigma > 0 and 0.0 < 2.0 * (self.sigma * self.sigma) < math.inf):
+            raise ValueError(f"rbf width must make 2 sigma^2, the divisor of a squared distance, positive "
+                             f"and finite, got sigma = {self.sigma}")
         if self.kind == "poly" and (int(self.degree) != self.degree or self.degree < 1):
             raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree}")
         if self.kind == "poly" and not 0.0 <= self.offset < math.inf:
@@ -340,21 +342,12 @@ class KaarForecaster(Forecaster):
             rows.append([head + (v - tail) for v in ru] + [0.0] if m > 1 else [head, 0.0])
         return rows
 
-    def run(self, signals, outcomes) -> np.ndarray:
-        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
-        outcomes, validated once, as whole arrays, before anything changes.
-
-        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
-        for bit to those of the per-trial loop.  Only the steps that read the factors stay in
-        the trial loop (see the module docstring); a trial that fails leaves the state of the
-        loop stopped there.
-        """
-        xs, ys = check_trials(signals, outcomes, self._width(signals), self.d, self.t + 1)
-        self._last = None
+    def _steps(self, xs: np.ndarray, ys: np.ndarray):
+        """The trials of ``run``; only the steps that read the factors stay in the loop (see the
+        module docstring)."""
         t0, t_len = self.t, len(xs)
-        if not t_len:   # no signal length to reserve by, when nothing is stored either
-            return np.empty((0,) + self._lanes + (self.d,))
-        self._reserve(xs)
+        if t0 + t_len > self._x.shape[0]:   # exactly the rows the run needs
+            self._grow(xs.shape[1], t0 + t_len)
         self._x[t0:t0 + t_len] = xs
         with np.errstate(over="ignore"):   # an overflow gives inf, which the loop checks
             kxx = np.array([self.kernel._at(x) for x in xs])
@@ -383,12 +376,7 @@ class KaarForecaster(Forecaster):
                 np.divide(labels[i] - wg[i], rho[:, None], out=self._g[:, t])
                 self.t = t + 1
         u_last = (kxx[:, None] - ww / self._scales) / pivots
-        rows = self._row((wg.transpose(1, 2, 0), u_last.T))   # columns over the trials
-        out = np.empty((t_len, len(rows), self.d))
-        for g, row in enumerate(rows):
-            for i, column in enumerate(row):
-                out[:, g, i] = column
-        return out.reshape((t_len,) + self._lanes + (self.d,))
+        return wg.transpose(1, 2, 0), u_last.T
 
     def _commit(self, trial, ya: np.ndarray) -> None:
         """Store the signal and write one row into every factor and G."""
@@ -404,11 +392,6 @@ class KaarForecaster(Forecaster):
         self._g[:, t].T[:] = [[(y - v) / r for v, r in zip(col, rho)]
                               for y, col in zip([-2.0 * (v - last) for v in head], zip(*wg))]
         self.t = t + 1
-
-    def _reserve(self, xs) -> None:
-        """Exactly the t + T rows a run of T trials needs."""
-        if self.t + len(xs) > self._x.shape[0]:
-            self._grow(xs.shape[1], self.t + len(xs))
 
     def _lane(self, g: int) -> KaarForecaster:
         twin = KaarForecaster(self.d, self.kernel, self.a[g])

@@ -30,16 +30,17 @@ coefficients of the h update are d-sized (per ridge lane), so ``predict`` and
 numpy's per-call overhead at these sizes.  That is O(n^2 + dn) per trial, plus a
 Cholesky rebuild that checks both inverses every REFRESH_EVERY trials.
 
-``run`` keeps in its trial loop only what reads the inverses: u, its products
-with the trial's statistics, the checked denominators and the rank-one step.
-The rest depends on the data alone.  Per refresh window (at most REFRESH_EVERY
-trials), one np.cumsum over the coefficient-times-signal increments gives h and
-its sum (CAAR's E) before every trial of the window; cumsum adds in trial
-order, so each trial sees the bits that ``update``'s += gives it.  The window's
-signals go into place in one block copy.  After the loop, the coefficients and
-``_row`` run once on whole columns of trials, with the body that runs on Python
-floats in ``predict``, so ``run`` and the per-trial loop agree bit for bit.
-README's cost table gives the us per ``update`` and per ``run`` trial.
+The trial loop of ``run`` (RankOneCore's ``_steps``) keeps only what reads the
+inverses: u, its products with the trial's statistics, the checked denominators
+and the rank-one step.  The rest depends on the data alone.  Per refresh window
+(at most REFRESH_EVERY trials), one np.cumsum over the coefficient-times-signal
+increments gives h and its sum (CAAR's E) before every trial of the window;
+cumsum adds in trial order, so each trial sees the bits that ``update``'s +=
+gives it.  The window's signals go into place in one block copy.  After the
+loop, the coefficients and ``_row`` run once on whole columns of trials, with
+the body that runs on Python floats in ``predict``, so ``run`` and the
+per-trial loop agree bit for bit.  README's cost table gives the us per
+``update`` and per ``run`` trial.
 
 The rank-one update writes w w' of every inverse into one (K, n, n) step by one
 of two product kernels, picked once per forecaster from the K n^2 entries of its
@@ -61,9 +62,10 @@ ridge grid in one pass; ``lane`` then splits the chosen lane off to run on alone
 
 ``Forecaster`` holds the online protocol that CAAR, MAAR and KAAR share:
 ``generalized``, ``predict``, ``update``, ``run`` and ``lane`` are written there
-once, and RankOneCore replaces ``run`` with the windowed form above.  Each forecaster supplies only the three steps of a trial: ``_trial``, the
-products of a signal; ``_row``, the generalized prediction from them; and
-``_commit``, which commits them with the outcome.
+once.  Each forecaster supplies only the three steps of a trial and its run's
+trial loop: ``_trial``, the products of a signal; ``_row``, the generalized
+prediction from them; ``_commit``, which commits them with the outcome; and
+``_steps``, the loop of ``run`` (the windowed form above for CAAR and MAAR).
 """
 
 from __future__ import annotations
@@ -119,13 +121,12 @@ def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int, ridge: float 
     return fresh
 
 
-def _broadcast_outer(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """w_k w_k' for every row of the (K, n) ``w``, by numpy's broadcasting product, into ``out``
-    when given."""
+def _broadcast_outer(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w_k w_k' for every row of the (K, n) ``w``, by numpy's broadcasting product, into ``out``."""
     return np.multiply(w[:, :, None], w[:, None, :], out=out)
 
 
-def _einsum_outer(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _einsum_outer(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``_broadcast_outer(w, out)`` by einsum's product loop, faster from about 2500 entries: each
     entry the one product w_i w_j, but a product of -0.0 comes out +0.0 (0.0 + w_i w_j)."""
     return np.einsum("ki,kj->kij", w, w, out=out)
@@ -136,14 +137,15 @@ class Forecaster:
 
     Each forecaster supplies the three steps of a trial: ``_trial`` gives the products of a
     validated signal x (x first), ``_row`` the generalized prediction from them, one row per
-    ridge lane, and ``_commit`` commits them with the outcome y.  It also supplies
-    ``_signal``, the check of one signal, ``_width``, the signal length a run checks, and
-    ``_lane(g)``, a forecaster of lane g's ridge holding copies of that lane's state.  Rows
-    are lists of Python floats, which ``predict`` scans as they are.  ``update`` reuses the
-    products of a ``generalized`` or ``predict`` call on the same signal (compared by value;
-    the signal is copied), and ``run`` takes the same three steps on every row, so the two
-    paths agree bit for bit (RankOneCore's ``run`` takes them on whole columns where they
-    do not read its inverses, with the same arithmetic).
+    ridge lane, and ``_commit`` commits them with the outcome y.  ``_steps`` is the trial
+    loop of ``run``: it keeps in the loop only what reads the factors and returns the
+    columns over the trials that ``_row`` reads, on which ``_row`` takes the arithmetic it
+    takes per trial on Python floats.  A forecaster also supplies ``_signal``, the check of
+    one signal, ``_width``, the signal length a run checks, and ``_lane(g)``, a forecaster
+    of lane g's ridge holding copies of that lane's state.  Rows are lists of Python
+    floats, which ``predict`` scans as they are.  ``update`` reuses the products of a
+    ``generalized`` or ``predict`` call on the same signal (compared by value; the signal
+    is copied).
 
     ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
     ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
@@ -201,20 +203,19 @@ class Forecaster:
         outcomes, validated once, as whole arrays, before anything changes.
 
         Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
-        for bit to those of the per-trial loop, since each row takes the same steps.
+        for bit to those of the per-trial loop.  A trial that fails leaves the state of the
+        loop stopped there.
         """
         xs, ys = check_trials(signals, outcomes, self._width(signals), self.d, self.t + 1)
         self._last = None
-        self._reserve(xs)
-        out = []
-        for xa, ya in zip(xs, ys):
-            trial = self._trial(xa)
-            out.append(self._row(trial))
-            self._commit(trial, ya)
-        return np.array(out).reshape((len(xs),) + self._lanes + (self.d,))
-
-    def _reserve(self, xs) -> None:
-        """Make room for the run's validated signals ``xs`` before its first trial."""
+        if not len(xs):   # KAAR has no signal length to reserve by when it stores nothing either
+            return np.empty((0,) + self._lanes + (self.d,))
+        rows = self._row(self._steps(xs, ys))   # columns over the trials, per lane
+        out = np.empty((len(xs), len(rows), self.d))
+        for g, row in enumerate(rows):
+            for i, column in enumerate(row):
+                out[:, g, i] = column
+        return out.reshape((len(xs),) + self._lanes + (self.d,))
 
     def lane(self, g: int):
         """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
@@ -289,19 +290,10 @@ class RankOneCore(Forecaster):
                                          f"denominator {den[self._factors(k // self._size)]!r} is not >= 1")
         return den
 
-    def run(self, signals, outcomes) -> np.ndarray:
-        """``generalized`` then ``update`` on every row of the (T, n) signals and (T, d)
-        outcomes, validated once, as whole arrays, before anything changes.
-
-        Returns the (T,) + np.shape(a) + (d,) stack of generalized predictions, equal bit
-        for bit to those of the per-trial loop.  Only the steps that read the inverses stay
-        in the trial loop: u, its products with the trial's statistics, the checked
-        denominators and the step.  The statistics of every trial of a refresh window come
-        before it from one cumulative sum, and all rows from one ``_row`` on whole columns
-        after it.  A trial that fails leaves the state of the loop stopped there.
-        """
-        xs, ys = check_trials(signals, outcomes, self.n, self.d, self.t + 1)
-        self._last = None
+    def _steps(self, xs: np.ndarray, ys: np.ndarray):
+        """The trials of ``run``.  Only the steps that read the inverses stay in the loop: u,
+        its products with the trial's statistics, the checked denominators and the step.  The
+        statistics of every trial of a refresh window come before it from one cumulative sum."""
         t_len, k = len(xs), len(self._ridges)
         coefficients = np.array(self._coefficients(ys.T)).T   # (T, rows)
         products = np.empty((t_len, k, len(self._stats)))   # per trial and factor: u_k against each row
@@ -324,12 +316,7 @@ class RankOneCore(Forecaster):
                 self._stats[:-1] = window[self.t - first, :-1]   # the statistics of trial t
             start = stop
         den = 1.0 + np.array(self._scales) * products[:, :, -1]
-        rows = self._row((xs, None, products.transpose(1, 2, 0), den.T))   # columns over the trials
-        out = np.empty((t_len, len(rows), self.d))
-        for g, row in enumerate(rows):
-            for i, column in enumerate(row):
-                out[:, g, i] = column
-        return out.reshape((t_len,) + self._lanes + (self.d,))
+        return xs, None, products.transpose(1, 2, 0), den.T
 
     def _window(self, stats: np.ndarray, xs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """``stats`` filled for the m trials of ``xs``, (m + 1, rows + 1, n): entry j holds the
@@ -361,10 +348,7 @@ class RankOneCore(Forecaster):
         # product, so the inverses stay exactly symmetric
         self._scale[:, 0] = [math.sqrt(s / v) for s, v in zip(self._scales, den)]
         np.multiply(u, self._scale, out=self._w)
-        if self._outer is _einsum_outer:   # the product kernel picked for the stack's size
-            _einsum_outer(self._w, out=self._step)
-        else:
-            _broadcast_outer(self._w, out=self._step)
+        self._outer(self._w, out=self._step)
         if (self.t + 1) % REFRESH_EVERY:
             np.subtract(self._inv, self._step, out=self._inv)
             return

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -242,3 +243,18 @@ def test_a_ridge_near_the_float_limit_runs_or_is_input_error_naming_the_ridge(tm
     result = CliRunner().invoke(main, series + ["--ridge", "1e308", "--out", str(tmp_path / "max")])
     assert result.exit_code == 2, result.output
     assert "ridge 1e+308 is too large" in result.output
+
+
+def test_an_rbf_width_whose_square_underflows_or_overflows_is_input_error(tmp_path):
+    # 2 sigma^2 divides every squared distance, so a width that makes it 0 or inf is bad input
+    for sigma in ("1e-170", "inf"):
+        out = tmp_path / sigma
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["bench", "--algos", "kaar,simple", "--kernel", "rbf", "--sigma", sigma,
+                                               "--synth", "sine", "--length", "120", "--out", str(out)])
+        assert result.exit_code == 2, (sigma, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: rbf width must make 2 sigma^2" in result.output and "Traceback" not in result.output
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()

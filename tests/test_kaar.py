@@ -171,6 +171,11 @@ def test_rbf_values_at_large_norms_match_kernel_eval(norm):
 def test_kernel_validation():
     with pytest.raises(ValueError):
         Kernel("rbf", sigma=0.0)
+    # 2 sigma^2 divides every squared distance: it must neither underflow to 0 nor overflow
+    for sigma in (1e-170, 1e-162, float("inf"), 1e154, np.float64(1e200), float("nan"), -1.0):
+        with pytest.raises(ValueError, match=r"^rbf width must make 2 sigma\^2, .* positive and finite"):
+            Kernel("rbf", sigma=sigma)
+    assert Kernel("rbf", sigma=1e-150)([0.0], [0.0]) == 1.0 and Kernel("rbf", sigma=1e150)([0.0], [1.0]) == 1.0
     with pytest.raises(ValueError):
         Kernel("poly", degree=0)
     with pytest.raises(ValueError):
@@ -507,29 +512,33 @@ def test_a_run_that_fails_leaves_the_state_and_message_of_the_loop_stopped_there
     if fault == "kernel value":
         xs[70] = 1e110   # (x.x + 1)^3 and every row entry overflow
     elif fault == "kernel row":
-        # 2 sigma^2 underflows to 0, so a repeated signal's distance 0 gives 0/0 in its row,
-        # while K(x, x) stays 1
-        kernel = Kernel("rbf", sigma=1e-170)
-        xs[70] = xs[10]
+        # a NaN in trial 71's row only, by the formula that run and the loop both take, while
+        # K(x, x) stays 1
+        kernel, pairs = Kernel("rbf", sigma=1.0), Kernel._pairs
+
+        def nan_in_row_71(self, rows, stored):
+            out = pairs(self, rows, stored)
+            out[(rows == xs[70]).all(axis=1)] = np.nan
+            return out
+
+        monkeypatch.setattr(Kernel, "_pairs", nan_in_row_71)
     else:
         at = Kernel._at
         monkeypatch.setattr(Kernel, "_at", lambda self, x: -1e9 if np.array_equal(x, xs[70]) else at(self, x))
     loop, model = KaarForecaster(3, kernel, a), KaarForecaster(3, kernel, a)
-    with np.errstate(divide="ignore", invalid="ignore"):   # d^2 / 0 and 0 / 0 of the rbf case
-        _loop(loop, xs[:25], ys[:25])
-        model.run(xs[:25], ys[:25])
-        with pytest.raises(InvariantViolation) as stopped:
-            _loop(loop, xs[25:], ys[25:])
-        with pytest.raises(InvariantViolation) as failed:
-            model.run(xs[25:], ys[25:])
+    _loop(loop, xs[:25], ys[:25])
+    model.run(xs[:25], ys[:25])
+    with pytest.raises(InvariantViolation) as stopped:
+        _loop(loop, xs[25:], ys[25:])
+    with pytest.raises(InvariantViolation) as failed:
+        model.run(xs[25:], ys[25:])
     assert str(failed.value) == str(stopped.value)
     named = "trial 71 at ridge 0.01: aI+dK" if fault == "pivot" and np.ndim(a) else "trial 71: "
     assert str(failed.value).startswith(named)
     assert model.t == 70
     _assert_same_state(_state(model), _state(loop))
     monkeypatch.undo()   # the trials after the faulty one go on as the loop does
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.testing.assert_array_equal(model.run(xs[71:], ys[71:]), _loop(loop, xs[71:], ys[71:]))
+    np.testing.assert_array_equal(model.run(xs[71:], ys[71:]), _loop(loop, xs[71:], ys[71:]))
 
 
 @st.composite

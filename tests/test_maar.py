@@ -385,7 +385,7 @@ def test_both_product_kernels_give_the_broadcasting_step_and_an_exactly_symmetri
     sym = sym + sym.transpose(0, 2, 1)
     expected = w[:, :, None] * w[:, None, :]
     for outer in (maar._broadcast_outer, maar._einsum_outer):
-        step = outer(w)
+        step = outer(w, np.empty((k, n, n)))
         np.testing.assert_array_equal(step, expected)   # equal values; only a zero's sign may differ
         np.testing.assert_array_equal(step, step.transpose(0, 2, 1))
         stepped = sym - step

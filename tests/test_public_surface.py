@@ -1,7 +1,9 @@
 """The package's public surface: ``simplexcast.__all__`` is pinned, every public top-level
 def or class of the package is either in it or used by the package itself, so that what only
 tests call lives in the tests, and every defaulted parameter of a top-level function is set
-by some call in the package, so that a setting only tests change is a constant."""
+by some call in the package, so that a setting only tests change is a constant.  A method of a
+package base class that every concrete subclass overrides must be reached through ``super()``,
+or it is dead code."""
 
 import ast
 from pathlib import Path
@@ -78,3 +80,30 @@ def test_every_defaulted_parameter_of_a_top_level_function_is_passed_by_the_pack
             unset += [f"{node.name}({name})" for index, name in defaulted
                       if not any(_passes(call, index, name) for call in calls.get(node.name, ()))]
     assert unset == []
+
+
+def _super_calls(node, name: str) -> bool:
+    """Whether ``node`` calls ``super().name(...)``."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == name
+               and isinstance(n.func.value, ast.Call) and isinstance(n.func.value.func, ast.Name)
+               and n.func.value.func.id == "super" for n in ast.walk(node))
+
+
+def test_a_method_that_every_concrete_subclass_overrides_is_reached_through_super():
+    # classes by name, each with its bases among them; a class no other derives from is concrete
+    classes = {node.name: node for tree in _trees() for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: [b.id for b in node.bases if isinstance(b, ast.Name) and b.id in classes]
+             for name, node in classes.items()}
+    methods = {name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)} for name, node in classes.items()}
+
+    def ancestry(name):   # the class, then its bases depth first: the MRO of single inheritance
+        return [name] + [a for b in bases[name] for a in ancestry(b)]
+
+    dead = []
+    for base in classes:
+        below = [c for c in classes if base in ancestry(c)[1:]]
+        concrete = [c for c in below if not any(c in bases[o] for o in classes)]
+        dead += [f"{base}.{m}" for m in sorted(methods[base]) if concrete
+                 and all(next(a for a in ancestry(c) if m in methods[a]) != base for c in concrete)
+                 and not any(_super_calls(classes[c], m) for c in below)]
+    assert dead == []
