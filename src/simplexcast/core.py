@@ -38,11 +38,18 @@ def as_float_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer, the type of a count or an index; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_classes(d: int) -> int:
-    """The number of classes ``d``; raises ValueError unless it is at least 2."""
+    """The number of classes ``d`` as an int; raises ValueError unless it is an integer >= 2."""
+    if not is_integer(d):
+        raise ValueError(f"the number of classes must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"need at least 2 classes, got {d}")
-    return d
+    return int(d)
 
 
 def check_ridge(a) -> float:

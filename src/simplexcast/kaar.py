@@ -30,30 +30,29 @@ row (R_T' - w'G) / rho when L grows.  A trial therefore costs one triangular
 solve per system, O(t^2), plus O(t(n + d)) for the kernel row and the label
 terms; memory is O(t^2).  The factor rows sit back to back (row j at offset
 j(j+1)/2), which is LAPACK's packed storage of L', so BLAS solves with the
-factor in place.  ``update`` doubles every buffer when it is full; ``run``
-reserves exactly the rows its trials need.
+factor in place.  A trial doubles every buffer when it is full; ``run`` reserves
+exactly the rows its trials need.
 
-The protocol, ``run`` included, is ``maar.Forecaster``'s, shared with CAAR and MAAR;
-a trial's three steps here are ``_trial`` (the kernel row, and the border row and
-pivot of every factor), ``_row`` (r from them) and ``_commit`` (one new row in every
-factor and G), and ``_steps`` is the trial loop of ``run``.  numpy does only the
-t-sized work (the kernel row and its check, the borders s c, one ``dtpsv`` per
-factor, and w'w and w'G, each read out by one ``tolist``); the d-sized rest of each
-factor (pivots and their check, u[T], R u[:t], s(u), r, rho and G's new row) runs on
-Python floats, cheaper than numpy's per-call overhead.
+The protocol, ``run`` included, is ``maar.Forecaster``'s: a trial's steps here are
+``_trial``, ``_row`` and ``_commit``, and ``_steps`` is the trial loop of ``run``.
+Both ``_trial`` and ``_steps`` take the one factor step, ``_border``: per factor, the
+border s c written into the factor's next packed row and solved there by one ``dtpsv``,
+then w'w, the checked pivot, rho into the row, and w'G.  So a trial writes past the
+committed state, its signal included, and ``_commit`` adds only G's new row
+(R_T' - w'G) / rho, which needs the outcome.  A trial that raises leaves a half-written
+row, so ``Forecaster`` drops the trial it keeps for ``update`` before it runs one.  The
+d-sized rest, u[T] and ``_row``, runs on Python floats, cheaper than numpy's per-call
+overhead.
 
-``_steps`` keeps in its trial loop only what reads the factors.  Before the loop it
-reserves the buffers and copies the run's signals into place in one block; K(x, x),
-a + s K(x, x) per factor and the label row R_T' of every trial come as whole
-arrays.  The kernel rows come a block of trials at a time (as many as an rbf tile
-has rows), each block from one ``Kernel._rows`` call, with one finiteness mask, so
-that a row that is not finite still raises at its own trial.  Its tiles take
-``Kernel._pairs``, the formula that gives a single trial its row, so the rows agree
-bit for bit.  The loop keeps the borders s c, written straight into the factors'
-next packed rows, one ``dtpsv`` per factor, w'w and the checked pivots, rho, w'G and
-G's new row.  After the loop, u[T] and ``_row`` run once on whole columns of trials
-with the arithmetic they take per trial on Python floats (sums add left to right
-from 0.0), so ``run`` and the per-trial loop agree bit for bit.
+``_steps`` keeps in its loop only ``_border`` and G's new row.  Before the loop it
+reserves the buffers and copies the run's signals into place; K(x, x), a + s K(x, x)
+and the label rows R_T' come as whole arrays.  The kernel rows come a block of trials
+at a time (as many as an rbf tile has rows) from one ``Kernel._rows`` call and one
+finiteness mask, so a row that is not finite still raises at its own trial; its tiles
+take ``Kernel._pairs``, the formula of a single trial's row, so the rows agree bit for
+bit.  After the loop, u[T] and ``_row`` run once on whole columns of trials with the
+arithmetic they take per trial (sums add left to right from 0.0), so ``run`` and the
+per-trial loop agree bit for bit.
 
 Ridge lanes: given a 1-D sequence of G ridges, the forecaster keeps one factor
 and one G = L^{-1} R' per ridge and system, while the stored signals, the
@@ -256,15 +255,6 @@ class Kernel:
         return np.exp(v / (-2.0 * self.sigma**2))
 
 
-def _grown(buf: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Copy of ``buf`` with ``axis`` enlarged to ``size``; the new tail is uninitialized."""
-    shape = list(buf.shape)
-    shape[axis] = size
-    out = np.empty(shape)
-    out[(slice(None),) * axis + (slice(0, buf.shape[axis]),)] = buf
-    return out
-
-
 class KaarForecaster(Forecaster):
     """Sequential predict/update form of the kernelized forecaster.
 
@@ -275,9 +265,11 @@ class KaarForecaster(Forecaster):
 
     def __init__(self, d: int, kernel: Kernel, a=1.0):
         super().__init__(d, a, (d, 1.0)[:1 if d == 2 else 2])
+        if not isinstance(kernel, Kernel):
+            raise ValueError(f"kernel must be a Kernel, got {kernel!r}")
         self.kernel = kernel
         self._column = np.array(self._scales)[:, None]
-        self._x = np.empty((0, 0))                       # signals; the first update sets the width
+        self._x = np.empty((0, 0))                       # signals; a trial sets the width until one is stored
         self._packed = np.empty((len(self._scales), 0))  # factor rows, row j at j(j+1)/2
         self._g = np.empty((len(self._scales), 0, d - 1))
 
@@ -291,40 +283,42 @@ class KaarForecaster(Forecaster):
         """The stored signals' length, or the first signal's; None when there are neither."""
         return self._x.shape[1] if self.t else np.size(signals[0]) if len(signals) else None
 
-    @np.errstate(over="ignore")
-    def _extended_gram(self, xa: np.ndarray) -> tuple[np.ndarray, float]:
-        """Kernel row of ``xa`` against the stored signals, and K(xa, xa); an overflow gives inf,
-        which ``_trial`` checks."""
-        stored = self._x[:self.t] if self.t else np.empty((0, xa.size))
-        return self.kernel._pairs(xa[None], stored)[0], self.kernel._at(xa)
-
+    @np.errstate(over="ignore")   # an overflow gives inf, which the kernel-row, pivot or forecast check rejects
     def _trial(self, xa: np.ndarray):
-        """Border rows w of every factor (per lane and system) for signal ``xa``, and as Python
-        floats the pivots rho^2, the rows w'G and u[T] of each system's solve."""
+        """Trial t + 1 of signal ``xa``, written past the committed state: x into ``_x[t]``, the
+        buffers doubled first when they are full, and by ``_border`` every factor's packed row
+        t.  Returns x, w'G, and as Python floats w'G and u[T] of every factor's solve."""
         t = self.t
-        row, kxx = self._extended_gram(xa)
+        if t == len(self._x) or xa.size != self._x.shape[1]:   # full, or no stored signal fixes n yet
+            self._reserve(xa.size, max(2 * t, _FIRST_CAPACITY))
+        self._x[t] = xa
+        row, kxx = self.kernel._pairs(xa[None], self._x[:t])[0], self.kernel._at(xa)
         if not (math.isfinite(kxx) and np.isfinite(row).all()):
             raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
-        w = self._column * row
-        self._solve_borders(w)
-        ww = np.einsum("st,st->s", w, w).tolist()
-        pivots = self._checked([a + s * kxx - v for a, s, v in zip(self._ridges, self._scales, ww)])
-        u_last = [(kxx - v / s) / p for s, v, p in zip(self._scales, ww, pivots)]
-        return xa, w, pivots, np.matmul(w[:, None, :], self._g[:, :t])[:, 0].tolist(), u_last
+        k = len(self._scales)
+        ww, pivots, wg = np.empty(k), np.empty(k), np.empty((k, self.d - 1))
+        self._border(t, row, [a + s * kxx for a, s in zip(self._ridges, self._scales)], ww, pivots, wg)
+        u_last = [(kxx - v / s) / p for s, v, p in zip(self._scales, ww.tolist(), pivots.tolist())]
+        return xa, wg, wg.tolist(), u_last
 
-    def _solve_borders(self, w: np.ndarray) -> None:
-        """w = L^{-1} s c in place, row k by factor k's packed rows."""
-        for packed, border in zip(self._packed, w) if self.t else ():
-            dtpsv(self.t, packed, border, 1, 0, 0, 1, 0, 1)   # trans=1 by position
-
-    def _checked(self, pivots: list) -> list:
-        """The pivots rho^2 of trial t + 1, each positive and finite, or InvariantViolation
+    def _border(self, t: int, row: np.ndarray, base, ww: np.ndarray, pivots: np.ndarray, wg: np.ndarray) -> None:
+        """Trial t + 1's row of every factor, from its kernel row and a + s K(x, x) per factor
+        (``base``): the border w = L^{-1} s c, solved in packed row t, then w'w into ``ww``, the
+        pivot rho^2 = a + s K(x, x) - w'w into ``pivots``, rho into the row and w'G into ``wg``.
+        A pivot that is not positive and finite raises InvariantViolation before rho is written,
         naming the trial, the first failing factor's system and its lane's ridge."""
-        for k, pivot in enumerate(pivots):
+        start = t * (t + 1) // 2
+        w = self._packed[:, start:start + t]
+        np.multiply(self._column, row[:t], out=w)
+        for packed, border in zip(self._packed, w) if t else ():
+            dtpsv(t, packed, border, 1, 0, 0, 1, 0, 1)   # trans=1 by position
+        np.einsum("st,st->s", w, w, out=ww)
+        for k, pivot in enumerate(np.subtract(base, ww, out=pivots).tolist()):
             if not 0.0 < pivot < math.inf:
-                raise InvariantViolation(f"{trial_name(self.t + 1, self._lane_ridge(k))}: "
+                raise InvariantViolation(f"{trial_name(t + 1, self._lane_ridge(k))}: "
                                          f"{_SYSTEMS[k % self._size]} has pivot {pivot!r}, not positive definite")
-        return pivots
+        np.sqrt(pivots, out=self._packed[:, start + t])
+        np.matmul(w[:, None, :], self._g[:, :t], out=wg[:, None])
 
     def _row(self, trial) -> list:
         """The shifted generalized prediction r (last entry 0) from ``_trial``'s rows, per lane,
@@ -342,55 +336,39 @@ class KaarForecaster(Forecaster):
             rows.append([head + (v - tail) for v in ru] + [0.0] if m > 1 else [head, 0.0])
         return rows
 
+    @np.errstate(over="ignore")   # as in _trial
     def _steps(self, xs: np.ndarray, ys: np.ndarray):
         """The trials of ``run``; only the steps that read the factors stay in the loop (see the
         module docstring)."""
         t0, t_len = self.t, len(xs)
-        if t0 + t_len > self._x.shape[0]:   # exactly the rows the run needs
-            self._grow(xs.shape[1], t0 + t_len)
+        if t0 + t_len > len(self._x) or xs.shape[1] != self._x.shape[1]:   # exactly the rows the run needs
+            self._reserve(xs.shape[1], t0 + t_len)
         self._x[t0:t0 + t_len] = xs
-        with np.errstate(over="ignore"):   # an overflow gives inf, which the loop checks
-            kxx = np.array([self.kernel._at(x) for x in xs])
+        kxx = np.array([self.kernel._at(x) for x in xs])
         base = np.array(self._ridges) + np.array(self._scales) * kxx[:, None]   # a + s K(x, x)
         labels = -2.0 * (ys[:, :-1] - ys[:, -1:])                                 # R_T' of each trial
         ww, pivots = np.empty_like(base), np.empty_like(base)
         wg = np.empty((t_len, len(self._scales), self.d - 1))
         side = _tile_side(xs.shape[1])
         for first in range(0, t_len, side):   # a block of kernel rows, then its trials
-            with np.errstate(over="ignore"):
-                block = self.kernel._rows(self._x, xs[first:first + side], t0 + first)
+            block = self.kernel._rows(self._x, xs[first:first + side], t0 + first)
             past = np.arange(block.shape[1]) >= t0 + first + np.arange(len(block))[:, None]
             finite = (np.isfinite(block) | past).all(axis=1) & np.isfinite(kxx[first:first + side])
             for i, row, ok in zip(range(first, t_len), block, finite):
                 t = self.t
                 if not ok:
                     raise InvariantViolation(f"trial {t + 1}: kernel row is not finite")
-                start = t * (t + 1) // 2
-                w = self._packed[:, start:start + t]   # the borders go straight into their rows
-                np.multiply(self._column, row[:t], out=w)
-                self._solve_borders(w)
-                np.einsum("st,st->s", w, w, out=ww[i])
-                self._checked(np.subtract(base[i], ww[i], out=pivots[i]).tolist())
-                rho = np.sqrt(pivots[i], out=self._packed[:, start + t])
-                np.matmul(w[:, None, :], self._g[:, :t], out=wg[i, :, None])
-                np.divide(labels[i] - wg[i], rho[:, None], out=self._g[:, t])
+                self._border(t, row, base[i], ww[i], pivots[i], wg[i])
+                np.divide(labels[i] - wg[i], self._packed[:, (t + 1) * (t + 2) // 2 - 1, None], out=self._g[:, t])
                 self.t = t + 1
         u_last = (kxx[:, None] - ww / self._scales) / pivots
         return wg.transpose(1, 2, 0), u_last.T
 
     def _commit(self, trial, ya: np.ndarray) -> None:
-        """Store the signal and write one row into every factor and G."""
-        xa, w, pivots, wg, _ = trial
+        """G's new row (R_T' - w'G) / rho, which commits what ``_trial`` wrote for x."""
         t = self.t
-        if t == self._x.shape[0]:
-            self._grow(xa.size, max(2 * t, _FIRST_CAPACITY))
-        self._x[t] = xa
-        start = t * (t + 1) // 2
-        self._packed[:, start:start + t] = w
-        self._packed[:, start + t] = rho = list(map(math.sqrt, pivots))
-        *head, last = ya.tolist()   # G's new row (R_T' - w'G) / rho, built one class at a time
-        self._g[:, t].T[:] = [[(y - v) / r for v, r in zip(col, rho)]
-                              for y, col in zip([-2.0 * (v - last) for v in head], zip(*wg))]
+        rho = self._packed[:, (t + 1) * (t + 2) // 2 - 1, None]
+        np.divide(-2.0 * (ya[:-1] - ya[-1]) - trial[1], rho, out=self._g[:, t])
         self.t = t + 1
 
     def _lane(self, g: int) -> KaarForecaster:
@@ -399,8 +377,11 @@ class KaarForecaster(Forecaster):
         twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
         return twin
 
-    def _grow(self, n: int, cap: int) -> None:
-        """Grow every buffer to ``cap`` rows; the first call also fixes the signal length n."""
-        self._x = _grown(self._x if self.t else np.empty((0, n)), 0, cap)
-        self._packed = _grown(self._packed, 1, cap * (cap + 1) // 2)
-        self._g = _grown(self._g, 1, cap)
+    def _reserve(self, n: int, cap: int) -> None:
+        """Every buffer with room for ``cap`` trials of n-long signals, the committed rows copied."""
+        t, k = self.t, len(self._scales)
+        x, packed, g = self._x[:t], self._packed[:, :t * (t + 1) // 2], self._g[:, :t]
+        self._x, self._packed = np.empty((cap, n)), np.empty((k, cap * (cap + 1) // 2))
+        self._g = np.empty((k, cap, self.d - 1))
+        if t:   # before the first trial, the signal length may change
+            self._x[:t], self._packed[:, :packed.shape[1]], self._g[:, :t] = x, packed, g

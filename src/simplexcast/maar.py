@@ -77,7 +77,7 @@ from functools import reduce
 import numpy as np
 
 from .core import (InvariantViolation, ProbabilityVector, check_classes, check_outcome, check_ridge, check_trials,
-                   check_vector, trial_name)
+                   check_vector, is_integer, trial_name)
 from .substitution import _forecast
 
 # Rank-one maintained inverses are rebuilt from scratch this often.
@@ -143,9 +143,9 @@ class Forecaster:
     takes per trial on Python floats.  A forecaster also supplies ``_signal``, the check of
     one signal, ``_width``, the signal length a run checks, and ``_lane(g)``, a forecaster
     of lane g's ridge holding copies of that lane's state.  Rows are lists of Python
-    floats, which ``predict`` scans as they are.  ``update`` reuses the products of a
-    ``generalized`` or ``predict`` call on the same signal (compared by value; the signal
-    is copied).
+    floats, which ``predict`` scans as they are.  ``update`` reuses the products of the last
+    ``generalized`` or ``predict`` call, on the same signal (compared by value; the signal is
+    copied) and unless it raised.
 
     ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
     ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
@@ -179,15 +179,21 @@ class Forecaster:
 
     def generalized(self, x) -> np.ndarray:
         """The shifted generalized prediction r, of shape np.shape(a) + (d,)."""
-        self._last = self._trial(self._signal(x).copy())
-        return np.array(self._row(self._last)).reshape(self._lanes + (self.d,))
+        return np.array(self._rows_of(x)).reshape(self._lanes + (self.d,))
 
     def predict(self, x) -> ProbabilityVector:
         """The threshold substitution of ``generalized(x)``, bit for bit; it needs one ridge."""
         if self._lanes:
             raise ValueError("predict takes one ridge; with ridge lanes use generalized, or lane(g)")
+        return _forecast(self._rows_of(x)[0])
+
+    def _rows_of(self, x) -> list:
+        """``_row`` of x's trial, which ``update`` may reuse.  None is kept while the trial runs:
+        one that raises can leave rows past the committed state (KAAR's does), which ``update``
+        would commit with the trial kept before."""
+        self._last = None
         self._last = self._trial(self._signal(x).copy())
-        return _forecast(self._row(self._last)[0])
+        return self._row(self._last)
 
     def update(self, x, y) -> None:
         """Commit the trial (x, y), reusing the products of a ``generalized`` or ``predict``
@@ -218,11 +224,14 @@ class Forecaster:
         return out.reshape((len(xs),) + self._lanes + (self.d,))
 
     def lane(self, g: int):
-        """Lane g of a forecaster with ridge lanes, as a forecaster of its one ridge in the
-        state this one has reached; the two share no arrays."""
+        """Lane g (an integer, 0 <= g < G) of a forecaster with G ridge lanes, as a forecaster of
+        its one ridge in the state this one has reached; the two share no arrays."""
         if not self._lanes:
             raise ValueError("lane needs a forecaster with ridge lanes")
-        twin = self._lane(g)
+        if not (is_integer(g) and 0 <= g < self._lanes[0]):
+            raise ValueError(f"lane must be an integer from 0 to {self._lanes[0] - 1} of {self._lanes[0]} "
+                             f"ridge lanes, got {g!r}")
+        twin = self._lane(int(g))
         twin.t = self.t
         return twin
 
@@ -244,10 +253,12 @@ class RankOneCore(Forecaster):
     """
 
     def __init__(self, n: int, d: int, a, scales, rows: int):
+        if not is_integer(n):
+            raise ValueError(f"signal dimension must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"signal dimension must be >= 1, got {n}")
         super().__init__(d, a, scales)
-        self.n = n
+        self.n = int(n)
         self._inv = np.stack([np.eye(n) / a for a in self._ridges])   # (aI + sC)^{-1} per factor
         self._outer = _einsum_outer if self._inv.size >= EINSUM_FROM else _broadcast_outer
         self._stats = np.zeros((rows + 1, n))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def test_the_tiled_rbf_gram_equals_the_row_by_row_gram_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("norm", [1e2, 1e4, 1e6])
-def test_rbf_values_at_large_norms_match_kernel_eval(norm):
+def test_rbf_values_at_large_norms_match_kernel_eval(norm, monkeypatch):
     # |x|^2 + |y|^2 - 2x.y cancels here: at norm 1e5 it was 2.3e-6 off.  The reference is
     # the oracle's Gram matrix from pairwise differences, which shares no code with Kernel.
     rng = np.random.default_rng(41)
@@ -163,7 +164,11 @@ def test_rbf_values_at_large_norms_match_kernel_eval(norm):
     model = KaarForecaster(3, kernel, 1.0)
     for p in pts[:-1]:
         model.update(p, [1.0, 0.0, 0.0])
-    row, kxx = model._extended_gram(pts[-1])
+    seen, pairs, at = [], Kernel._pairs, Kernel._at   # the kernel row and K(x, x) a trial takes
+    monkeypatch.setattr(Kernel, "_pairs", lambda self, xs, stored: seen.append(pairs(self, xs, stored)) or seen[-1])
+    monkeypatch.setattr(Kernel, "_at", lambda self, x: seen.append(at(self, x)) or seen[-1])
+    model.generalized(pts[-1])
+    (row,), kxx = seen
     np.testing.assert_allclose(row, direct[-1, :-1], rtol=0, atol=1e-12)
     assert kxx == 1.0
 
@@ -579,12 +584,12 @@ def test_the_float_trial_step_keeps_run_loop_and_lanes_bit_identical(case, data)
     # the pivot printed as a plain float
     systems = 1 if d == 2 else 2
     t, x = loop.t, xs[0]
-    loop._extended_gram = lambda xa: (np.zeros(t), -1e9)
     pivot = lanes[0][1] + d * -1e9 - 0.0
-    with pytest.raises(InvariantViolation, match="^" + re.escape(
-            f"{trial_name(t + 1, lanes[0][0])}: aI+dK has pivot {pivot!r}, not positive definite") + "$"):
-        loop.generalized(x)
-    del loop._extended_gram
+    with (mock.patch.object(Kernel, "_pairs", lambda self, xs, stored: np.zeros((len(xs), len(stored)))),
+          mock.patch.object(Kernel, "_at", lambda self, xa: -1e9)):
+        with pytest.raises(InvariantViolation, match="^" + re.escape(
+                f"{trial_name(t + 1, lanes[0][0])}: aI+dK has pivot {pivot!r}, not positive definite") + "$"):
+            loop.generalized(x)
     k = data.draw(st.integers(0, systems * len(lanes) - 1))
     loop._packed[k, 0] = np.nan
     g, j = divmod(k, systems)
@@ -592,3 +597,16 @@ def test_the_float_trial_step_keeps_run_loop_and_lanes_bit_identical(case, data)
             f"{trial_name(t + 1, lanes[g][0])}: {kaar._SYSTEMS[j]} has pivot nan, not positive definite") + "$"):
         loop.generalized(x)
     assert loop.t == t
+
+
+def test_the_first_stored_signal_fixes_the_length_even_after_a_failed_run():
+    # a run that fails at its first trial has reserved rows for 3-long signals but stored none
+    model = KaarForecaster(3, Kernel("dot"))
+    with pytest.raises(InvariantViolation, match="^trial 1: kernel row is not finite$"):
+        model.run([[1e200, 0.0, 0.0], [1.0, 0.0, 0.0]], np.eye(3)[:2])
+    model.predict([1.0, 0.5, 0.0, 0.0])   # nor does a prediction fix it
+    fresh = KaarForecaster(3, Kernel("dot"))
+    for m in (model, fresh):
+        m.update([1.0, 2.0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(model.generalized([0.5, -1.0]), fresh.generalized([0.5, -1.0]))
+    _assert_same_state(_state(model), _state(fresh))

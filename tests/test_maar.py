@@ -46,6 +46,15 @@ def test_constructor_validates_the_game_and_the_ridge_lanes(cls):
     for bad in (float("inf"), [1.0, float("inf")]):
         with pytest.raises(ValueError, match="positive and finite, got inf"):
             _construct(cls, 2, 3, bad)
+    for n, d in [(2, 2.5), (2, 3.0), (2, "3"), (2, True)] + ([] if cls is KaarForecaster else [(2.0, 3), (True, 3)]):
+        with pytest.raises(ValueError, match=r"^(signal dimension|the number of classes) must be an integer, got"):
+            _construct(cls, n, d, 1.0)
+    model = _construct(cls, np.int32(2), np.int64(3), 1.0)
+    assert type(model.d) is int and (cls is KaarForecaster or type(model.n) is int)
+    if cls is KaarForecaster:
+        for kernel in ("rbf", None):
+            with pytest.raises(ValueError, match=f"^kernel must be a Kernel, got {kernel!r}$"):
+                KaarForecaster(3, kernel)
 
 
 @pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
@@ -520,3 +529,57 @@ def test_a_run_that_fails_leaves_the_state_and_message_of_the_loop_stopped_there
     assert fault in str(ran.value) or fault == "denominator" and "Sherman-Morrison denominator" in str(ran.value)
     assert model.t == failing - 1
     assert _state(model) == _state(loop)
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster, KaarForecaster])
+def test_a_lane_is_an_integer_from_0_below_the_lane_count(cls):
+    # lane(-1) returned a forecaster without factors; lane(2) and lane(1.0) raised raw numpy errors
+    model = _construct(cls, 2, 3, [0.5, 2.0])
+    for g in (-1, 2, 1.0, "0", None, True):
+        with pytest.raises(ValueError, match=rf"^lane must be an integer from 0 to 1 of 2 ridge lanes, got {g!r}$"):
+            model.lane(g)
+    x = np.array([0.3, -0.4])
+    model.update(x, [1.0, 0.0, 0.0])
+    for g, a in ((0, 0.5), (np.int64(1), 2.0)):
+        single = _construct(cls, 2, 3, a)
+        single.update(x, [1.0, 0.0, 0.0])
+        assert model.lane(g).a == a and model.lane(g).predict(-x) == single.predict(-x)
+
+
+def _committed(model):
+    """The bytes of the committed state of a forecaster of any class."""
+    if isinstance(model, KaarForecaster):
+        t = model.t
+        return t, model._x[:t].tobytes(), model._packed[:, :t * (t + 1) // 2].tobytes(), model._g[:, :t].tobytes()
+    return _state(model)
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster, KaarForecaster])
+def test_an_update_after_a_prediction_that_raised_commits_the_updated_signal(cls, monkeypatch):
+    # predict(x0), a generalized(x1) that raises, then update(x0, y0).  KAAR's trial writes x1's
+    # border rows into the factors before its pivot fails; an update that reused x0's products
+    # from the predict would commit them, and the forecasts after it would be off.
+    rng = np.random.default_rng(61)
+    n, d = 3, 3
+    xs, ys = rng.uniform(-1, 1, (14, n)), np.eye(d)[rng.integers(d, size=14)]
+    model, clean = _construct(cls, n, d, 0.5), _construct(cls, n, d, 0.5)
+    model.run(xs[:8], ys[:8])
+    clean.run(xs[:8], ys[:8])
+    if cls is KaarForecaster:   # K(x1, x1) = -1e9: the aI+dK pivot fails
+        x1, at = xs[13], Kernel._at
+        monkeypatch.setattr(Kernel, "_at", lambda self, x: -1e9 if np.array_equal(x, x1) else at(self, x))
+    else:                       # x'u overflows: the Sherman-Morrison denominator is infinite
+        x1 = np.full(n, 1e200)
+    model.predict(xs[8])
+    with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match="^trial 9: "):
+        model.generalized(x1)
+    model.update(xs[8], ys[8])
+    clean.predict(xs[8])
+    clean.update(xs[8], ys[8])
+    assert _committed(model) == _committed(clean)
+    monkeypatch.undo()
+    for x, y in zip(xs[9:], ys[9:]):
+        assert model.generalized(x).tobytes() == clean.generalized(x).tobytes()
+        assert model.predict(x).p.tobytes() == clean.predict(x).p.tobytes()
+        model.update(x, y)
+        clean.update(x, y)
