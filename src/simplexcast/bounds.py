@@ -22,7 +22,7 @@ import numpy as np
 from .core import DimensionMismatch, InvariantViolation, as_float_vector, check_ridge, stack_trials
 
 if TYPE_CHECKING:
-    from .kaar import Kernel
+    from .kaar import KaarForecaster, Kernel
 
 # A slack below this fails a run: only rounding may eat into a worst-case guarantee.
 SLACK_GATE = -1e-6
@@ -212,6 +212,50 @@ def best_kernel_expert(data, kernel: Kernel, a: float) -> tuple[KernelExpert, fl
     vanish, so the solution is a global minimizer even when K is singular.
     """
     return _kernel_comparator(data, kernel, a)[:3]
+
+
+def kernel_report(model: KaarForecaster, outcomes, loss: float) -> BoundReport:
+    """The kernel guarantee of a KAAR run, read off the forecaster's own state.
+
+    ``model`` is a KaarForecaster of one ridge a (a lane split off by ``lane`` will do) that
+    has run over the (T, d) ``outcomes``, and ``loss`` is that run's cumulative loss.  Its
+    factors L_s L_s' = aI + sK and G_s = L_s^{-1} R' hold what ``_kernel_comparator`` builds a
+    Gram matrix and two Cholesky factorizations for.  With v_i = y^i - y^d, v~ their mean over
+    classes and rho the factors' diagonals, log det = sum log(rho_d^2/a) + (d - 2) sum
+    log(rho_1^2/a); the mean coefficient is c~ = L_d^{-T}(-mean_i G_d[:, i] / 2), and the
+    deviations c_i' = L_1^{-T}(-(G_1[:, i] - mean_i G_1[:, i]) / 2), each one back-solve
+    on the packed factor.  Then K c~ = (v~ - a c~)/d and K c_i' = (v_i - v~) - a c_i', so
+    K itself is never needed.  A forecaster with ridge lanes, or outcomes of another shape
+    than its T trials of d classes, raise ValueError; a determinant term that is not finite
+    raises InvariantViolation.
+    """
+    if model._lanes:
+        raise ValueError("kernel_report takes a forecaster of one ridge; split a lane off with lane(g)")
+    t_len, d, a = model.t, model.d, model.a
+    ys = np.asarray(outcomes, dtype=float)
+    if ys.shape != (t_len, d):
+        raise ValueError(f"outcomes of shape {ys.shape} for a forecaster of {t_len} trials of {d} classes")
+    if not t_len:
+        return BoundReport("kernel", "kaar", loss, 0.0, 0.0)
+    from .kaar import dtpsv   # loaded with the forecaster
+    with np.errstate(over="ignore", divide="ignore"):   # a log of inf or 0 is rejected below
+        logs = np.log(np.square(model._diagonal()) / a).sum(axis=1)
+    logdet = float(logs[0] + (d - 2) * logs[-1]) if d > 2 else float(logs[0])
+    if not math.isfinite(logdet):
+        raise InvariantViolation(f"kernel guarantee: log det of the factors is {logdet!r} (ridge {a!r})")
+    v = (ys[:, :-1] - ys[:, -1:]).T   # (d-1, T)
+    v_mean = v.mean(axis=0)
+    g = model._g[:, :t_len]
+    c_mean = dtpsv(t_len, model._packed[0], g[0].mean(axis=1) / -2.0, 1, 0, 0, 0, 0, 1)
+    coeffs, values = np.tile(c_mean, (d - 1, 1)), np.tile((v_mean - a * c_mean) / d, (d - 1, 1))
+    if d > 2:
+        for c, values_i, v_i, g_i in zip(coeffs, values, v, (g[1] - g[1].mean(axis=1, keepdims=True)).T):
+            dev = dtpsv(t_len, model._packed[1], g_i / -2.0, 1, 0, 0, 0, 0, 1)
+            c += dev
+            values_i += (v_i - v_mean) - a * dev
+    norms = float(np.sum(coeffs * values))   # sum_i |f_i|^2 = sum_i c_i' K c_i
+    loss_f = _comparator_loss(values.T, ys)
+    return BoundReport("kernel", "kaar", loss, loss_f, kernel_bound_rhs(loss_f, norms, a, logdet))
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,10 @@ raises InvariantViolation naming the trial, the system and the pivot, and
 with ridge lanes the ridge of the first lane that fails.
 
 Of scipy, KAAR loads the top-level package and its compiled module
-``scipy.linalg._fblas``, for ``dtpsv``; the kernel guarantee adds ``_flapack``, for
-``dpotrf`` and ``dpotrs``.  The ``scipy.linalg`` package never loads (``_fortran``).
+``scipy.linalg._fblas``, for ``dtpsv``.  ``bounds.kernel_report`` reads the kernel
+guarantee off a forecaster's own factors with the same ``dtpsv``; only the independent
+check, ``bounds.bound_reports``, adds ``_flapack``, for ``dpotrf`` and ``dpotrs``.  The
+``scipy.linalg`` package never loads (``_fortran``).
 """
 
 from __future__ import annotations
@@ -371,6 +373,17 @@ class KaarForecaster(Forecaster):
         np.divide(-2.0 * (ya[:-1] - ya[-1]) - trial[1], rho, out=self._g[:, t])
         self.t = t + 1
 
+    def _diagonal(self) -> np.ndarray:
+        """rho of every factor's committed rows, (K, t): the packed diagonal, row j at j(j+3)/2."""
+        j = np.arange(self.t)
+        return self._packed[:, j * (j + 3) // 2]
+
+    def _pivot_ratios(self) -> dict[str, float]:
+        """Largest over smallest pivot rho^2 of each system's factor, of a forecaster of one ridge
+        that has stored a signal: a free estimate of the system's condition number."""
+        pivots = np.square(self._diagonal())
+        return {name: float(row.max() / row.min()) for name, row in zip(_SYSTEMS, pivots)}
+
     def _lane(self, g: int) -> KaarForecaster:
         twin = KaarForecaster(self.d, self.kernel, self.a[g])
         rows = self._factors(g)
@@ -378,10 +391,16 @@ class KaarForecaster(Forecaster):
         return twin
 
     def _reserve(self, n: int, cap: int) -> None:
-        """Every buffer with room for ``cap`` trials of n-long signals, the committed rows copied."""
+        """Every buffer with room for ``cap`` trials of n-long signals, the committed rows copied.
+        An allocation that fails raises ValueError naming the trials, the factors and the GiB."""
         t, k = self.t, len(self._scales)
         x, packed, g = self._x[:t], self._packed[:, :t * (t + 1) // 2], self._g[:, :t]
-        self._x, self._packed = np.empty((cap, n)), np.empty((k, cap * (cap + 1) // 2))
-        self._g = np.empty((k, cap, self.d - 1))
+        try:   # all three before any is replaced, so a failure leaves the state as it was
+            buffers = np.empty((cap, n)), np.empty((k, cap * (cap + 1) // 2)), np.empty((k, cap, self.d - 1))
+        except MemoryError as exc:
+            gib = 8 * (cap * n + k * cap * (cap + 1) // 2 + k * cap * (self.d - 1)) / 2**30
+            raise ValueError(f"KAAR cannot hold {cap} trials: {k} factors ({k // self._size} ridge lanes x "
+                             f"{self._size} systems) need {gib:.1f} GiB; a fixed --ridge keeps one lane") from exc
+        self._x, self._packed, self._g = buffers
         if t:   # before the first trial, the signal length may change
             self._x[:t], self._packed[:, :packed.shape[1]], self._g[:, :t] = x, packed, g

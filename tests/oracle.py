@@ -417,27 +417,29 @@ def quadrature_component_forecast(
 # Exhaustive projection and generic quadratic minimization
 
 def qp_projection(v) -> np.ndarray:
-    """Simplex projection by enumerating every candidate support set."""
-    va = as_float_vector(v, "point")
-    d = va.size
+    """Simplex projection of a point, or of every row of a (N, d) array of points, by
+    enumerating every candidate support set; all points take each set in one array step."""
+    arr = np.asarray(v, dtype=float)
+    points = as_float_vector(arr, "point")[None] if arr.ndim < 2 else arr
+    if points.ndim != 2 or not np.isfinite(points).all():
+        raise ValueError(f"points must be a finite vector or (N, d) array, got shape {arr.shape}")
+    d = points.shape[1]
     if d > 8:
         raise ValueError(f"enumeration limited to d <= 8, got {d}")
-    best = None
-    best_dist = np.inf
+    best = np.full(points.shape, np.nan)
+    best_dist = np.full(len(points), np.inf)
     for mask_bits in range(1, 2**d):
         mask = np.array([(mask_bits >> i) & 1 for i in range(d)], dtype=bool)
         size = int(mask.sum())
-        cand = np.zeros(d)
-        cand[mask] = va[mask] - (va[mask].sum() - 1.0) / size
-        if cand[mask].min() < -1e-12:
-            continue
-        dist = float(np.sum((cand - va) ** 2))
-        if dist < best_dist:
-            best_dist = dist
-            best = np.maximum(cand, 0.0)
-    if best is None:
+        cand = np.zeros(points.shape)
+        cand[:, mask] = points[:, mask] - (points[:, mask].sum(axis=1, keepdims=True) - 1.0) / size
+        dist = np.sum((cand - points) ** 2, axis=1)
+        better = (cand[:, mask].min(axis=1) >= -1e-12) & (dist < best_dist)
+        best_dist[better] = dist[better]
+        best[better] = np.maximum(cand[better], 0.0)
+    if not np.isfinite(best_dist).all():
         raise InvariantViolation("no feasible support set found")
-    return best
+    return best if arr.ndim == 2 else best[0]
 
 
 def numeric_quadratic_min(a_mat, b_vec, const: float = 0.0, tol: float = 1e-10):

@@ -70,13 +70,12 @@ def test_criterion_03_projection_against_enumeration():
     for d in range(2, 9):
         points = rng.normal(scale=rng.uniform(0.5, 3.0), size=(1000, d))
         probes = rng.dirichlet(np.ones(d), size=100)
-        for v in points:
-            proj = project_to_simplex(v).p
-            worst = max(worst, np.abs(proj - qp_projection(v)).max())
-            idempotent &= np.abs(project_to_simplex(proj).p - proj).max() <= 1e-12
-            loss_proj = np.sum((probes - proj) ** 2, axis=1)
-            loss_raw = np.sum((probes - v) ** 2, axis=1)
-            dominated &= bool(np.all(loss_proj <= loss_raw + 1e-12))
+        projs = np.array([project_to_simplex(v).p for v in points])
+        worst = max(worst, np.abs(projs - qp_projection(points)).max())   # every point's enumeration at once
+        idempotent &= all(np.abs(project_to_simplex(proj).p - proj).max() <= 1e-12 for proj in projs)
+        loss_proj = np.sum((probes[None] - projs[:, None]) ** 2, axis=2)   # (point, probe)
+        loss_raw = np.sum((probes[None] - points[:, None]) ** 2, axis=2)
+        dominated &= bool(np.all(loss_proj <= loss_raw + 1e-12))
     ok = worst < 1e-10 and dominated and idempotent
     report(3, ok, f"7k points: max deviation {worst:.2e}, domination={dominated}")
 

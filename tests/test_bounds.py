@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcast import bounds
 from simplexcast.bounds import (
@@ -17,12 +19,13 @@ from simplexcast.bounds import (
     joint_bound_rhs,
     joint_split_bound_rhs,
     kernel_bound_rhs,
+    kernel_report,
     solve_structured,
 )
 from simplexcast.cli import main
-from simplexcast.core import InvariantViolation, Trials
+from simplexcast.core import InvariantViolation, Trials, stack_trials
 from simplexcast.harness import adversarial_stream, prepare_stream, random_stream, synth_series, verify_run
-from simplexcast.kaar import Kernel
+from simplexcast.kaar import KaarForecaster, Kernel
 
 from oracle import horizon_tuned_bound_rhs, kernel_expert_loss, numeric_quadratic_min, per_component_bound_rhs
 
@@ -245,6 +248,43 @@ def test_kernel_guarantee_matches_a_dense_block_oracle(d, a):
     assert report.bound_value == pytest.approx(dense, rel=1e-9, abs=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dot", "rbf", "poly"]), d=st.integers(2, 5), log_ridge=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**16), split=st.one_of(st.none(), st.integers(0, 40)))
+def test_kernel_report_equals_the_guarantee_from_the_gram_matrix(kind, d, log_ridge, seed, split):
+    a = 10.0**log_ridge
+    kernel = Kernel(kind, sigma=0.8, degree=3)
+    stream = stack_trials(random_stream(3, d, 40, seed))
+    xs, ys = stream
+    if split is None:   # a forecaster of one ridge from the start
+        model = KaarForecaster(d, kernel, a)
+    else:               # or a lane split off after ``split`` trials among others
+        model = KaarForecaster(d, kernel, [a / 10.0, a, 2.0 * a])
+        model.run(xs[:split], ys[:split])
+        model = model.lane(1)
+    model.run(xs[model.t:], ys[model.t:])
+    got = kernel_report(model, ys, 12.5)
+    _, loss_f, norms, logdet = bounds._kernel_comparator(stream, kernel, a)
+    want = kernel_bound_rhs(loss_f, norms, a, logdet)
+    pivots = np.square(model._diagonal()[0])   # of aI + dK
+    assert (got.bound, got.algorithm, got.algorithm_loss) == ("kernel", "kaar", 12.5)
+    assert abs(got.bound_value - want) <= 64 * np.finfo(float).eps * pivots.max() / pivots.min() * abs(want)
+
+
+def test_kernel_report_takes_a_forecaster_of_one_ridge_and_the_outcomes_it_ran_over():
+    xs, ys = stack_trials(random_stream(2, 3, 20, seed=4))
+    lanes = KaarForecaster(3, Kernel("rbf"), [0.5, 1.0])
+    lanes.run(xs, ys)
+    with pytest.raises(ValueError, match=r"one ridge; split a lane off with lane\(g\)$"):
+        kernel_report(lanes, ys, 1.0)
+    with pytest.raises(ValueError, match=r"^outcomes of shape \(19, 3\) for a forecaster of 20 trials of 3 classes$"):
+        kernel_report(lanes.lane(0), ys[1:], 1.0)
+    empty = KaarForecaster(3, Kernel("rbf"), 0.5)
+    assert kernel_report(empty, np.zeros((0, 3)), 0.0) == BoundReport("kernel", "kaar", 0.0, 0.0, 0.0)
+    assert bound_reports(Trials(np.zeros((0, 2)), np.zeros((0, 3))), "kaar", 0.5, 0.0, Kernel("rbf")) == [
+        BoundReport("kernel", "kaar", 0.0, 0.0, 0.0)]
+
+
 def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation(monkeypatch, tmp_path):
     data = random_stream(2, 3, 12, seed=8)
     kernel = Kernel("rbf", sigma=0.8)
@@ -253,12 +293,18 @@ def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation
     with pytest.raises(InvariantViolation, match=r"^kernel guarantee: I \+ 3K/a is not positive definite "
                                                  r"\(ridge 0\.1\)$"):
         best_kernel_expert(data, kernel, 0.1)
-    # through the CLI: the forecaster runs on kernel rows, the guarantee on the Gram matrix
+    # through the CLI: the forecaster runs on kernel rows, verify-bounds' guarantee on the Gram matrix
     monkeypatch.setattr(Kernel, "gram", lambda self, signals: -np.eye(len(signals)))
+    result = CliRunner().invoke(main, ["verify-bounds", "--streams", "1", "--adversarial", "0",
+                                       "--ridge", "0.5", "--out", str(tmp_path / "vb")])
+    assert result.exit_code == 3, result.output
+    assert "not positive definite" in result.output
+    # bench reads the guarantee off the forecaster's factors: a pivot of 0 there is exit 3 too
+    monkeypatch.setattr(KaarForecaster, "_diagonal", lambda self: np.zeros((len(self._scales), self.t)))
     result = CliRunner().invoke(main, ["bench", "--algos", "kaar", "--synth", "sine", "--length", "60",
                                        "--ridge", "0.5", "--out", str(tmp_path / "out")])
     assert result.exit_code == 3, result.output
-    assert "not positive definite" in result.output
+    assert "error: kernel guarantee: log det of the factors is -inf (ridge 0.5)" in result.output
 
 
 @pytest.mark.filterwarnings("error")

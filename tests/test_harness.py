@@ -566,6 +566,28 @@ def test_run_benchmark_equals_a_fresh_run_at_the_chosen_ridge(name):
         np.testing.assert_allclose((fixed.mse, fixed.amse, fixed.bound_slack), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("kernel", [Kernel("rbf", sigma=0.8), Kernel("dot"), Kernel("poly", degree=3)],
+                         ids=["rbf", "dot", "poly"])
+def test_run_benchmark_checks_kaar_s_guarantee_without_a_gram_matrix(kernel, monkeypatch):
+    stream = prepare_stream(synth_series("sine", 300, 3), 10, "auto")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench built a Gram matrix")
+
+    monkeypatch.setattr(Kernel, "gram", refuse)
+    monkeypatch.setattr("simplexcast.bounds._kernel_systems", refuse)
+    reports = []
+    for spec in (DEFAULT_RIDGE_GRID, 1.0):
+        (report,), log = run_benchmark(stream, ["kaar"], spec, kernel)
+        ratios = log["pivot_ratio"]["kaar"]   # recorded, not gated on
+        assert set(ratios) == {"aI+dK", "aI+K"} and all(1.0 <= v < np.inf for v in ratios.values())
+        reports.append(report)
+    monkeypatch.undo()
+    for report in reports:   # the independent path: a fresh run, and the guarantee from the Gram matrix
+        np.testing.assert_allclose(report.bound_slack, _fresh_protocol(stream, "kaar", report.ridge, kernel)[2],
+                                   rtol=1e-9, atol=0)
+
+
 def _holding_ten(name, data):
     model = _replay_models()[name]()
     run_online(data[:10], model)
@@ -735,7 +757,7 @@ def test_run_benchmark_logs_the_train_mse_of_every_grid_value():
         assert best == rep.ridge == log["ridge"][rep.algorithm]
     json.loads(json.dumps(log, allow_nan=False))
     _, fixed = run_benchmark(stream, ["caar"], 1.0)
-    assert fixed["ridge_grid"] == {}
+    assert fixed["ridge_grid"] == {} and fixed["pivot_ratio"] == {} == log["pivot_ratio"]   # KAAR's alone
 
 
 def test_every_ridge_of_the_spec_is_checked_whatever_the_algorithms():

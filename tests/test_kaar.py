@@ -9,10 +9,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcast import kaar
+from simplexcast.cli import main
 from simplexcast.core import DimensionMismatch, InvariantViolation, trial_name
 from simplexcast.harness import DEFAULT_RIDGE_GRID, random_stream, run_online
 from simplexcast.kaar import KaarForecaster, Kernel
@@ -451,6 +453,36 @@ def test_run_reserves_exactly_the_rows_it_needs():
     assert model._x.shape[0] == 100 and model._g.shape == (2 * 2, 100, 2)   # lanes x systems
     model.run(xs[100:], ys[100:])
     assert model._x.shape[0] == 130 and model._packed.shape == (2 * 2, 130 * 131 // 2)
+
+
+def test_buffers_that_cannot_be_allocated_raise_value_error_naming_their_size(monkeypatch, tmp_path):
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):   # no gigabytes are ever asked for
+        if math.prod(np.atleast_1d(shape)) > 10**8:
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1, 1, (20005, 2)), np.eye(3)[rng.integers(3, size=20005)]
+    model, fresh = KaarForecaster(3, Kernel("rbf"), [0.1, 1.0]), KaarForecaster(3, Kernel("rbf"), [0.1, 1.0])
+    model.run(xs[:5], ys[:5])
+    fresh.run(xs[:5], ys[:5])
+    monkeypatch.setattr(np, "empty", refuse_large)
+    with pytest.raises(ValueError, match=r"^KAAR cannot hold 20005 trials: 4 factors \(2 ridge lanes x 2 systems\) "
+                                         r"need 6\.0 GiB; a fixed --ridge keeps one lane$") as info:
+        model.run(xs[5:], ys[5:])
+    assert isinstance(info.value.__cause__, MemoryError)
+    monkeypatch.undo()
+    assert model.t == 5   # the state is as it was
+    np.testing.assert_array_equal(model.run(xs[5:50], ys[5:50]), fresh.run(xs[5:50], ys[5:50]))
+    # through the CLI: an input error, exit 2, where numpy's own MemoryError exited 1
+    monkeypatch.setattr(np, "empty", refuse_large)
+    result = CliRunner().invoke(main, ["bench", "--algos", "kaar", "--kernel", "rbf", "--synth", "sine",
+                                       "--length", "20000", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert re.search(r"error: KAAR cannot hold 6663 trials: 14 factors \(7 ridge lanes x 2 systems\) need "
+                     r"2\.3 GiB; a fixed --ridge keeps one lane", result.output)
 
 
 def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):
