@@ -168,38 +168,45 @@ def best_linear_expert(data, a: float) -> tuple[LinearExpert, float]:
     + const, so the normal equations go through ``solve_structured``.  Signals so large
     that C or g overflows raise ValueError naming their scale.
     """
+    expert, loss = _linear_comparator(data, a)
+    return expert, loss + a * expert.norm_sq
+
+
+def _linear_comparator(data, a: float) -> tuple[LinearExpert, float]:
+    """``best_linear_expert``'s minimizer and its cumulative loss alone."""
     check_ridge(a)
     stream = stack_trials(data)
     signals, outcomes = stream
     if signals.shape[0] == 0:
         return LinearExpert(np.zeros(0)), 0.0
-    t_len, n = signals.shape
-    d = outcomes.shape[1]
-    m = d - 1
+    m = outcomes.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):   # inf, or inf - inf, is rejected below
         c_mat = signals.T @ signals
         g = -2.0 * (outcomes[:, :m] - outcomes[:, [m]]).T @ signals  # (m, n) blocks
     if not (np.isfinite(c_mat).all() and np.isfinite(g).all()):
         raise ValueError(f"signals of scale {float(np.max(np.abs(signals))):.3g} overflow the linear "
                          "comparator's C = sum x x'")
-    alpha = solve_structured(a, d, c_mat, -g.reshape(-1) / 2.0)
-    expert = LinearExpert(alpha)
-    value = expert_loss(expert, stream) + a * expert.norm_sq
-    return expert, value
+    expert = LinearExpert(solve_structured(a, m + 1, c_mat, -g.reshape(-1) / 2.0))
+    return expert, expert_loss(expert, stream)
 
 
 # ---------------------------------------------------------------------------
 # Kernel comparators
 
 def _kernel_comparator(data, kernel: Kernel, a: float):
-    """``best_kernel_expert``'s three values and the determinant term, from one factor per system."""
+    """``best_kernel_expert``'s three values and the determinant term, from one factor per system.
+    A Gram matrix or system that cannot be allocated raises ValueError naming T and the GiB."""
     check_ridge(a)
     signals, outcomes = stack_trials(data)
-    m = outcomes.shape[1] - 1
-    if signals.shape[0] == 0:   # d is unknown (0) unless ``data`` is a Trials of width d
+    t_len, m = signals.shape[0], outcomes.shape[1] - 1
+    if not t_len:   # d is unknown (0) unless ``data`` is a Trials of width d
         return KernelExpert(np.zeros((max(m, 0), 0)), kernel), 0.0, 0.0, 0.0
-    gram = kernel.gram(signals)
-    logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
+    try:
+        gram = kernel.gram(signals)
+        logdet, coeffs = _kernel_systems(gram, a, m + 1, (outcomes[:, :m] - outcomes[:, [m]]).T)
+    except MemoryError as exc:
+        raise ValueError(f"the kernel guarantee cannot hold {t_len} trials: its T x T Gram matrix and "
+                         f"system need {2 * 8 * t_len**2 / 2**30:.3g} GiB") from exc
     norms = float(np.sum(coeffs * (coeffs @ gram)))   # sum_i |f_i|^2 = sum_i c_i' K c_i
     return KernelExpert(coeffs, kernel), _comparator_loss(gram @ coeffs.T, outcomes), norms, logdet
 
@@ -307,13 +314,11 @@ def bound_reports(data, kind: str, ridge: float, loss: float,
         if not d * ridge < math.inf:
             raise ValueError(f"ridge {ridge!r} is too large: "
                              f"CAAR's comparator ridge {d} * {ridge!r} overflows")
-        expert, _ = best_linear_expert(stream, d * ridge)
-        base = expert_loss(expert, stream)
+        expert, base = _linear_comparator(stream, d * ridge)
         rhs = base + componentwise_bound_rhs(t_len, x_max, n, d, ridge, expert.norm_sq)
         return [BoundReport("componentwise", kind, loss, base, rhs)]
     if kind == "maar":
-        expert, _ = best_linear_expert(stream, ridge)
-        base = expert_loss(expert, stream)
+        expert, base = _linear_comparator(stream, ridge)
         # The run used prior scale `ridge`; the two guarantees book the same
         # penalty against different log terms (2a = ridge vs a = ridge).
         rhs_joint = base + joint_bound_rhs(t_len, x_max, n, d, ridge / 2.0, expert.norm_sq)

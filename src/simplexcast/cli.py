@@ -118,11 +118,9 @@ def main():
 @main.command()
 @click.option("--algo", type=click.Choice(["caar", "maar", "kaar"]), required=True)
 @_with_options(*_model_options, *_series_options)
-def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length, seed,
-             window, epsilon, out_dir):
+def forecast(algo, **options):
     """Run one algorithm over one series and write the report."""
-    _guard(_report, [algo], kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window,
-           epsilon, out_dir)
+    _guard(_report, [algo], **options)
 
 
 @main.command()
@@ -130,8 +128,7 @@ def forecast(algo, kernel_name, sigma, degree, ridge, input_path, synth, length,
               help="Comma list of caar,maar,kaar,simple, or 'all'. "
                    "kaar is opt-in: its per-trial cost grows with the stream.")
 @_with_options(*_model_options, *_series_options)
-def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, seed,
-          window, epsilon, out_dir):
+def bench(algos, **options):
     """Benchmark several algorithms plus the baseline on one series."""
     def work():
         names = ["caar", "maar", "kaar", "simple"] if algos == "all" else [
@@ -141,8 +138,7 @@ def bench(algos, kernel_name, sigma, degree, ridge, input_path, synth, length, s
                 raise harness.InputError(f"unknown algorithm {name!r}")
         if not names or len(set(names)) < len(names):
             raise harness.InputError(f"--algos must name at least one algorithm, each once, got {algos!r}")
-        _report(names, kernel_name, sigma, degree, ridge, input_path, synth, length, seed, window, epsilon,
-                out_dir)
+        _report(names, **options)
     _guard(work)
 
 

@@ -45,7 +45,7 @@ from . import bounds as bounds_mod
 from .caar import CaarForecaster
 from .core import (InvariantViolation, ProbabilityVector, _columns, check_classes, check_outcome, check_trials,
                    stack_trials, trial_name)
-from .maar import MaarForecaster
+from .maar import MaarForecaster, ridge_lanes
 from .substitution import _forecast, substitute_rows
 
 if TYPE_CHECKING:
@@ -275,17 +275,6 @@ def mse_amse(losses) -> tuple[float, float]:
     return float(arr.mean()), float(running.mean())
 
 
-def _ridge_values(spec) -> list[float]:
-    """The values of a ridge spec, one ridge or a grid, sorted, once there is at least one
-    and each is positive and finite."""
-    values = sorted(float(v) for v in np.ravel(spec))
-    if not values:
-        raise InputError("ridge grid is empty")
-    if not all(0.0 < v < math.inf for v in values):
-        raise InputError(f"ridge values must be positive and finite, got {values!r}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Synthetic series and bound-test streams
 
@@ -401,14 +390,15 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
                   kernel: Kernel | None = None) -> tuple[list[ExperimentReport], dict]:
     """The full protocol: ridge selection on the train third, metrics on the rest.
 
-    ``ridge_spec`` is a fixed positive float or a grid (sequence of floats), each of whose
-    values is checked before the first algorithm runs, the baseline's too; KAAR needs
-    ``kernel``.  Each
-    algorithm runs once over the stream: the train third with a ridge lane per grid value
-    (one lane for a fixed ridge, none for the baseline), then only the selected lane, split
-    off by ``lane``, goes on over the rest, where the metrics are taken.  A lane equals the
-    forecaster of its one ridge (bit for bit for MAAR and KAAR, to rounding for CAAR), so
-    this is the fresh run at the chosen ridge without replaying the train third.
+    ``ridge_spec`` is a fixed ridge or a grid, a 1-D sequence of ridges, which is sorted.
+    ``maar.ridge_lanes``, the check every forecaster makes of its ridges, checks it before
+    the first algorithm runs, the baseline's too, and its ValueError is an InputError here;
+    KAAR needs ``kernel``.  Each algorithm runs once over the stream: the train third with a
+    ridge lane per grid value (one lane for a fixed ridge, none for the baseline), then only
+    the selected lane, split off by ``lane``, goes on over the rest, where the metrics are
+    taken.  A lane equals the forecaster of its one ridge (bit for bit for MAAR and KAAR, to
+    rounding for CAAR), so this is the fresh run at the chosen ridge without replaying the
+    train third.
     ``time_seconds`` covers that whole run, lanes and selection included.  For a grid, the
     run log's ``ridge_grid`` keeps each algorithm's sorted ``ridges``, the ``train_mse`` of
     each and ``seconds``, the lane pass over the train third and the selection alone.
@@ -424,9 +414,15 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     cut = stream.split_index
     if len(test) == 0:
         raise InputError("stream too short to leave a test segment")
-    values, grid = _ridge_values(ridge_spec), np.ndim(ridge_spec) > 0
+    try:
+        lanes = ridge_lanes(ridge_spec)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    grid = isinstance(lanes, tuple)
+    values = sorted(lanes) if grid else [lanes]
     if grid and len(train) == 0 and set(algos) - {"simple"}:
         raise InputError("stream too short for ridge selection")
+    trials = stack_trials(stream)   # validated once for every guarantee
     reports = []
     grids: dict[str, dict] = {}
     ratios: dict[str, dict] = {}
@@ -453,7 +449,7 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
                 checks = [bounds_mod.kernel_report(model, stream.labels, loss)]
                 ratios[kind] = model._pivot_ratios()
             else:
-                checks = bounds_mod.bound_reports(stream, kind, ridge, loss, kernel)
+                checks = bounds_mod.bound_reports(trials, kind, ridge, loss, kernel)
             slack = min(check.slack for check in checks)
             if slack < bounds_mod.SLACK_GATE:
                 raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")

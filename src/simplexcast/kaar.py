@@ -193,18 +193,15 @@ class Kernel:
 
     @np.errstate(over="ignore")
     def gram(self, signals) -> np.ndarray:
-        """Gram matrix over the rows of ``signals``; rbf's entries are ``_pairs``' bits, dot and
-        poly take one matrix product, and one of their values that overflows raises
-        InvariantViolation."""
+        """Gram matrix over the rows of ``signals``, with the bits of the kernel values KAAR takes:
+        row i below the diagonal from ``_rows``, as trial i + 1 computes its kernel row, K(x, x)
+        from ``_at`` on the diagonal, mirrored above it, so exactly symmetric.  A value that
+        overflows raises InvariantViolation."""
         x = np.atleast_2d(np.asarray(signals, dtype=float))
-        if self.kind == "rbf":
-            out = self._rows(x, x, 1)   # the lower triangle in tiles, mirrored: exactly symmetric
-            side = _tile_side(x.shape[1])
-            for i in range(side, len(x), side):
-                out[:i, i:i + side] = out[i:i + side, :i].T
-            return out
-        with np.errstate(invalid="ignore"):   # inf - inf
-            out = self._of(x @ x.T)
+        out = self._rows(x, x, 0)
+        for i, xi in enumerate(x):
+            out[i, i] = self._at(xi)
+            out[i, i + 1:] = out[i + 1:, i]
         bad = ~np.isfinite(out)
         if bad.any():
             raise InvariantViolation(f"{self.kind} kernel value overflows to {float(out[bad][0])!r}")
@@ -222,10 +219,10 @@ class Kernel:
 
     def _rows(self, stored: np.ndarray, xs: np.ndarray, lead: int) -> np.ndarray:
         """Kernel rows of the m signals ``xs``, each against the stored signals before it: entry
-        (i, j) of the (m, lead + m - 1) result is K(stored[j], xs[i]) for j < lead + i, and the
+        (i, j) of the (m, lead + m) result is K(stored[j], xs[i]) for j < lead + i, and the
         entries past that are unspecified.  rbf comes in tiles of about _TILE_BYTES of
         differences, dot and poly one row at a time."""
-        out = np.empty((len(xs), max(lead + len(xs) - 1, 0)))
+        out = np.empty((len(xs), lead + len(xs)))
         if self.kind != "rbf":
             for i in range(len(xs)):
                 out[i, :lead + i] = self._pairs(xs[i:i + 1], stored[:lead + i])

@@ -43,8 +43,8 @@ per-trial loop agree bit for bit.  README's cost table gives the us per
 ``update`` and per ``run`` trial.
 
 The rank-one update writes w w' of every inverse into one (K, n, n) step by one
-of two product kernels, picked once per forecaster from the K n^2 entries of its
-inverses: numpy's broadcasting product below EINSUM_FROM, where einsum costs
+of two products, which ``_step_inverses`` picks by the K n^2 entries of the
+stack: numpy's broadcasting product below EINSUM_FROM, where einsum costs
 about 1 us more per call, and einsum's product loop from there up, which takes
 half the time at n = 200.  Each entry is the one product w_i w_j either way
 (einsum writes a product of -0.0 as +0.0, which changes a stepped entry only if
@@ -98,7 +98,7 @@ def ridge_lanes(a) -> float | tuple[float, ...]:
     if np.ndim(a) != 1:
         raise ValueError(f"ridge must be a number or a 1-D sequence, got shape {np.shape(a)}")
     if not len(a):
-        raise ValueError("ridge lanes need at least one ridge")
+        raise ValueError("ridge lanes need at least one ridge, got an empty sequence")
     return tuple(check_ridge(v) for v in a)
 
 
@@ -119,17 +119,6 @@ def refresh_inverse(minv: np.ndarray, mat: np.ndarray, trial: int, ridge: float 
         raise InvariantViolation(f"{trial_name(trial, ridge)}: inverse drift {drift:.3e}, "
                                  f"condition estimate {cond:.3e}")
     return fresh
-
-
-def _broadcast_outer(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """w_k w_k' for every row of the (K, n) ``w``, by numpy's broadcasting product, into ``out``."""
-    return np.multiply(w[:, :, None], w[:, None, :], out=out)
-
-
-def _einsum_outer(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``_broadcast_outer(w, out)`` by einsum's product loop, faster from about 2500 entries: each
-    entry the one product w_i w_j, but a product of -0.0 comes out +0.0 (0.0 + w_i w_j)."""
-    return np.einsum("ki,kj->kij", w, w, out=out)
 
 
 class Forecaster:
@@ -260,7 +249,6 @@ class RankOneCore(Forecaster):
         super().__init__(d, a, scales)
         self.n = int(n)
         self._inv = np.stack([np.eye(n) / a for a in self._ridges])   # (aI + sC)^{-1} per factor
-        self._outer = _einsum_outer if self._inv.size >= EINSUM_FROM else _broadcast_outer
         self._stats = np.zeros((rows + 1, n))
         self._c = np.zeros((n, n))                    # C up to the last refresh
         self._signals = np.empty((REFRESH_EVERY, n))  # signals since then
@@ -358,8 +346,11 @@ class RankOneCore(Forecaster):
         # (M_s + s xx')^{-1} = M_s^{-1} - ww' with w = sqrt(s/den) u: (i, j) and (j, i) get one
         # product, so the inverses stay exactly symmetric
         self._scale[:, 0] = [math.sqrt(s / v) for s, v in zip(self._scales, den)]
-        np.multiply(u, self._scale, out=self._w)
-        self._outer(self._w, out=self._step)
+        w = np.multiply(u, self._scale, out=self._w)
+        if self._step.size < EINSUM_FROM:
+            np.multiply(w[:, :, None], w[:, None, :], out=self._step)
+        else:   # a product of -0.0 comes out +0.0 (0.0 + w_i w_j)
+            np.einsum("ki,kj->kij", w, w, out=self._step)
         if (self.t + 1) % REFRESH_EVERY:
             np.subtract(self._inv, self._step, out=self._inv)
             return

@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +307,37 @@ def test_a_gram_matrix_without_a_positive_definite_system_is_invariant_violation
                                        "--ridge", "0.5", "--out", str(tmp_path / "out")])
     assert result.exit_code == 3, result.output
     assert "error: kernel guarantee: log det of the factors is -inf (ridge 0.5)" in result.output
+
+
+def test_a_gram_matrix_or_system_that_cannot_be_allocated_raises_value_error_naming_its_size(monkeypatch, tmp_path):
+    gram, multiply = Kernel.gram, np.multiply
+
+    def unallocatable_gram(self, signals):   # gram's own T x T buffer fails; no gigabytes are asked for
+        with mock.patch.object(np, "empty", side_effect=MemoryError("Unable to allocate the Gram matrix")):
+            return gram(self, signals)
+
+    def unallocatable_system(x, *args, **kwargs):   # aI + sK, a new T x T buffer scaled from the Gram matrix
+        if np.ndim(x) == 2 and isinstance(args[0], float) and "out" not in kwargs:
+            raise MemoryError("Unable to allocate the system")
+        return multiply(x, *args, **kwargs)
+
+    data = random_stream(2, 3, 60, seed=9)
+    message = r"^the kernel guarantee cannot hold 60 trials: its T x T Gram matrix and system need 5\.36e-05 GiB$"
+    for refuse in (lambda: monkeypatch.setattr(Kernel, "gram", unallocatable_gram),
+                   lambda: monkeypatch.setattr(np, "multiply", unallocatable_system)):
+        refuse()
+        for kernel in (Kernel("rbf"), Kernel("dot"), Kernel("poly")):
+            for call in (lambda: best_kernel_expert(data, kernel, 1.0), lambda: verify_run(data, "kaar", 1.0, kernel)):
+                with pytest.raises(ValueError, match=message) as info:
+                    call()
+                assert isinstance(info.value.__cause__, MemoryError)
+        monkeypatch.undo()
+    # through the CLI: an input error, exit 2, where numpy's own MemoryError exited 1
+    monkeypatch.setattr(Kernel, "gram", unallocatable_gram)
+    result = CliRunner().invoke(main, ["verify-bounds", "--streams", "1", "--adversarial", "0",
+                                       "--out", str(tmp_path / "vb")])
+    assert result.exit_code == 2, result.output
+    assert re.search(r"^error: the kernel guarantee cannot hold \d+ trials: .* GiB$", result.output, re.M)
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from simplexcast import kaar
 from simplexcast.cli import main
-from simplexcast.core import DimensionMismatch, InvariantViolation, trial_name
+from simplexcast.core import DimensionMismatch, InvariantViolation, stack_trials, trial_name
 from simplexcast.harness import DEFAULT_RIDGE_GRID, random_stream, run_online
 from simplexcast.kaar import KaarForecaster, Kernel
 from simplexcast.maar import MaarForecaster
@@ -127,6 +127,25 @@ def test_the_tracer_s_scipy_linalg_names_resolve_on_demand():
         assert vars(kaar)[name] is getattr(scipy.linalg, name)   # stored, for the tracer to patch
     with pytest.raises(AttributeError, match="no attribute 'cholesky_banded'"):
         kaar.cholesky_banded
+
+
+@pytest.mark.parametrize("kind", ["dot", "rbf", "poly"])
+def test_the_gram_matrix_holds_the_kernel_values_kaar_takes_bit_for_bit(kind):
+    # row i below the diagonal is trial i + 1's kernel row, the diagonal K(x, x) as a trial takes
+    # it, and the matrix is exactly symmetric; n = 10 and T = 390 cross rbf's tiles (57 rows)
+    kernel = Kernel(kind, sigma=0.8, degree=3)
+    rng = np.random.default_rng(12)
+    for n, t_len in ((1, 1), (3, 2), (3, 40), (10, 390)):
+        xs = rng.uniform(-1, 1, (t_len, n))
+        gram = kernel.gram(xs)
+        assert gram.shape == (t_len, t_len)
+        for i, x in enumerate(xs):
+            assert gram[i, :i].tobytes() == kernel._pairs(x[None], xs[:i])[0].tobytes()
+            assert gram[i, i].tobytes() == np.float64(kernel._at(x)).tobytes()
+        assert gram.tobytes() == gram.T.copy().tobytes()
+        lead = t_len // 3   # a run's block of kernel rows: the trials after the first t_len // 3
+        for i, row in enumerate(kernel._rows(xs, xs[lead:], lead)):
+            assert row[:lead + i].tobytes() == gram[lead + i, :lead + i].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -483,6 +502,23 @@ def test_buffers_that_cannot_be_allocated_raise_value_error_naming_their_size(mo
     assert result.exit_code == 2, result.output
     assert re.search(r"error: KAAR cannot hold 6663 trials: 14 factors \(7 ridge lanes x 2 systems\) need "
                      r"2\.3 GiB; a fixed --ridge keeps one lane", result.output)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["dot", "rbf", "poly"]), d=st.integers(2, 5), log_ridge=st.floats(-3.0, 3.0),
+       t_len=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_the_pivot_ratio_is_at_most_the_condition_number_of_its_system(kind, d, log_ridge, t_len, seed):
+    # every Cholesky pivot rho^2 of aI + sK lies in [lambda_min, lambda_max], so their ratio is at
+    # most the condition number lambda_max / lambda_min, up to rounding
+    a = 10.0**log_ridge
+    kernel = Kernel(kind, sigma=0.8, degree=3)
+    xs, ys = stack_trials(random_stream(3, d, t_len, seed))
+    model = KaarForecaster(d, kernel, a)
+    model.run(xs, ys)
+    ratios = model._pivot_ratios()
+    assert len(ratios) == len(model._scales)
+    for ratio, s in zip(ratios.values(), model._scales):
+        assert 1.0 <= ratio <= np.linalg.cond(a * np.eye(t_len) + s * kernel.gram(xs)) * (1.0 + 1e-9)
 
 
 def test_a_failing_lane_names_the_trial_the_system_and_its_ridge(monkeypatch):

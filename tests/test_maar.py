@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -382,22 +384,44 @@ def test_forecaster_run_check_passes():
     np.testing.assert_array_equal(model._inv, kept)
 
 
-# the rank-one step: w w' by one of two product kernels, chosen once per forecaster by size
+# the rank-one step: w w' by one of two products, picked in _step_inverses by the size of the stack
+
+def _stack_of(k, n):
+    """A forecaster of n-long signals whose stack holds k factors: CAAR's one, MAAR's two, or MAAR's
+    two per ridge lane."""
+    if k == 1:
+        return CaarForecaster(n, 3, 1.0)
+    return MaarForecaster(n, 3, 1.0 if k == 2 else np.geomspace(0.1, 10.0, k // 2))
+
+
+def _stepped(model, w):
+    """``_step_inverses`` of u = w at den = s, so that sqrt(s / den) = 1 and the step is w w'."""
+    model._step_inverses(w, list(model._scales))
+    return model._step, model._inv
+
+
+def _signs_of_zeros(step):
+    """The positions of the -0.0 entries: only broadcasting writes a product of -0.0 as -0.0."""
+    return (step == 0.0) & np.signbit(step)
+
 
 @pytest.mark.parametrize("n", [1, 10, 33, 200])
 @pytest.mark.parametrize("k", [1, 2, 14])
-def test_both_product_kernels_give_the_broadcasting_step_and_an_exactly_symmetric_stack(n, k):
+def test_both_product_kernels_give_the_broadcasting_step_and_an_exactly_symmetric_stack(n, k, monkeypatch):
     rng = np.random.default_rng(n * k)
     w = rng.standard_normal((k, n))
     w[:, ::3] = 0.0   # zero entries, whose products with negatives are -0.0 by broadcasting
     sym = rng.standard_normal((k, n, n))
     sym = sym + sym.transpose(0, 2, 1)
     expected = w[:, :, None] * w[:, None, :]
-    for outer in (maar._broadcast_outer, maar._einsum_outer):
-        step = outer(w, np.empty((k, n, n)))
+    for einsum_from in (0, math.inf):   # einsum's product, then broadcasting's, whatever the size
+        monkeypatch.setattr(maar, "EINSUM_FROM", einsum_from)
+        model = _stack_of(k, n)
+        model._inv[:] = sym
+        step, stepped = _stepped(model, w)
         np.testing.assert_array_equal(step, expected)   # equal values; only a zero's sign may differ
+        assert _signs_of_zeros(step).any() == (einsum_from == math.inf and _signs_of_zeros(expected).any())
         np.testing.assert_array_equal(step, step.transpose(0, 2, 1))
-        stepped = sym - step
         assert stepped.tobytes() == (sym - expected).tobytes()
         assert stepped.tobytes() == stepped.transpose(0, 2, 1).copy().tobytes()
 
@@ -408,13 +432,21 @@ def test_both_product_kernels_give_the_broadcasting_step_and_an_exactly_symmetri
     (CaarForecaster, 50, 1, "einsum"), (MaarForecaster, 33, 7, "einsum"),         # 2500, 15246
     (CaarForecaster, 200, 1, "einsum"), (MaarForecaster, 200, 1, "einsum"),       # 40000, 80000
 ])
-def test_each_forecaster_picks_its_product_kernel_once_from_the_size_of_its_stack(cls, n, lanes, outer):
+def test_each_forecaster_picks_its_product_by_the_size_of_its_stack(cls, n, lanes, outer):
     model = cls(n, 3, 1.0 if lanes == 1 else np.geomspace(0.1, 10.0, lanes))
-    assert model._outer is getattr(maar, f"_{outer}_outer")
-    assert (model._inv.size >= EINSUM_FROM) == (outer == "einsum")
-    if lanes > 1:   # a lane split off picks by its own size
-        assert model.lane(0)._outer is (maar._einsum_outer if model.lane(0)._inv.size >= EINSUM_FROM
-                                        else maar._broadcast_outer)
+    models = [model] + ([model.lane(0)] if lanes > 1 else [])   # a lane split off picks by its own size
+    for model in models:
+        w = np.random.default_rng(n).standard_normal((len(model._scales), n))
+        w[:, ::3] = 0.0
+        expected = w[:, :, None] * w[:, None, :]
+        assert _signs_of_zeros(expected).any()
+        step, _ = _stepped(model, w)
+        np.testing.assert_array_equal(step, expected)
+        if model._step.size >= EINSUM_FROM:   # einsum's product: no -0.0
+            assert not _signs_of_zeros(step).any()
+        else:                                  # broadcasting's, with the signs of its zeros
+            assert step.tobytes() == expected.tobytes()
+    assert (models[0]._inv.size >= EINSUM_FROM) == (outer == "einsum")
 
 
 @pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
@@ -435,15 +467,16 @@ def test_a_refresh_rebuilds_the_stack_in_place_with_the_values_of_a_stacked_rebu
 
 
 @pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster])
-def test_wide_forecasts_over_two_refreshes_equal_those_of_the_broadcasting_step(cls):
+def test_wide_forecasts_over_two_refreshes_equal_those_of_the_broadcasting_step(cls, monkeypatch):
     rng = np.random.default_rng(31)
     n, d, t_len = 200, 3, 600
     signals = rng.uniform(-1, 1, (t_len, n))
     outcomes = np.eye(d)[rng.integers(d, size=t_len)]
     model, reference = cls(n, d, 1.0), cls(n, d, 1.0)
-    assert model._outer is maar._einsum_outer
-    reference._outer = maar._broadcast_outer
-    assert model.run(signals, outcomes).tobytes() == reference.run(signals, outcomes).tobytes()
+    assert model._step.size >= EINSUM_FROM
+    got = model.run(signals, outcomes)
+    monkeypatch.setattr(maar, "EINSUM_FROM", math.inf)   # the broadcasting product at every size
+    assert got.tobytes() == reference.run(signals, outcomes).tobytes()
     assert model.t == t_len > 2 * REFRESH_EVERY
     assert model._inv.tobytes() == reference._inv.tobytes()
 
@@ -484,13 +517,17 @@ def test_run_equals_the_loop_across_refresh_windows(cls, n, ridge):
     d, most = 3, 255 + 600
     xs, ys = rng.uniform(-1, 1, (most, n)), np.eye(d)[rng.integers(d, size=most)]
     ys[::4] = rng.dirichlet(np.ones(d), size=len(ys[::4]))   # outcomes inside the simplex too
-    for start in (0, 100, 255):
-        before = cls(n, d, ridge)
-        _loop(before, xs[:start], ys[:start])
-        for t_len in (0, 1, 255, 256, 257, 600):
-            fast, slow = _copy(before), _copy(before)
+    starts, lengths = (0, 100, 255), (0, 1, 255, 256, 257, 600)
+    slow, rows, kept = cls(n, d, ridge), [], {}
+    for end in sorted({start + t_len for start in starts for t_len in lengths}):
+        rows.append(_loop(slow, xs[slow.t:end], ys[slow.t:end]))   # one loop, kept where a run starts or ends
+        kept[end] = _copy(slow)
+    looped = np.concatenate(rows)
+    for start in starts:
+        for t_len in lengths:
+            fast, slow = _copy(kept[start]), kept[start + t_len]
             trials = slice(start, start + t_len)
-            got, want = fast.run(xs[trials], ys[trials]), _loop(slow, xs[trials], ys[trials])
+            got, want = fast.run(xs[trials], ys[trials]), looped[trials]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (start, t_len)
             assert _state(fast) == _state(slow), (start, t_len)
             if ridge == LANES:   # a lane split off after the run is the one split off after the loop
