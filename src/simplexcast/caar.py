@@ -19,6 +19,7 @@ steps with a guarded Cholesky refresh every REFRESH_EVERY trials, and
 trial costs one matrix-vector product, O(n^2 + dn), and ``update`` reuses the
 product of the ``predict`` before it.  Given a 1-D sequence of ridges, the core runs
 one lane per ridge and ``generalized`` returns one row per lane, E staying shared.
+(aI + B)^{-1} is MAAR's s = 1 inverse too, so a MAAR trial holds CAAR's forecast: ``joint_rows``.
 """
 
 from __future__ import annotations
@@ -58,3 +59,15 @@ class CaarForecaster(RankOneCore):
     def _coefficients(self, ya: list) -> list:
         """E_i += (y^i - 1/d) x."""
         return [v - 1.0 / self.d for v in ya]
+
+
+def joint_rows(trial) -> list:
+    """CAAR's shifted generalized prediction per lane, read off a ``MaarForecaster`` trial at the same
+    ridges, on Python floats or on whole columns alike.  The substitution ignores a shift common
+    to every class, so CAAR's row -2 gamma may drop its offset -2 (1/d + ((d-2)/(2d)) x'u/den)
+    and the shift -2 E_d'u/den: with u = (aI + C)^{-1} x and den = 1 + x'u, r_i = -2 (E_i - E_d)'u/den
+    = h_i'u/den, as MAAR's h_i = -2 (E_i - E_d), and r_d = 0: the products and den of MAAR's
+    s = 1 factor, k = 2g of lane g.  They agree to rounding, which grows with cond(aI + C)."""
+    _, _, products, den = trial
+    m = len(products[0]) - 2   # MAAR's products: h_1 ... h_{d-1}, their sum, x
+    return [[v / dq for v in uq[:m]] + [0.0] for uq, dq in zip(products[::2], den[::2])]

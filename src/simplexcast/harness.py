@@ -5,9 +5,10 @@ signals of its previous ``window`` observations, and labeled into three
 classes by whether the next change exceeds +epsilon, falls below -epsilon,
 or stays inside the tube.  The ridge is selected on the first third of the
 stream; metrics (MSE and AMSE, the average of running MSEs) are collected on the
-last two thirds.  Each algorithm runs once: over the first third with a ridge
+last two thirds.  Each algorithm runs once, and CAAR and MAAR share one MAAR run
+when both are asked for (``caar.joint_rows``): over the first third with a ridge
 lane per candidate ridge, then, split off by the forecaster's ``lane``, only
-the selected lane goes on over the rest, as the forecaster of that one ridge
+the selected lanes go on over the rest, as the forecaster of those ridges
 in the state the first third left it.
 
 Every run goes through ``run_online``, which hands the whole stream to the model's
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bounds as bounds_mod
-from .caar import CaarForecaster
+from .caar import CaarForecaster, joint_rows
 from .core import (InvariantViolation, ProbabilityVector, _columns, check_classes, check_outcome, check_trials,
                    stack_trials, trial_name)
 from .maar import MaarForecaster, ridge_lanes
@@ -233,9 +234,12 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
     of the stream is trial t + 1 of a model that has committed t.
     """
     signals, outcomes = _columns(stream)
-    first = model.t + 1
-    r = model.run(signals, outcomes)
-    lanes = r.shape[1:-1]
+    return _scored(model.run(signals, outcomes), outcomes, model)
+
+
+def _scored(r: np.ndarray, outcomes, model) -> tuple[np.ndarray, np.ndarray]:
+    """``run_online``'s losses and forecasts of the stack ``r`` of the run ``model`` has just made."""
+    lanes, first = r.shape[1:-1], model.t + 1 - len(r)   # the run's first trial
 
     def trial(row: int) -> str:   # a row of the (T * lanes, d) stack, named in the run's terms
         t, g = divmod(row, math.prod(lanes))
@@ -245,9 +249,18 @@ def run_online(stream, model) -> tuple[np.ndarray, np.ndarray]:
         gamma = substitute_rows(r.reshape(-1, r.shape[-1])).reshape(r.shape)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{trial(exc.row)}: {exc}") from exc
-    ys = np.asarray(outcomes, dtype=float)   # validated by model.run
+    ys = np.asarray(outcomes, dtype=float)   # validated by the run
     ys = ys.reshape((len(r),) + (1,) * len(lanes) + r.shape[-1:])   # one outcome for every lane
     return np.square(gamma - ys).sum(axis=-1), gamma
+
+
+def _read_online(stream, model, kinds) -> list[np.ndarray]:
+    """The losses of ``run_online``, or of one MAAR run read as each kind of ``kinds`` (``caar.joint_rows``)."""
+    if len(kinds) == 1:
+        return [run_online(stream, model)[0]]
+    signals, outcomes = _columns(stream)
+    stacks = model._read(signals, outcomes, *(joint_rows if kind == "caar" else model._row for kind in kinds))
+    return [_scored(r, outcomes, model)[0] for r in stacks]
 
 
 def verify_run(data, kind: str, ridge: float, kernel: Kernel | None = None) -> list[bounds_mod.BoundReport]:
@@ -393,15 +406,17 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     ``ridge_spec`` is a fixed ridge or a grid, a 1-D sequence of ridges, which is sorted.
     ``maar.ridge_lanes``, the check every forecaster makes of its ridges, checks it before
     the first algorithm runs, the baseline's too, and its ValueError is an InputError here;
-    KAAR needs ``kernel``.  Each algorithm runs once over the stream: the train third with a
-    ridge lane per grid value (one lane for a fixed ridge, none for the baseline), then only
-    the selected lane, split off by ``lane``, goes on over the rest, where the metrics are
-    taken.  A lane equals the forecaster of its one ridge (bit for bit for MAAR and KAAR, to
-    rounding for CAAR), so this is the fresh run at the chosen ridge without replaying the
-    train third.
-    ``time_seconds`` covers that whole run, lanes and selection included.  For a grid, the
-    run log's ``ridge_grid`` keeps each algorithm's sorted ``ridges``, the ``train_mse`` of
-    each and ``seconds``, the lane pass over the train third and the selection alone.
+    KAAR needs ``kernel``.  Each algorithm runs once over the stream, CAAR and MAAR together
+    when both are asked for: the train third with a ridge lane per grid value (one lane for a
+    fixed ridge, none for the baseline), then only the selected lane, split off by ``lane``,
+    goes on over the rest, where the metrics are taken.  A lane equals the forecaster of its
+    one ridge (bit for bit for MAAR and KAAR, to rounding for CAAR), so this is the fresh run
+    at the chosen ridge without replaying the train third.  Together, one MAAR run gives both
+    kinds' rows, CAAR's by ``caar.joint_rows`` (equal to rounding to CAAR's own), and the
+    rest holds two lanes when their ridges differ.  ``time_seconds`` covers the whole run,
+    lanes and selection included, the joint run's for both.  For a grid, the run log's
+    ``ridge_grid`` keeps each algorithm's sorted ``ridges``, the ``train_mse`` of each and
+    ``seconds``, the lane pass over the train third and the selection alone.
 
     The guarantees are checked against the run's loss over the whole stream, by
     ``bounds.bound_reports`` for CAAR and MAAR.  KAAR's is read off the chosen lane's own
@@ -423,37 +438,44 @@ def run_benchmark(stream: LabeledStream, algos, ridge_spec,
     if grid and len(train) == 0 and set(algos) - {"simple"}:
         raise InputError("stream too short for ridge selection")
     trials = stack_trials(stream)   # validated once for every guarantee
-    reports = []
+    done: dict[str, ExperimentReport] = {}
     grids: dict[str, dict] = {}
     ratios: dict[str, dict] = {}
-    for kind in algos:
+    linear = [kind for kind in dict.fromkeys(algos) if kind in ("caar", "maar")]
+    shared = len(linear) == 2   # both from one MAAR pass
+    for kinds in [linear] * shared + [[kind] for kind in dict.fromkeys(algos) if not (shared and kind in linear)]:
         started = time.perf_counter()
-        model = make_forecaster(kind, train.n, train.d, values, kernel, stream.window)
-        head, _ = run_online(train, model)   # (T, lanes), or the baseline's (T,)
-        ridge = slack = None
-        if kind != "simple":   # the baseline has no ridge: it goes on as it is
-            best = 0
+        model = make_forecaster("maar" if len(kinds) > 1 else kinds[0], train.n, train.d, values, kernel, stream.window)
+        heads = _read_online(train, model, kinds)   # (T, lanes) per kind, or the baseline's (T,)
+        best = [0] * len(kinds)
+        if kinds != ["simple"]:   # the baseline has no ridge: it goes on as it is
             if len(train):   # a fixed ridge may have no train trials
-                mses = head.mean(axis=0)
-                best = int(np.argmin(mses))   # the first of equal minima: the smallest ridge
-                if grid:
-                    grids[kind] = {"ridges": values, "train_mse": [float(v) for v in mses],
-                                   "seconds": time.perf_counter() - started}
-            ridge, model, head = values[best], model.lane(best), head[:, best]
-        tail, _ = run_online(test, model)
+                mses = [head.mean(axis=0) for head in heads]
+                best = [int(np.argmin(v)) for v in mses]   # the first of equal minima: the smallest ridge
+                seconds = time.perf_counter() - started   # the train pass and the selection
+                grids.update({kind: {"ridges": values, "train_mse": [float(v) for v in row], "seconds": seconds}
+                              for kind, row in zip(kinds, mses) if grid})
+            picks = sorted(set(best))   # the lanes that go on: two when the kinds chose apart
+            model = model.lane(picks if len(picks) > 1 else picks[0])
+            heads = [head[:, g] for head, g in zip(heads, best)]
+        tails = _read_online(test, model, kinds)
         elapsed = time.perf_counter() - started
-        mse, amse = mse_amse(tail)
-        if ridge is not None:   # the guarantees, against the run's loss over the whole stream
-            loss = float(np.concatenate([head, tail]).sum())
-            if kind == "kaar":   # read off the chosen lane's own factors, which cover the whole stream
-                checks = [bounds_mod.kernel_report(model, stream.labels, loss)]
-                ratios[kind] = model._pivot_ratios()
-            else:
-                checks = bounds_mod.bound_reports(trials, kind, ridge, loss, kernel)
-            slack = min(check.slack for check in checks)
-            if slack < bounds_mod.SLACK_GATE:
-                raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")
-        reports.append(ExperimentReport(kind, mse, amse, elapsed, ridge, slack))
+        for kind, head, tail, g in zip(kinds, heads, tails, best):
+            tail = tail[:, picks.index(g)] if tail.ndim > 1 else tail
+            mse, amse = mse_amse(tail)
+            ridge = slack = None
+            if kind != "simple":   # the guarantees, against the run's loss over the whole stream
+                ridge, loss = values[g], float(np.concatenate([head, tail]).sum())
+                if kind == "kaar":   # read off the chosen lane's own factors, which cover the whole stream
+                    checks = [bounds_mod.kernel_report(model, stream.labels, loss)]
+                    ratios[kind] = model._pivot_ratios()
+                else:
+                    checks = bounds_mod.bound_reports(trials, kind, ridge, loss, kernel)
+                slack = min(check.slack for check in checks)
+                if slack < bounds_mod.SLACK_GATE:
+                    raise InvariantViolation(f"negative bound slack {slack!r} for {kind}")
+            done[kind] = ExperimentReport(kind, mse, amse, elapsed, ridge, slack)
+    reports = [done[kind] for kind in algos]
     log = {
         "window": stream.window,
         "epsilon": stream.epsilon,

@@ -196,24 +196,30 @@ class Kernel:
         """Gram matrix over the rows of ``signals``, with the bits of the kernel values KAAR takes:
         row i below the diagonal from ``_rows``, as trial i + 1 computes its kernel row, K(x, x)
         from ``_at`` on the diagonal, mirrored above it, so exactly symmetric.  A value that
-        overflows raises InvariantViolation."""
-        x = np.atleast_2d(np.asarray(signals, dtype=float))
+        overflows raises InvariantViolation.  No signals (``[]``, or a (0, n) array) give (0, 0)."""
+        x = np.asarray(signals, dtype=float)
+        x = x.reshape((1, -1) if x.size else (0, 0)) if x.ndim < 2 else x   # one signal, or none
         out = self._rows(x, x, 0)
-        for i, xi in enumerate(x):
-            out[i, i] = self._at(xi)
-            out[i, i + 1:] = out[i + 1:, i]
+        np.copyto(out, out.T, where=np.tri(len(x), k=-1, dtype=bool).T)   # the lower triangle, mirrored
+        np.fill_diagonal(out, [self._at(xi) for xi in x])
         bad = ~np.isfinite(out)
         if bad.any():
             raise InvariantViolation(f"{self.kind} kernel value overflows to {float(out[bad][0])!r}")
         return out
 
-    def _pairs(self, xs: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    def _pairs(self, xs: np.ndarray, stored: np.ndarray, lead: int | None = None) -> np.ndarray:
         """K(stored[j], xs[i]) for every row i of ``xs`` and j of ``stored``: the one formula of a
-        kernel row.  rbf takes one einsum over the differences, each entry the one sum of
-        squares of its difference whatever the shapes; dot and poly take one matrix-vector
-        product per row of ``xs``, which a matrix product would round otherwise."""
+        kernel row.  rbf takes one einsum over the differences, each entry the one sum of squares
+        of its difference whatever the shapes; dot and poly one matrix-vector product per row of
+        ``xs`` (a matrix product rounds otherwise), into its row of one block, then ``_of`` once.
+        Given ``lead`` (dot and poly), the block is ``_rows``': row i against stored[:lead + i]."""
         if self.kind != "rbf":
-            return self._of(np.array([stored @ x for x in xs]))
+            widths = range(lead, lead + len(xs)) if lead is not None else [len(stored)] * len(xs)
+            out = np.empty((len(xs), len(stored) if lead is None else lead + len(xs)))
+            for x, row, width in zip(xs, out, widths):
+                np.matmul(stored[:width], x, out=row[:width])
+                row[width:] = 0.0   # past the row: no stale bits for _of
+            return self._of(out)
         diff = xs[:, None] - stored[None]
         return self._of(np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -221,12 +227,10 @@ class Kernel:
         """Kernel rows of the m signals ``xs``, each against the stored signals before it: entry
         (i, j) of the (m, lead + m) result is K(stored[j], xs[i]) for j < lead + i, and the
         entries past that are unspecified.  rbf comes in tiles of about _TILE_BYTES of
-        differences, dot and poly one row at a time."""
-        out = np.empty((len(xs), lead + len(xs)))
+        differences, dot and poly in one block of ``_pairs``."""
         if self.kind != "rbf":
-            for i in range(len(xs)):
-                out[i, :lead + i] = self._pairs(xs[i:i + 1], stored[:lead + i])
-            return out
+            return self._pairs(xs, stored, lead)
+        out = np.empty((len(xs), lead + len(xs)))
         side = _tile_side(xs.shape[1])
         for i in range(0, len(xs), side):
             tile = xs[i:i + side]
@@ -381,10 +385,9 @@ class KaarForecaster(Forecaster):
         pivots = np.square(self._diagonal())
         return {name: float(row.max() / row.min()) for name, row in zip(_SYSTEMS, pivots)}
 
-    def _lane(self, g: int) -> KaarForecaster:
-        twin = KaarForecaster(self.d, self.kernel, self.a[g])
-        rows = self._factors(g)
-        twin._x, twin._packed, twin._g = self._x.copy(), self._packed[rows].copy(), self._g[rows].copy()
+    def _lane(self, a, factors: np.ndarray) -> KaarForecaster:
+        twin = KaarForecaster(self.d, self.kernel, a)
+        twin._x, twin._packed, twin._g = self._x.copy(), self._packed[factors], self._g[factors]
         return twin
 
     def _reserve(self, n: int, cap: int) -> None:

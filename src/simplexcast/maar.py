@@ -130,11 +130,11 @@ class Forecaster:
     loop of ``run``: it keeps in the loop only what reads the factors and returns the
     columns over the trials that ``_row`` reads, on which ``_row`` takes the arithmetic it
     takes per trial on Python floats.  A forecaster also supplies ``_signal``, the check of
-    one signal, ``_width``, the signal length a run checks, and ``_lane(g)``, a forecaster
-    of lane g's ridge holding copies of that lane's state.  Rows are lists of Python
-    floats, which ``predict`` scans as they are.  ``update`` reuses the products of the last
-    ``generalized`` or ``predict`` call, on the same signal (compared by value; the signal is
-    copied) and unless it raised.
+    one signal, ``_width``, the signal length a run checks, and ``_lane(a, factors)``, a
+    forecaster of the ridges ``a`` holding copies of their lanes' state, ``factors`` giving
+    those lanes' factors.  Rows are lists of Python floats, which ``predict`` scans as they
+    are.  ``update`` reuses the products of the last ``generalized`` or ``predict`` call, on
+    the same signal (compared by value; the signal is copied) and unless it raised.
 
     ``d`` is the number of classes, at least 2, and ``a`` one ridge or a 1-D sequence of
     ridges, one lane each, kept as a tuple (see ``ridge_lanes``); ``_lanes`` is np.shape(a).
@@ -201,26 +201,37 @@ class Forecaster:
         for bit to those of the per-trial loop.  A trial that fails leaves the state of the
         loop stopped there.
         """
+        return self._read(signals, outcomes, self._row)[0]
+
+    def _read(self, signals, outcomes, *readers) -> list:
+        """``run``, read by each of ``readers`` in place of ``_row``, on the run's columns: one
+        stack per reader (``caar.joint_rows`` reads CAAR's rows off a MAAR run)."""
         xs, ys = check_trials(signals, outcomes, self._width(signals), self.d, self.t + 1)
         self._last = None
         if not len(xs):   # KAAR has no signal length to reserve by when it stores nothing either
-            return np.empty((0,) + self._lanes + (self.d,))
-        rows = self._row(self._steps(xs, ys))   # columns over the trials, per lane
-        out = np.empty((len(xs), len(rows), self.d))
-        for g, row in enumerate(rows):
-            for i, column in enumerate(row):
-                out[:, g, i] = column
-        return out.reshape((len(xs),) + self._lanes + (self.d,))
+            return [np.empty((0,) + self._lanes + (self.d,)) for _ in readers]
+        columns = self._steps(xs, ys)   # per factor, over the trials
+        stacks = [np.empty((len(xs), math.prod(self._lanes), self.d)) for _ in readers]
+        for out, reader in zip(stacks, readers):
+            for g, row in enumerate(reader(columns)):   # per lane, d columns over the trials
+                for i, column in enumerate(row):
+                    out[:, g, i] = column
+        return [out.reshape((len(xs),) + self._lanes + (self.d,)) for out in stacks]
 
-    def lane(self, g: int):
+    def lane(self, g):
         """Lane g (an integer, 0 <= g < G) of a forecaster with G ridge lanes, as a forecaster of
-        its one ridge in the state this one has reached; the two share no arrays."""
+        its one ridge in the state this one has reached; the two share no arrays.  Given a 1-D
+        sequence of distinct such integers, the forecaster of those lanes, in that order."""
         if not self._lanes:
             raise ValueError("lane needs a forecaster with ridge lanes")
-        if not (is_integer(g) and 0 <= g < self._lanes[0]):
-            raise ValueError(f"lane must be an integer from 0 to {self._lanes[0] - 1} of {self._lanes[0]} "
-                             f"ridge lanes, got {g!r}")
-        twin = self._lane(int(g))
+        many = np.ndim(g) == 1
+        lanes = list(g) if many else [g]
+        if not (lanes and all(is_integer(v) and 0 <= v < self._lanes[0] for v in lanes)
+                and len(set(lanes)) == len(lanes)):
+            raise ValueError(f"lane must be {'distinct integers' if many else 'an integer'} from 0 to "
+                             f"{self._lanes[0] - 1} of {self._lanes[0]} ridge lanes, got {g!r}")
+        factors = np.arange(len(self._ridges)).reshape(-1, self._size)[lanes].ravel()   # k = g S + j, lane by lane
+        twin = self._lane(tuple(self.a[v] for v in lanes) if many else self.a[g], factors)
         twin.t = self.t
         return twin
 
@@ -360,9 +371,9 @@ class RankOneCore(Forecaster):
             self._inv[k] = fresh
         self._c = c
 
-    def _lane(self, g: int):
-        twin = type(self)(self.n, self.d, self.a[g])
-        twin._inv = self._inv[self._factors(g)].copy()
+    def _lane(self, a, factors: np.ndarray):
+        twin = type(self)(self.n, self.d, a)
+        twin._inv = self._inv[factors]
         twin._stats, twin._c, twin._signals = self._stats.copy(), self._c.copy(), self._signals.copy()
         return twin
 

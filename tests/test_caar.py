@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexcast.caar import CaarForecaster
+from simplexcast.caar import CaarForecaster, joint_rows
 from simplexcast.core import DimensionMismatch, InvariantViolation
-from simplexcast.maar import REFRESH_EVERY
+from simplexcast.maar import REFRESH_EVERY, MaarForecaster
 from simplexcast.projection import project_to_simplex
-from simplexcast.substitution import substitute_rows
+from simplexcast.substitution import solve_substitution, substitute_rows
 
 from oracle import quadrature_component_forecast
 
@@ -172,3 +174,36 @@ def test_forecast_is_the_projection_of_the_raw_forecast_bit_for_bit():
             np.testing.assert_array_equal(row, project_to_simplex(raw).p)
         single.update(x, y)
         lanes.update(x, y)
+
+
+# The largest forecast gap of the identity over the largest condition number of aI + C the run
+# has passed through, in units of eps: a 450-case sweep over the space below, at T = 300,
+# read at most 1.0.  Both forecasters keep (aI + C)^{-1} by the same Sherman-Morrison steps,
+# whose rounding (which grows with that condition number) each carries forward.
+JOINT_GAP = 8.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 6), st.floats(-3, 3), st.floats(-2, 2), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+def test_caar_s_forecast_is_the_substitution_of_the_rows_read_off_maar(n, d, log_a, log_scale, t_len, seed):
+    # CAAR's forecast at ridge a is the substitution of r_i = h_i'u/den (r_d = 0) of MAAR's s = 1
+    # factor at ridge a: the identity bench reads CAAR off MAAR's pass by
+    a, rng = 10.0**log_a, np.random.default_rng(seed)
+    xs, ys = 10.0**log_scale * rng.uniform(-1, 1, (t_len, n)), np.eye(d)[rng.integers(d, size=t_len)]
+    caar, maar = CaarForecaster(n, d, a), MaarForecaster(n, d, a)
+    c, cond, rows = np.zeros((n, n)), 1.0, []
+    for x, y in zip(xs, ys):
+        maar.generalized(x)
+        rows.append(joint_rows(maar._last)[0])
+        c += np.outer(x, x)
+        cond = max(cond, np.linalg.cond(a * np.eye(n) + c))
+        gap = np.abs(caar.predict(x).p - solve_substitution(rows[-1]).p).max()
+        assert gap <= JOINT_GAP * np.finfo(float).eps * cond
+        caar.update(x, y)
+        maar.update(x, y)
+    # a run reads the same rows off its columns, bit for bit, beside MAAR's own
+    fresh = MaarForecaster(n, d, a)
+    joint, own = fresh._read(xs, ys, joint_rows, fresh._row)
+    np.testing.assert_array_equal(joint, np.array(rows))
+    np.testing.assert_array_equal(own, MaarForecaster(n, d, a).run(xs, ys))

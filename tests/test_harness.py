@@ -566,6 +566,66 @@ def test_run_benchmark_equals_a_fresh_run_at_the_chosen_ridge(name):
         np.testing.assert_allclose((fixed.mse, fixed.amse, fixed.bound_slack), want, rtol=1e-12, atol=0)
 
 
+def test_run_benchmark_reads_caar_and_maar_off_one_maar_pass(monkeypatch):
+    # asked for both, run_benchmark runs one MAAR lane pass over the train third and reads CAAR's
+    # rows off it too, then one pass over the rest holding the chosen ridges: ar1 seed 4 is a
+    # stream where the two kinds choose apart, so that pass holds two lanes
+    def refuse(*args):
+        raise AssertionError("CAAR ran its own pass")
+
+    grid, apart = sorted(DEFAULT_RIDGE_GRID), 0
+    for synth, seed, length in (("ar1", 7, 900), ("sine", 3, 400), ("walk", 5, 600), ("ar1", 4, 1000)):
+        stream = prepare_stream(synth_series(synth, length, seed), 10, "auto")
+        train, _ = split_train_test(stream)
+        monkeypatch.setattr(CaarForecaster, "_steps", refuse)
+        both, log = run_benchmark(stream, ["caar", "maar"], DEFAULT_RIDGE_GRID)
+        fixed = {ridge: run_benchmark(stream, ["maar", "caar"], ridge)[0] for ridge in {rep.ridge for rep in both}}
+        monkeypatch.undo()
+        apart += both[0].ridge != both[1].ridge
+        for report in both:
+            kind = report.algorithm
+            assert report.ridge == grid[int(np.argmin(_per_ridge_mse(train, kind, grid)))] == log["ridge"][kind]
+            want = _fresh_protocol(stream, kind, report.ridge, None)
+            np.testing.assert_allclose((report.mse, report.amse, report.bound_slack), want, rtol=1e-12, atol=0)
+            for ridge, reports in fixed.items():   # a fixed ridge: both kinds at it
+                (rep,) = [r for r in reports if r.algorithm == kind]
+                assert rep.ridge == ridge
+                np.testing.assert_allclose((rep.mse, rep.amse, rep.bound_slack),
+                                           _fresh_protocol(stream, kind, ridge, None), rtol=1e-12, atol=0)
+        (alone,), alone_log = run_benchmark(stream, ["maar"], DEFAULT_RIDGE_GRID)
+        shared = both[1]
+        assert (shared.mse, shared.amse, shared.ridge, shared.bound_slack) == \
+            (alone.mse, alone.amse, alone.ridge, alone.bound_slack)
+        assert log["ridge_grid"]["maar"]["train_mse"] == alone_log["ridge_grid"]["maar"]["train_mse"]
+        for ridge, reports in fixed.items():
+            (single,), _ = run_benchmark(stream, ["maar"], ridge)
+            assert (reports[0].mse, reports[0].amse, reports[0].bound_slack) == \
+                (single.mse, single.amse, single.bound_slack)
+    assert apart == 1
+
+
+def test_the_shared_pass_names_a_caar_row_off_the_simplex_by_trial_and_ridge(monkeypatch):
+    stream = label_stream(synth_series("sine", 80, 2), window=10, epsilon=0.05)
+    thresholds = substitution._row_thresholds
+
+    def bad_row_9_in_call(number):   # the shared pass substitutes each kind's stack in the order asked
+        calls = []
+
+        def patched(arr):
+            s = thresholds(arr)
+            calls.append(None)
+            if len(calls) == number:
+                s[9] += 1e-6   # that row's sum leaves SUM_TOL
+            return s
+        return patched
+
+    for algos, number in ((["caar", "maar"], 1), (["maar", "caar"], 2)):   # CAAR's stack of the train third
+        monkeypatch.setattr(substitution, "_row_thresholds", bad_row_9_in_call(number))
+        with pytest.raises(InvariantViolation,
+                           match=r"^trial 3 at ridge 0\.01: substitution left the simplex at row 9"):
+            run_benchmark(stream, algos, [0.001, 0.01, 0.1, 1.0])
+
+
 @pytest.mark.parametrize("kernel", [Kernel("rbf", sigma=0.8), Kernel("dot"), Kernel("poly", degree=3)],
                          ids=["rbf", "dot", "poly"])
 def test_run_benchmark_checks_kaar_s_guarantee_without_a_gram_matrix(kernel, monkeypatch):

@@ -148,6 +148,14 @@ def test_the_gram_matrix_holds_the_kernel_values_kaar_takes_bit_for_bit(kind):
             assert row[:lead + i].tobytes() == gram[lead + i, :lead + i].tobytes()
 
 
+@pytest.mark.parametrize("kind", ["dot", "rbf", "poly"])
+def test_the_gram_matrix_of_no_signals_is_0_by_0(kind):
+    # an empty sequence was one signal of length 0: [[0.]] for dot, [[1.]] for rbf and poly
+    kernel = Kernel(kind)
+    for signals in ([], (), np.empty(0), np.empty((0, 3))):
+        assert kernel.gram(signals).shape == (0, 0)
+    assert kernel.gram([0.5, 2.0]).shape == (1, 1)   # one signal
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_the_tiled_rbf_gram_equals_the_row_by_row_gram_bit_for_bit(n):
     # T around one tile side (as gram sizes its tiles) and at the bound check's 390

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from simplexcast.core import DimensionMismatch, InvariantViolation
 from simplexcast.kaar import KaarForecaster, Kernel
 from simplexcast import maar
 from simplexcast.maar import EINSUM_FROM, REFRESH_EVERY, MaarForecaster, refresh_inverse
-from simplexcast.substitution import solve_substitution
+from simplexcast.substitution import solve_substitution, substitute_rows
 
 from oracle import dense_maar_r, quadrature_r
 
@@ -581,6 +582,39 @@ def test_a_lane_is_an_integer_from_0_below_the_lane_count(cls):
         single = _construct(cls, 2, 3, a)
         single.update(x, [1.0, 0.0, 0.0])
         assert model.lane(g).a == a and model.lane(g).predict(-x) == single.predict(-x)
+
+
+@pytest.mark.parametrize("cls", [MaarForecaster, CaarForecaster, KaarForecaster])
+def test_a_sequence_of_lanes_runs_on_as_its_lanes_split_off_one_at_a_time(cls):
+    # lane([g1, g2]) is the forecaster of those lanes, in that order: each lane runs on bit for bit
+    # as lane(g) does for MAAR and KAAR, and for CAAR, whose single factor takes another BLAS kernel
+    # than a stack, within its pinned 5e-13 per loss; the lanes left behind do not change
+    rng = np.random.default_rng(71)
+    n, d, grid, split = 3, 3, [0.01, 0.3, 1.0, 10.0], 30
+    t_len = split + (90 if cls is KaarForecaster else REFRESH_EVERY + 10)   # the linear ones cross a refresh
+    xs, ys = rng.uniform(-1, 1, (t_len, n)), np.eye(d)[rng.integers(d, size=t_len)]
+    model = _construct(cls, n, d, grid)
+    model.run(xs[:split], ys[:split])
+    held = _committed(model)
+
+    def losses(rows):
+        return ((substitute_rows(rows) - ys[split:]) ** 2).sum(axis=1)
+
+    for picks in ([3, 1], [0, 2, 3], np.array([2])):
+        lanes = model.lane(picks)
+        assert lanes.a == tuple(grid[g] for g in picks) and lanes.t == split
+        rows = lanes.run(xs[split:], ys[split:])
+        for j, g in enumerate(picks):
+            alone = model.lane(g).run(xs[split:], ys[split:])
+            if cls is CaarForecaster:
+                np.testing.assert_allclose(losses(rows[:, j]), losses(alone), rtol=0, atol=5e-13)
+            else:
+                np.testing.assert_array_equal(rows[:, j], alone)
+    assert _committed(model) == held
+    for picks in ([0, 0], [1, 4], [-1], [], [True, 2], [0, 1.0], np.array([3, 3])):
+        with pytest.raises(ValueError, match=rf"^lane must be distinct integers from 0 to 3 of 4 ridge lanes, "
+                                             rf"got {re.escape(repr(picks))}$"):
+            model.lane(picks)
 
 
 def _committed(model):
